@@ -512,3 +512,93 @@ class TestScenarioMotionExperiment:
         out2 = trial(0, 123)
         assert out1 == out2
         assert set(out1) == set(TRIAL_METRICS)
+
+
+class TestHooksOnGolden:
+    """Hooks-on scenario sessions pinned across refactors.
+
+    Motion (UAV lawnmower, aisle drive-by) and power cycling at -22 dBm,
+    perfect and lossy channel.  The digest covers the bitmap, rounds,
+    slots, round stats, ledger bytes (accumulated into a pre-filled
+    shared ledger), ``last_run_info`` and the journal NDJSON.
+    """
+
+    GOLDEN = {
+        ("uav", 0.0): (
+            "444909a8805f1099e4ca9f0ef9d39c11"
+            "4aaa91adb2ee98623c3e51a9bd308ac6"
+        ),
+        ("uav", 0.2): (
+            "53aabd0455e0fefae2d4000f94800f49"
+            "798e143cae81d5b5c947b3752a3838e3"
+        ),
+        ("aisle", 0.0): (
+            "fc6a9e49da5a97eae031a126a329f932"
+            "fe9334dd68277abc8b1103f6b6902ec7"
+        ),
+        ("aisle", 0.2): (
+            "e6c7170e081191083b97089aeb08e7d1"
+            "1652d1525bdffdc702d96ef03b3ea920"
+        ),
+    }
+
+    @staticmethod
+    def _digest(trajectory, loss):
+        import hashlib
+        import json
+
+        from repro.core.session import _picks_to_masks
+
+        n, f = 600, 129
+        dep = PaperDeployment(n_tags=n)
+        net = paper_network(6.0, n_tags=n, seed=13, deployment=dep)
+        masks = _picks_to_masks(picks_for(net, f), f)
+        engine = ScenarioSessionEngine(
+            ScenarioConfig(
+                trajectory=make_trajectory(
+                    trajectory, field_radius=dep.field_radius, speed_mps=20.0
+                ),
+                link_budget=LinkBudget(threshold_dbm=-22.0),
+            )
+        )
+        engine.journal = EventJournal()
+        channel = (
+            LossyChannel(loss, frame_size_hint=f)
+            if loss > 0.0
+            else PerfectChannel()
+        )
+        ledger = EnergyLedger(n)
+        ledger.bits_sent[:] = np.arange(n) * 0.5
+        ledger.bits_received[:] = np.arange(n)[::-1] * 1.5
+        result = engine.run(
+            net, masks, CCMConfig(frame_size=f), channel=channel,
+            rng=np.random.default_rng(7), ledger=ledger,
+        )
+        assert result.ledger is ledger
+        info = engine.last_run_info
+        # The hooks really engage: the reader moves, tags sleep.
+        assert info["relinks"] >= 1
+        assert info["powered_fraction_mean"] < 1.0
+        h = hashlib.sha256()
+        for part in (
+            hex(result.bitmap.bits),
+            str(result.rounds),
+            str(result.slots.short_slots),
+            str(result.slots.id_slots),
+            str(result.terminated_cleanly),
+            repr(result.round_stats),
+            json.dumps(info, sort_keys=True),
+            engine.journal.to_ndjson(),
+        ):
+            h.update(part.encode())
+            h.update(b"\0")
+        h.update(result.ledger.bits_sent.tobytes())
+        h.update(result.ledger.bits_received.tobytes())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("loss", [0.0, 0.2])
+    @pytest.mark.parametrize("trajectory", ["uav", "aisle"])
+    def test_digest_pinned(self, trajectory, loss):
+        assert self._digest(trajectory, loss) == self.GOLDEN[
+            (trajectory, loss)
+        ]
