@@ -12,17 +12,16 @@ This subpackage is the paper's primary contribution.  Typical use::
     result = run_session(net, picks, config=CCMConfig(frame_size=1671))
     print(result.bitmap.popcount(), "busy slots in", result.rounds, "rounds")
 
-Sessions run on an interchangeable engine (``engine="packed"`` bit-packed
-uint64 kernels, ``engine="bigint"`` big-int masks, ``engine="batch"``
-the trial-major batched kernel, default ``"auto"``); see
-:mod:`repro.core.engine` for the registry and :mod:`repro.core.batch`
-for running B whole sessions per numpy call.
+Sessions run on an interchangeable engine (``engine="packed"`` or
+``"batch"``, the vectorized kernel at B = 1; ``engine="bigint"``, the
+scalar big-int oracle; default ``"auto"``); see :mod:`repro.core.engine`
+for the registry and :mod:`repro.core.batch` for the kernel, which also
+runs B whole sessions per numpy call.
 """
 
 from repro.core.bitmap import Bitmap, union
 from repro.core.engine import (
     BigintSessionEngine,
-    PackedSessionEngine,
     SessionEngine,
     available_engines,
     get_engine,
@@ -60,7 +59,6 @@ __all__ = [
     "batch_trial_rngs",
     "SessionEngine",
     "BigintSessionEngine",
-    "PackedSessionEngine",
     "BatchSessionEngine",
     "available_engines",
     "get_engine",

@@ -1,32 +1,42 @@
-"""Trial-major batched session kernel: B independent CCM sessions per call.
+"""Algorithm 1 as one vectorized kernel: B independent CCM sessions per call.
 
-Paper-scale campaigns repeat one deployment question over ~100
-independent trials that share a single topology (Sec. VI-A).  The packed
-engine vectorizes *within* one session; this module stacks B whole
-sessions on top of each other — knowledge state becomes a 3-D uint64
-array (trial x slot x tag-word on the slot-major path, trial x tag x
-slot-word on the channel-driven tag-major path) and every protocol step
-(data frame, indicator round, propagation, checking frame) advances all
-B sessions in one numpy call.  Finished sessions are masked inert (their
-state freezes, their ledger stops accumulating) rather than forcing
-ragged per-trial loops.
+This module is the only vectorized implementation of the CCM round (data
+frame, indicator vector, propagation, checking frame).  Knowledge state
+is a 3-D uint64 array — trial x slot x tag-word on the slot-major path,
+trial x tag x slot-word on the channel-driven tag-major path — and every
+protocol step advances all B sessions in one numpy call.  Finished
+sessions are masked inert (their state freezes, their ledger stops
+accumulating) rather than forcing ragged per-trial loops.
 
-The slot-major kernel never re-transposes the transmit matrix: because
+A single session is the same kernel at B = 1: the ``"packed"`` and
+``"batch"`` engine names both resolve to :class:`BatchSessionEngine`,
+which also emits the per-round tracer events.  The scenario engine
+(:mod:`repro.scenario.engine`) drives the tag-major kernel through one
+per-round hook that returns the round's network (relinked after reader
+motion) and its powered-tag mask; the kernel applies the mask itself.
+
+Routing: the exact perfect channel (and ``LossyChannel(loss=0.0)``,
+which draws nothing) runs slot-major while the neighbour-bitset table
+fits under :data:`SLOT_MAJOR_MAX_ADJ_BYTES`; every other packed-capable
+channel, larger networks and hooked runs go tag-major.
+
+The slot-major kernel never transposes the transmit matrix: because
 every (tag, slot) bit is transmitted at most once per session, per-tag
 energy accounting reduces to exact integer counting identities
 (``|V ∪ done| = |V| + |done| − |V ∩ done|``) maintained incrementally
 from the round's (trial, slot, tag) transmit pairs — the same pairs the
 propagation step needs anyway.  All ledger contributions stay
-integer-valued, so the counts are bit-identical to the reference
-engine's popcounts.
+integer-valued, so the counts are bit-identical to the bigint engine's
+popcounts.
 
 Determinism: the ``repro-batch-rng-v1`` contract
 ------------------------------------------------
-The executable reference for a batched trial is the per-trial packed
-engine (:class:`repro.core.engine.PackedSessionEngine`): running trial k
+The executable reference for a batched trial is B = 1 of the same
+kernel, checked against the scalar ``bigint`` engine: running trial k
 alone and running it inside any batch must produce bit-identical results
-(bitmap, rounds, slots, round stats, energy floats).  The contract that
-pins this:
+(bitmap, rounds, slots, round stats, energy floats), and the B = 1 run
+must match ``bigint`` bit for bit, tracer NDJSON included.  The contract
+that pins this:
 
 * Each trial owns a private :class:`numpy.random.Generator` seeded from
   the existing campaign stream (``trial_seed(base_seed, k)``) — exactly
@@ -44,26 +54,21 @@ pins this:
 :func:`repro.store.fingerprint.code_fingerprint`, so bumping it
 invalidates every memoized trial key by construction.
 
-Bit-identity to the reference holds because every batched kernel is the
-same arithmetic per trial: :func:`~repro.core.engine.bit_transpose` is a
-pure bit permutation (batching trials along word-aligned blocks permutes
-the same bits), segment ORs are order-independent, and the energy ledger
+Bit-identity holds because every batched step is the same arithmetic
+per trial: segment ORs are order-independent, and the energy ledger
 only ever adds integer-valued float64 (sums below 2^53 are exact in any
 association).  The equivalence-grid tests assert it directly.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.bitmap import Bitmap
 from repro.core.engine import (
-    _SLOT_MAJOR_MAX_ADJ_BYTES,
-    _pack_bool_mask,
     _word_counts,
-    get_engine,
     masks_to_words,
     register_engine,
     words_to_int,
@@ -79,6 +84,7 @@ from repro.net.energy import EnergyLedger
 from repro.net.timing import SlotCount, indicator_vector_slots
 from repro.net.topology import Network
 from repro.obs import metrics as obs_metrics
+from repro.sim.trace import SessionTracer
 
 __all__ = [
     "BATCH_RNG_CONTRACT",
@@ -93,13 +99,21 @@ __all__ = [
 #: so stale cache keys invalidate by construction.
 BATCH_RNG_CONTRACT = "repro-batch-rng-v1"
 
-#: Adjacency-size ceiling for the batched slot-major path, matching the
-#: per-trial engine's routing rule.  Module-level (read at call time) so
-#: large-memory hosts can raise it for headline runs.
-SLOT_MAJOR_MAX_ADJ_BYTES = _SLOT_MAJOR_MAX_ADJ_BYTES
+#: Upper bound on the cached neighbour-bitset size (n x ceil(n/64) words)
+#: for the slot-major path; bigger networks run tag-major, whose memory
+#: is proportional to the edge count rather than n^2/8.  Module-level
+#: (read at call time) so large-memory hosts can raise it for headline
+#: runs.
+SLOT_MAJOR_MAX_ADJ_BYTES = 1 << 27
 
 #: Shared empty pair array — the "no transmits" state between rounds.
 _EMPTY_PAIRS = np.empty(0, dtype=np.int32)
+
+#: The per-round scenario hook of the tag-major kernel: called at the
+#: start of each round with the round index and the slots run so far
+#: (trial 0's — hooks drive B = 1 runs); returns the round's network and
+#: its powered-tag mask (``None`` = every tag powered).
+RoundHook = Callable[[int, SlotCount], Tuple[Network, Optional[np.ndarray]]]
 
 
 def batch_trial_rngs(
@@ -135,13 +149,6 @@ def _unpack_rows(words: np.ndarray, count: int) -> np.ndarray:
     ).view(bool)
 
 
-def _unpack_vec(words: np.ndarray, count: int) -> np.ndarray:
-    """Unpack one uint64 word run back to ``count`` booleans."""
-    return np.unpackbits(
-        words.view(np.uint8), bitorder="little", count=count
-    ).view(bool)
-
-
 def _run_checking_frame_batch(
     network: Network,
     has_pending: np.ndarray,
@@ -149,71 +156,85 @@ def _run_checking_frame_batch(
     l_c: int,
     sent_bits: np.ndarray,
     recv_bits: np.ndarray,
+    powered: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """All B checking frames at once (Alg. 1 lines 14-24, trial-bit packed).
 
     Mirrors :func:`repro.core.engine.run_checking_frame` per trial: the
-    state is transposed into trial-bit words — ``frontier[t]`` holds one
+    state is transposed into trial-bit bytes — ``frontier[t]`` holds one
     bit per *trial* for tag ``t`` — so each BFS step is a single
     :func:`~repro.net.channel.or_reduce_segments` over the CSR adjacency
-    for every trial simultaneously.  A trial leaves the wave when its
-    responders die out (the reader listens out the remaining slots) or
-    when a tier-1 response is heard.
+    for every trial simultaneously.  The live-trial set is a byte run
+    too; it is unpacked only in the slot where some trial is heard, not
+    on every slot.  A trial leaves the wave when its responders die out
+    (the reader listens out the remaining slots) or when a tier-1
+    response is heard.
+
+    ``powered`` (scenario runs) restricts the wave to powered tags: an
+    unpowered tag neither responds nor relays, and accrues no energy.
 
     Energy (active trials only): posts the same bulk updates as the
-    reference — every tag listens ``listened - responded`` slots and a
-    responder sends one bit.  Returns ``(slots, heard)`` per trial;
-    ``slots`` is 0 for inactive trials.
+    scalar frame — every tag listens ``listened - responded`` slots and a
+    responder sends one bit.  Inactive trials add exact zeros.  Returns
+    ``(slots, heard)`` per trial; ``slots`` is 0 for inactive trials.
     """
-    B, n = has_pending.shape
-    wb = max(1, (B + 63) // 64)
-    tier1 = network.tier1_mask
-    indptr, indices = network.indptr, network.indices
-    any_tier1 = bool(tier1.any())
-
-    live = active.copy()
-    frontier_w = _pack_rows((has_pending & active[:, None]).T, wb)
-    responded_w = np.zeros_like(frontier_w)
-    executed = np.zeros(B, dtype=np.int64)
+    B = has_pending.shape[0]
+    asleep = None if powered is None else ~powered
+    seeds = has_pending & active[:, None]
+    if asleep is not None:
+        seeds[:, asleep] = False
     heard = np.zeros(B, dtype=bool)
-    live_w = _pack_bool_mask(live, wb)
-    for _slot in range(1, l_c + 1):
-        responders_w = (frontier_w & ~responded_w) & live_w[None, :]
-        any_resp = _unpack_vec(
-            np.bitwise_or.reduce(responders_w, axis=0), B
-        )
+    slots = np.where(active, l_c, 0)
+    if not seeds.any():
+        # No wave at all: every active trial listens out the frame.
+        recv = np.full(has_pending.shape[1], float(l_c))
+        if asleep is not None:
+            recv[asleep] = 0.0
+        recv_bits[active] += recv
+        return slots, heard
+
+    tier1_idx = network.tier1_mask.nonzero()[0]
+    indptr, indices = network.indptr, network.indices
+    frontier = np.packbits(seeds.T, axis=1, bitorder="little")
+    responded = np.zeros_like(frontier)
+    live = np.packbits(active, bitorder="little")
+    for slot in range(1, l_c + 1):
+        responders = frontier & ~responded & live
+        if asleep is not None:
+            responders[asleep] = 0
         # Wave died in trials without responders; per Alg. 1 their reader
         # keeps listening through the rest of the frame (whole l_c counts).
-        live &= any_resp
+        live = live & np.bitwise_or.reduce(responders, axis=0)
         if not live.any():
             break
-        executed[live] += 1
-        responded_w |= responders_w
-        if any_tier1:
-            heard_now = (
-                _unpack_vec(
-                    np.bitwise_or.reduce(responders_w[tier1], axis=0), B
-                )
-                & live
-            )
-            heard |= heard_now
-            live &= ~heard_now
-        live_w = _pack_bool_mask(live, wb)
+        responded |= responders
+        heard_now = np.bitwise_or.reduce(responders[tier1_idx], axis=0) & live
+        if heard_now.any():
+            # A trial stays live from its first slot until it leaves, so
+            # one heard in this slot has executed exactly ``slot`` slots.
+            now = np.unpackbits(
+                heard_now, count=B, bitorder="little"
+            ).view(bool)
+            heard |= now
+            slots[now] = slot
+            live = live & ~heard_now
         if live.any():
             # One BFS hop for every still-live trial at once.
-            frontier_w = or_reduce_segments(
-                responders_w,
+            frontier = or_reduce_segments(
+                responders,
                 indptr,
                 indices,
-                row_filter=responders_w.any(axis=1),
+                row_filter=responders.any(axis=1),
             )
 
-    listened = np.where(heard, executed, l_c).astype(np.float64)
-    resp = _unpack_rows(responded_w, B).T.astype(np.float64)
-    recv_bits[active] += listened[active, None] - resp[active]
-    sent_bits[active] += resp[active]
-    slots = np.where(heard, executed, l_c)
-    slots[~active] = 0
+    resp = np.unpackbits(
+        responded, axis=1, count=B, bitorder="little"
+    ).T.astype(np.float64)
+    recv = slots[:, None] - resp
+    if asleep is not None:
+        recv[:, asleep] = 0.0
+    recv_bits += recv
+    sent_bits += resp
     return slots, heard
 
 
@@ -269,6 +290,43 @@ def _append_stats(
                 reader_heard_checking=bool(chk_heard[b]),
             )
         )
+
+
+def _trace_round(
+    tracer: SessionTracer,
+    round_index: int,
+    use_iv: bool,
+    stats: RoundStats,
+    busy_total: int,
+    pending_tags: int,
+) -> None:
+    """Trial 0's protocol events for one round, in the bigint order."""
+    tracer.emit("round_start", round_index)
+    tracer.emit(
+        "frame",
+        round_index,
+        transmitters=stats.transmitting_tags,
+        bits_new_at_reader=stats.bits_new_at_reader,
+        reader_busy_total=busy_total,
+    )
+    if use_iv:
+        tracer.emit("indicator", round_index, silenced_total=busy_total)
+    tracer.emit(
+        "checking",
+        round_index,
+        slots_executed=stats.checking_slots_executed,
+        reader_heard=stats.reader_heard_checking,
+        pending_tags=pending_tags,
+    )
+
+
+def _trace_end(
+    tracer: SessionTracer, rounds: int, clean: bool, busy_total: int
+) -> None:
+    tracer.emit(
+        "session_end", rounds, rounds=rounds, clean=clean,
+        busy_slots=busy_total,
+    )
 
 
 def _initial_pairs(
@@ -335,13 +393,54 @@ def _extract_pairs(
     return surv_b[r_idx], surv_s[r_idx], r_tag
 
 
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal values in sorted, non-empty ``keys`` starts."""
+    edge = np.empty(keys.size, dtype=bool)
+    edge[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=edge[1:])
+    return edge.nonzero()[0]
+
+
+def _or_runs(
+    adjacency: np.ndarray, tags: np.ndarray, starts: np.ndarray
+) -> np.ndarray:
+    """OR of the adjacency rows of each run of ``tags`` (runs begin at
+    ``starts``): one slot's audience per run.
+
+    Runs are taken in chunks whose gathered rows fit in ~256 KB, so the
+    gathered block stays cache-resident: a chunk of short runs is one
+    gather plus ``reduceat``, and a run too long to share a chunk is
+    reduced on its own.
+    """
+    bounds = np.append(starts, tags.size)
+    budget = max(1, (1 << 15) // adjacency.shape[1])
+    # The run a chunk starting at run r would end before.
+    ends = (np.searchsorted(bounds, starts + budget, "right") - 1).tolist()
+    bounds_l = bounds.tolist()
+    out = np.empty((starts.size, adjacency.shape[1]), dtype=np.uint64)
+    r0 = 0
+    while r0 < starts.size:
+        r1 = max(ends[r0], r0 + 1)
+        lo, hi = bounds_l[r0], bounds_l[r1]
+        rows = adjacency[tags[lo:hi]]
+        if r1 == r0 + 1:
+            out[r0] = np.bitwise_or.reduce(rows, axis=0)
+        else:
+            out[r0:r1] = np.bitwise_or.reduceat(
+                rows, bounds[r0:r1] - lo, axis=0
+            )
+        r0 = r1
+    return out
+
+
 def _batch_slot_major(
     network: Network,
     masks_batch: Optional[Sequence[Sequence[int]]],
     config: CCMConfig,
     picks_batch: Optional[Sequence[np.ndarray]] = None,
+    tracer: Optional[SessionTracer] = None,
 ) -> List[SessionResult]:
-    """Batched mirror of the packed engine's slot-major path.
+    """The perfect-channel kernel: per-slot tag bitsets, no channel calls.
 
     The round state is the (trial, slot, tag-word) ``known`` bitset plus
     the current round's transmit *pairs* ``(pb, ps, pt)``.  Each (tag,
@@ -349,25 +448,31 @@ def _batch_slot_major(
     knowledge), so per-tag accounting is pure integer counting:
 
     * ``dcount[b, t]`` — cumulative slots tag t has transmitted in
-      (= popcount of the reference engine's ``done_tm`` row);
+      (= popcount of the bigint engine's ``done`` row);
     * ``overlap[b, t]`` — ``|done ∩ V|`` against the *previous* round's
       indicator vector, maintained from two deltas: this round's pairs
       that land in already-busy slots, and the pair *history* (every
       pair transmitted so far — exactly the done set) restricted to
       slots that just turned busy;
     * ``monitored = |V| + dcount − overlap = |V ∪ done|`` — the exact
-      popcount the reference computes, so the float64 ledger adds are
-      bit-identical (integer-valued, far below 2^53).
+      popcount the bigint engine computes, so the float64 ledger adds
+      are bit-identical (integer-valued, far below 2^53).
 
-    Propagation gathers adjacency rows per surviving (trial, slot) run —
-    the adjacency table is shared across trials and cache-resident, so
-    the per-run reduction beats one batch-wide gather that would
-    materialize gigabytes.  The learned rows are unpacked in
+    Propagation runs after the indicator vector, and only for slots that
+    survive it: ``heard`` feeds only ``learned``, which is zeroed for
+    every slot in the (updated) indicator vector.  (The bigint engine
+    also grows ``known`` on freshly-silenced slots, but such slots never
+    transmit or learn again, so skipping them is observationally
+    identical.)  It gathers adjacency rows per surviving (trial, slot)
+    run — the adjacency table is shared across trials and
+    cache-resident, so the per-run reduction beats one batch-wide gather
+    that would materialize gigabytes.  The learned rows are unpacked in
     cache-sized chunks and their nonzero coordinates *are* the next
     round's pairs (int32: every flat key here is bounded by the
     ``known`` array's element count, which memory already caps far
     below 2**31).
     """
+    obs = obs_metrics.OBS
     B = len(masks_batch) if masks_batch is not None else len(picks_batch)
     n = network.n_tags
     f = config.frame_size
@@ -377,137 +482,151 @@ def _batch_slot_major(
     max_rounds = config.max_rounds if config.max_rounds is not None else l_c
     use_iv = config.use_indicator_vector
 
-    wn = max(1, (n + 63) // 64)
-    wf = max(1, (f + 63) // 64)
-    adjacency = network.packed_adjacency()
-    tier1 = network.tier1_mask
-    reachable = network.reachable_mask
-    iv_slots = indicator_vector_slots(f)
+    with obs.span("setup"):
+        wn = max(1, (n + 63) // 64)
+        wf = max(1, (f + 63) // 64)
+        adjacency = network.packed_adjacency()
+        tier1 = network.tier1_mask
+        reachable = network.reachable_mask
+        iv_slots = indicator_vector_slots(f)
 
-    pb, ps, pt = _initial_pairs(masks_batch, picks_batch, n, f)
-    pb = pb.astype(np.int32)
-    ps = ps.astype(np.int32)
-    pt = pt.astype(np.int32)
-    known = np.zeros((B, f, wn), dtype=np.uint64)
-    if pb.size:
-        np.bitwise_or.at(
-            known.reshape(B * f * wn),
-            (pb.astype(np.int64) * f + ps) * wn + (pt >> 6),
-            np.left_shift(np.uint64(1), (pt & 63).astype(np.uint64)),
-        )
-    bitmap = np.zeros((B, f), dtype=bool)
-    dcount = np.zeros((B, n), dtype=np.int64)
-    overlap = np.zeros((B, n), dtype=np.int64)
-    sil_prev = np.zeros(B, dtype=np.int64)
-    # Every (trial*f + slot, trial*n + tag) key pair transmitted so far —
-    # the done set in pair form, appended to as rounds transmit.
-    hist_bs = np.empty(0, dtype=np.int32)
-    hist_bt = np.empty(0, dtype=np.int32)
+        pb, ps, pt = _initial_pairs(masks_batch, picks_batch, n, f)
+        pb = pb.astype(np.int32)
+        ps = ps.astype(np.int32)
+        pt = pt.astype(np.int32)
+        known = np.zeros((B, f, wn), dtype=np.uint64)
+        if pb.size:
+            np.bitwise_or.at(
+                known.reshape(B * f * wn),
+                (pb.astype(np.int64) * f + ps) * wn + (pt >> 6),
+                np.left_shift(np.uint64(1), (pt & 63).astype(np.uint64)),
+            )
+        bitmap = np.zeros((B, f), dtype=bool)
+        dcount = np.zeros((B, n), dtype=np.int64)
+        overlap = np.zeros((B, n), dtype=np.int64)
+        sil_prev = np.zeros(B, dtype=np.int64)
+        # Every (trial*f + slot, trial*n + tag) key pair transmitted so
+        # far — the done set in pair form, appended to as rounds transmit.
+        hist_bs = np.empty(0, dtype=np.int32)
+        hist_bt = np.empty(0, dtype=np.int32)
 
-    sent_bits = np.zeros((B, n), dtype=np.float64)
-    recv_bits = np.zeros((B, n), dtype=np.float64)
-    short_slots = np.zeros(B, dtype=np.int64)
-    id_slots = np.zeros(B, dtype=np.int64)
-    stats: List[List[RoundStats]] = [[] for _ in range(B)]
-    active = np.ones(B, dtype=bool)
-    rounds_run = np.zeros(B, dtype=np.int64)
-    clean = np.zeros(B, dtype=bool)
+        sent_bits = np.zeros((B, n), dtype=np.float64)
+        recv_bits = np.zeros((B, n), dtype=np.float64)
+        short_slots = np.zeros(B, dtype=np.int64)
+        id_slots = np.zeros(B, dtype=np.int64)
+        stats: List[List[RoundStats]] = [[] for _ in range(B)]
+        active = np.ones(B, dtype=bool)
+        rounds_run = np.zeros(B, dtype=np.int64)
+        clean = np.zeros(B, dtype=bool)
 
     for round_index in range(1, max_rounds + 1):
         if not active.any():
             break
         act = active
-        rounds_run[act] = round_index
+        n_act = int(np.count_nonzero(act))
+        # Basic slicing when every trial still runs (always at B = 1):
+        # boolean row selection allocates on every use.
+        sel = act if n_act < B else slice(None)
+        rounds_run[sel] = round_index
+        obs.inc("ccm_rounds_total", n_act)
+        round_span = obs.span("round")
+        round_span.__enter__()
 
         # --- data frame -------------------------------------------------
-        key_bs = pb * np.int32(f) + ps
-        key_bt = pb * np.int32(n) + pt
-        delta = np.bincount(key_bt, minlength=B * n).reshape(B, n)
-        transmitting = np.count_nonzero(delta, axis=1)
-        sent_bits[act] += delta[act]
-        dcount += delta  # transmits only happen in active trials
-        if use_iv:
-            # This round's transmits that land in already-silenced slots
-            # (V is still the previous round's vector at listen time).
-            in_v = bitmap.reshape(-1)[key_bs]
-            overlap += np.bincount(
-                key_bt[in_v], minlength=B * n
-            ).reshape(B, n)
-            monitored = sil_prev[:, None] + dcount - overlap
-        else:
-            monitored = dcount
-        recv_bits[act] += (f - monitored[act]).astype(np.float64)
-        short_slots[act] += f
-        hist_bs = np.concatenate((hist_bs, key_bs))
-        hist_bt = np.concatenate((hist_bt, key_bt))
+        with obs.span("data_frame"):
+            key_bs = pb * np.int32(f) + ps
+            key_bt = pb * np.int32(n) + pt
+            delta = np.bincount(key_bt, minlength=B * n).reshape(B, n)
+            transmitting = np.count_nonzero(delta, axis=1)
+            sent_bits += delta  # zero rows for finished trials
+            dcount += delta  # transmits only happen in active trials
+            if use_iv:
+                # This round's transmits that land in already-silenced
+                # slots (V is still the previous round's vector at listen
+                # time).
+                in_v = bitmap.reshape(-1)[key_bs]
+                overlap += np.bincount(
+                    key_bt[in_v], minlength=B * n
+                ).reshape(B, n)
+                monitored = sil_prev[:, None] + dcount - overlap
+            else:
+                monitored = dcount
+            recv_bits[sel] += (f - monitored[sel]).astype(np.float64)
+            short_slots[sel] += f
+            hist_bs = np.concatenate((hist_bs, key_bs))
+            hist_bt = np.concatenate((hist_bt, key_bt))
+            obs.inc("ccm_data_frame_slots_total", f * n_act)
 
         # --- indicator vector -------------------------------------------
         t1p = tier1[pt]
         reader_busy = np.zeros((B, f), dtype=bool)
         reader_busy.reshape(-1)[key_bs[t1p]] = True
         newbusy = reader_busy & ~bitmap
-        bits_new = np.count_nonzero(newbusy, axis=1)
+        bits_new = newbusy.sum(axis=1)
         bitmap |= reader_busy
         if use_iv:
-            sil_prev = np.count_nonzero(bitmap, axis=1)
-            id_slots[act] += iv_slots
-            recv_bits[act] += float(f)
-            # Done slots that just turned busy: the pair history holds
-            # exactly initial ∪ learned_{<r} ∪ this round = the done
-            # set, so its newly-busy members are the |done ∩ V|
-            # correction.
-            in_new = newbusy.reshape(-1)[hist_bs]
-            overlap += np.bincount(
-                hist_bt[in_new], minlength=B * n
-            ).reshape(B, n)
+            with obs.span("indicator"):
+                sil_prev = bitmap.sum(axis=1)
+                id_slots[sel] += iv_slots
+                recv_bits[sel] += float(f)
+                # Done slots that just turned busy: the pair history holds
+                # exactly initial ∪ learned_{<r} ∪ this round = the done
+                # set, so its newly-busy members are the |done ∩ V|
+                # correction.
+                in_new = newbusy.reshape(-1)[hist_bs]
+                overlap += np.bincount(
+                    hist_bt[in_new], minlength=B * n
+                ).reshape(B, n)
+                obs.inc("ccm_indicator_slots_total", iv_slots * n_act)
 
         # --- propagation + knowledge update -----------------------------
-        if use_iv and pb.size:
-            keep = ~bitmap.reshape(-1)[key_bs]
-            qb, qs, qt = pb[keep], ps[keep], pt[keep]
-            qkey = key_bs[keep]
-        else:
-            qb, qs, qt, qkey = pb, ps, pt, key_bs
-        next_pb = next_ps = next_pt = _EMPTY_PAIRS
-        has_pending = np.zeros((B, n), dtype=bool)
-        if qb.size:
-            starts = np.flatnonzero(np.diff(qkey, prepend=qkey[0] - 1))
-            bounds = np.append(starts, qkey.size)
-            surv_b, surv_s = qb[starts], qs[starts]
-            known_rows = known[surv_b, surv_s]
-            learned_rows = np.empty((starts.size, wn), dtype=np.uint64)
-            lens = np.diff(bounds)
-            single = lens == 1
-            if single.any():
-                learned_rows[single] = adjacency[qt[starts[single]]]
-            for j in np.flatnonzero(~single):
-                learned_rows[j] = np.bitwise_or.reduce(
-                    adjacency[qt[bounds[j] : bounds[j + 1]]], axis=0
+        with obs.span("propagate"):
+            if use_iv and pb.size:
+                keep = ~bitmap.reshape(-1)[key_bs]
+                qb, qs, qt = pb[keep], ps[keep], pt[keep]
+                qkey = key_bs[keep]
+            else:
+                qb, qs, qt, qkey = pb, ps, pt, key_bs
+            next_pb = next_ps = next_pt = _EMPTY_PAIRS
+            has_pending = np.zeros((B, n), dtype=bool)
+            if qb.size:
+                starts = _run_starts(qkey)
+                surv_b, surv_s = qb[starts], qs[starts]
+                known_rows = known[surv_b, surv_s]
+                learned_rows = _or_runs(adjacency, qt, starts)
+                learned_rows &= ~known_rows
+                known[surv_b, surv_s] = known_rows | learned_rows
+                # Per-trial pending-tags union straight off the packed
+                # rows (rows are sorted by trial): feeds the checking
+                # frame without materializing next pairs first.
+                b_starts = _run_starts(surv_b)
+                pend_words = np.zeros((B, wn), dtype=np.uint64)
+                pend_words[surv_b[b_starts]] = np.bitwise_or.reduceat(
+                    learned_rows, b_starts, axis=0
                 )
-            learned_rows &= ~known_rows
-            known[surv_b, surv_s] = known_rows | learned_rows
-            # Per-trial pending-tags union straight off the packed rows
-            # (rows are sorted by trial): feeds the checking frame
-            # without materializing next pairs first.
-            b_starts = np.flatnonzero(np.diff(surv_b, prepend=-1))
-            pend_words = np.zeros((B, wn), dtype=np.uint64)
-            pend_words[surv_b[b_starts]] = np.bitwise_or.reduceat(
-                learned_rows, b_starts, axis=0
-            )
-            has_pending = _unpack_rows(pend_words, n)
-            next_pb, next_ps, next_pt = _extract_pairs(
-                learned_rows, surv_b, surv_s, n
-            )
+                has_pending = _unpack_rows(pend_words, n)
+                next_pb, next_ps, next_pt = _extract_pairs(
+                    learned_rows, surv_b, surv_s, n
+                )
 
         # --- checking frame ---------------------------------------------
-        chk_slots, chk_heard = _run_checking_frame_batch(
-            network, has_pending, active, l_c, sent_bits, recv_bits
-        )
-        short_slots[act] += chk_slots[act]
+        with obs.span("checking"):
+            chk_slots, chk_heard = _run_checking_frame_batch(
+                network, has_pending, active, l_c, sent_bits, recv_bits
+            )
+            short_slots += chk_slots
+            obs.inc("ccm_checking_slots_total", int(chk_slots.sum()))
+        round_span.__exit__(None, None, None)
         _append_stats(
             stats, act, round_index, transmitting, bits_new, chk_slots,
             chk_heard,
         )
+        if tracer is not None:
+            _trace_round(
+                tracer, round_index, use_iv, stats[0][-1],
+                int(np.count_nonzero(bitmap[0])),
+                int(np.count_nonzero(has_pending[0])),
+            )
 
         finishing = act & ~chk_heard
         if finishing.any():
@@ -528,6 +647,11 @@ def _batch_slot_major(
             hp[pb, pt] = True
         clean[active] = ~(hp[active] & reachable).any(axis=1)
 
+    if tracer is not None:
+        _trace_end(
+            tracer, int(rounds_run[0]), bool(clean[0]),
+            int(np.count_nonzero(bitmap[0])),
+        )
     bitmap_words = _pack_rows(bitmap, wf)
     return _finalize(
         f, bitmap_words, rounds_run, short_slots, id_slots, sent_bits,
@@ -543,13 +667,23 @@ def _batch_tag_major(
     channel: Channel,
     rngs: Optional[Sequence[np.random.Generator]],
     picks_batch: Optional[Sequence[np.ndarray]] = None,
+    tracer: Optional[SessionTracer] = None,
+    hook: Optional[RoundHook] = None,
 ) -> List[SessionResult]:
-    """Batched mirror of the packed engine's channel-driven tag-major path.
+    """The channel-driven kernel: per-tag frames through the channel.
 
     Channel draws happen per trial in ascending trial order against each
     trial's private generator (the ``repro-batch-rng-v1`` interleaving);
     everything else is word-parallel across the whole batch.
+
+    ``hook`` (the scenario engine's) is called at the start of every
+    round and returns that round's network and powered mask.  Unpowered
+    tags transmit, hear, learn and respond nothing and accrue no energy;
+    a sleeping tag's pending data is *retained* until it wakes — data
+    parks on a sleeping tag, it does not vanish.  Termination is judged
+    on the last round's network.
     """
+    obs = obs_metrics.OBS
     B = len(masks_batch) if masks_batch is not None else len(picks_batch)
     n = network.n_tags
     f = config.frame_size
@@ -557,112 +691,217 @@ def _batch_tag_major(
         network
     )
     max_rounds = config.max_rounds if config.max_rounds is not None else l_c
+    use_iv = config.use_indicator_vector
 
-    tier1 = network.tier1_mask
-    indptr, indices = network.indptr, network.indices
-    reachable = network.reachable_mask
-    wf = max(1, (f + 63) // 64)
-    iv_slots = indicator_vector_slots(f)
-
-    if picks_batch is not None:
-        pending = np.zeros((B, n, wf), dtype=np.uint64)
-        pk = np.stack(
-            [np.asarray(p, dtype=np.int64) for p in picks_batch]
-        )
-        b_idx, t_idx = np.nonzero(pk >= 0)
-        if b_idx.size:
-            s_idx = pk[b_idx, t_idx]
-            np.bitwise_or.at(
-                pending.reshape(B * n * wf),
-                (b_idx * n + t_idx) * wf + (s_idx >> 6),
-                np.left_shift(np.uint64(1), (s_idx & 63).astype(np.uint64)),
+    with obs.span("setup"):
+        wf = max(1, (f + 63) // 64)
+        iv_slots = indicator_vector_slots(f)
+        if picks_batch is not None:
+            pending = np.zeros((B, n, wf), dtype=np.uint64)
+            pk = np.stack(
+                [np.asarray(p, dtype=np.int64) for p in picks_batch]
             )
-    else:
-        pending = np.stack([masks_to_words(m, f) for m in masks_batch])
-    known = pending.copy()
-    done = np.zeros((B, n, wf), dtype=np.uint64)
-    silenced = np.zeros((B, wf), dtype=np.uint64)
-    reader_bitmap = np.zeros((B, wf), dtype=np.uint64)
+            b_idx, t_idx = np.nonzero(pk >= 0)
+            if b_idx.size:
+                s_idx = pk[b_idx, t_idx]
+                np.bitwise_or.at(
+                    pending.reshape(B * n * wf),
+                    (b_idx * n + t_idx) * wf + (s_idx >> 6),
+                    np.left_shift(
+                        np.uint64(1), (s_idx & 63).astype(np.uint64)
+                    ),
+                )
+        else:
+            pending = np.stack([masks_to_words(m, f) for m in masks_batch])
+        known = pending.copy()
+        done = np.zeros((B, n, wf), dtype=np.uint64)
+        silenced = np.zeros((B, wf), dtype=np.uint64)
+        reader_bitmap = np.zeros((B, wf), dtype=np.uint64)
 
-    sent_bits = np.zeros((B, n), dtype=np.float64)
-    recv_bits = np.zeros((B, n), dtype=np.float64)
-    short_slots = np.zeros(B, dtype=np.int64)
-    id_slots = np.zeros(B, dtype=np.int64)
-    stats: List[List[RoundStats]] = [[] for _ in range(B)]
-    active = np.ones(B, dtype=bool)
-    rounds_run = np.zeros(B, dtype=np.int64)
-    clean = np.zeros(B, dtype=bool)
+        sent_bits = np.zeros((B, n), dtype=np.float64)
+        recv_bits = np.zeros((B, n), dtype=np.float64)
+        short_slots = np.zeros(B, dtype=np.int64)
+        id_slots = np.zeros(B, dtype=np.int64)
+        stats: List[List[RoundStats]] = [[] for _ in range(B)]
+        active = np.ones(B, dtype=bool)
+        rounds_run = np.zeros(B, dtype=np.int64)
+        clean = np.zeros(B, dtype=bool)
 
+    net = network
+    powered: Optional[np.ndarray] = None
+    asleep: Optional[np.ndarray] = None
     for round_index in range(1, max_rounds + 1):
         if not active.any():
             break
         act = active
-        rounds_run[act] = round_index
+        n_act = int(np.count_nonzero(act))
+        # Basic slicing when every trial still runs (always at B = 1):
+        # boolean row selection allocates on every use.
+        sel = act if n_act < B else slice(None)
+        rounds_run[sel] = round_index
+        obs.inc("ccm_rounds_total", n_act)
+        round_span = obs.span("round")
+        round_span.__enter__()
+        if hook is not None:
+            net, powered = hook(
+                round_index,
+                SlotCount(
+                    short_slots=int(short_slots[0]),
+                    id_slots=int(id_slots[0]),
+                ),
+            )
+            asleep = None if powered is None else ~powered
+        tier1 = net.tier1_mask
+        indptr, indices = net.indptr, net.indices
 
         # --- data frame -------------------------------------------------
-        transmit = pending & ~silenced[:, None, :]
-        tx_rows = transmit.any(axis=2)
-        transmitting = np.count_nonzero(tx_rows, axis=1)
-        heard = np.zeros_like(transmit)
-        reader_busy = np.zeros((B, wf), dtype=np.uint64)
-        for b in np.flatnonzero(act):
-            # Ascending trial order, private generators: the contract's
-            # interleaving (each stream is unchanged by its neighbours).
-            rng_b = rngs[b] if rngs is not None else None
-            heard[b] = channel.propagate_packed(
-                transmit[b], indptr, indices, rng_b
-            )
-            reader_busy[b] = channel.reader_senses_packed(
-                transmit[b], tier1, rng_b
-            )
+        with obs.span("data_frame"):
+            # pending bits are within the frame by construction (validated
+            # initial masks; learned bits come from transmissions), so no
+            # frame-mask clip is needed.
+            transmit = pending & ~silenced[:, None, :]
+            if asleep is not None:
+                transmit[:, asleep] = 0
+            transmitting = np.count_nonzero(transmit.any(axis=2), axis=1)
+            heard = np.zeros_like(transmit)
+            reader_busy = np.zeros((B, wf), dtype=np.uint64)
+            with obs.span("propagate"):
+                for b in np.flatnonzero(act):
+                    # Ascending trial order, private generators: the
+                    # contract's interleaving (each stream is unchanged by
+                    # its neighbours).
+                    rng_b = rngs[b] if rngs is not None else None
+                    heard[b] = channel.propagate_packed(
+                        transmit[b], indptr, indices, rng_b
+                    )
+                    reader_busy[b] = channel.reader_senses_packed(
+                        transmit[b], tier1, rng_b
+                    )
+            if asleep is not None:
+                heard[:, asleep] = 0
 
-        sent = _word_counts(transmit).sum(axis=2)
-        monitored = _word_counts(
-            silenced[:, None, :] | done | transmit
-        ).sum(axis=2)
-        sent_bits[act] += sent[act]
-        recv_bits[act] += (f - monitored[act]).astype(np.float64)
-        short_slots[act] += f
+            with obs.span("transpose_popcount"):
+                sent = _word_counts(transmit).sum(axis=2)
+                monitored = _word_counts(
+                    silenced[:, None, :] | done | transmit
+                ).sum(axis=2)
+            recv = (f - monitored).astype(np.float64)
+            if asleep is not None:
+                recv[:, asleep] = 0.0
+            sent_bits += sent  # zero rows for finished trials
+            recv_bits[sel] += recv[sel]
+            short_slots[sel] += f
+            obs.inc("ccm_data_frame_slots_total", f * n_act)
 
-        learned = heard & ~known & ~transmit & ~silenced[:, None, :]
-        known |= learned | transmit
-        done |= transmit
+            # Knowledge update (half duplex + silencing), word-parallel.
+            learned = heard & ~known & ~transmit & ~silenced[:, None, :]
+            known |= learned | transmit
+            done |= transmit
+            if asleep is not None:
+                learned[:, asleep] = pending[:, asleep]
 
         # --- indicator vector -------------------------------------------
         bits_new = _word_counts(reader_busy & ~reader_bitmap).sum(axis=1)
         reader_bitmap |= reader_busy
-        if config.use_indicator_vector:
-            silenced[act] = reader_bitmap[act]
-            id_slots[act] += iv_slots
-            recv_bits[act] += float(f)
-            learned &= ~silenced[:, None, :]
+        if use_iv:
+            with obs.span("indicator"):
+                silenced[sel] = reader_bitmap[sel]
+                id_slots[sel] += iv_slots
+                recv_bits[sel] += (
+                    float(f) if asleep is None
+                    else np.where(powered, float(f), 0.0)
+                )
+                # Masking retained (sleeping-tag) pending with the new V is
+                # observationally identical to masking at wake time: V
+                # only grows, and a woken tag applies the then-current V
+                # before transmitting anyway.
+                learned &= ~silenced[:, None, :]
+                obs.inc("ccm_indicator_slots_total", iv_slots * n_act)
         pending = learned
 
         # --- checking frame ---------------------------------------------
-        has_pending = pending.any(axis=2)
-        chk_slots, chk_heard = _run_checking_frame_batch(
-            network, has_pending, active, l_c, sent_bits, recv_bits
-        )
-        short_slots[act] += chk_slots[act]
+        with obs.span("checking"):
+            has_pending = pending.any(axis=2)
+            chk_slots, chk_heard = _run_checking_frame_batch(
+                net, has_pending, active, l_c, sent_bits, recv_bits,
+                powered=powered,
+            )
+            short_slots += chk_slots
+            obs.inc("ccm_checking_slots_total", int(chk_slots.sum()))
+        round_span.__exit__(None, None, None)
         _append_stats(
             stats, act, round_index, transmitting, bits_new, chk_slots,
             chk_heard,
         )
+        if tracer is not None:
+            _trace_round(
+                tracer, round_index, use_iv, stats[0][-1],
+                int(_word_counts(reader_bitmap[0]).sum()),
+                int(np.count_nonzero(has_pending[0])),
+            )
 
         finishing = act & ~chk_heard
         if finishing.any():
-            clean[finishing] = ~pending[finishing][:, reachable].any(
-                axis=(1, 2)
-            )
+            clean[finishing] = ~pending[finishing][
+                :, net.reachable_mask
+            ].any(axis=(1, 2))
             active = act & chk_heard
             pending[~active] = 0
 
     if active.any():
-        clean[active] = ~pending[active][:, reachable].any(axis=(1, 2))
+        clean[active] = ~pending[active][:, net.reachable_mask].any(
+            axis=(1, 2)
+        )
 
+    if tracer is not None:
+        _trace_end(
+            tracer, int(rounds_run[0]), bool(clean[0]),
+            int(_word_counts(reader_bitmap[0]).sum()),
+        )
     return _finalize(
         f, reader_bitmap, rounds_run, short_slots, id_slots, sent_bits,
         recv_bits, stats, clean,
+    )
+
+
+def _run_kernel(
+    network: Network,
+    masks_batch: Optional[Sequence[Sequence[int]]],
+    config: CCMConfig,
+    *,
+    picks_batch: Optional[Sequence[np.ndarray]] = None,
+    channel: Optional[Channel] = None,
+    rngs: Optional[Sequence[np.random.Generator]] = None,
+    tracer: Optional[SessionTracer] = None,
+    hook: Optional[RoundHook] = None,
+) -> List[SessionResult]:
+    """Route validated inputs to the slot-major or tag-major kernel."""
+    channel = channel or PerfectChannel()
+    if not getattr(channel, "supports_packed", False):
+        raise ValueError(
+            f"channel {type(channel).__name__} does not implement the "
+            "packed-word interface required by the batched kernel; use "
+            "engine='bigint'"
+        )
+    n = network.n_tags
+    if (
+        hook is None
+        and channel.is_perfect
+        and n * max(1, (n + 63) // 64) * 8 <= SLOT_MAJOR_MAX_ADJ_BYTES
+    ):
+        return _batch_slot_major(
+            network, masks_batch, config, picks_batch=picks_batch,
+            tracer=tracer,
+        )
+    return _batch_tag_major(
+        network,
+        masks_batch,
+        config,
+        channel=channel,
+        rngs=rngs,
+        picks_batch=picks_batch,
+        tracer=tracer,
+        hook=hook,
     )
 
 
@@ -726,15 +965,10 @@ def run_session_batch(
     draws randomness — see :func:`batch_trial_rngs`).
 
     Every returned :class:`~repro.core.session.SessionResult` is
-    bit-identical to running that trial alone through
-    ``engine="packed"`` with the same masks and generator.
+    bit-identical to running that trial alone (B = 1, e.g.
+    ``run_session(..., engine="packed")``) with the same masks and
+    generator, and therefore to the ``bigint`` engine.
     """
-    channel = channel or PerfectChannel()
-    if not getattr(channel, "supports_packed", False):
-        raise ValueError(
-            f"channel {type(channel).__name__} does not implement the "
-            "packed-word interface required by the batched kernel"
-        )
     if (masks_batch is None) == (picks_batch is None):
         raise ValueError(
             "pass exactly one of masks_batch and picks_batch"
@@ -754,23 +988,10 @@ def run_session_batch(
         norm_picks = _normalize_picks(picks_batch, n, config.frame_size)
     obs = obs_metrics.OBS
     with obs.span("session_batch"):
-        n_tag_words = max(1, (n + 63) // 64)
-        if (
-            channel.is_perfect
-            and n * n_tag_words * 8 <= SLOT_MAJOR_MAX_ADJ_BYTES
-        ):
-            results = _batch_slot_major(
-                network, norm_masks, config, picks_batch=norm_picks
-            )
-        else:
-            results = _batch_tag_major(
-                network,
-                norm_masks,
-                config,
-                channel=channel,
-                rngs=rngs,
-                picks_batch=norm_picks,
-            )
+        results = _run_kernel(
+            network, norm_masks, config, picks_batch=norm_picks,
+            channel=channel, rngs=rngs,
+        )
         if obs.enabled:
             obs.inc("ccm_batch_sessions_total", B)
             obs.inc("ccm_batch_calls_total")
@@ -778,15 +999,16 @@ def run_session_batch(
 
 
 class BatchSessionEngine:
-    """The batched kernel as a single-session engine (B = 1 adapter).
+    """The kernel as a single-session engine (the B = 1 adapter).
 
-    Registered as ``"batch"`` so ``run_session(..., engine="batch")``
-    exercises the batched code path on one session — handy for parity
-    testing and for CLI runs.  Tracing is not batch-aware, so a tracer
-    delegates to the bit-identical packed engine.
+    Registered as ``"batch"`` and as ``"packed"`` (what ``"auto"``
+    resolves to for the built-in channels), so every vectorized session
+    — one trial or a batch of them — runs the same code.  ``run_session``
+    has already validated the masks.
     """
 
-    name = "batch"
+    def __init__(self, name: str = "batch") -> None:
+        self.name = name
 
     def run(
         self,
@@ -797,29 +1019,30 @@ class BatchSessionEngine:
         channel: Optional[Channel] = None,
         rng: Optional[np.random.Generator] = None,
         ledger: Optional[EnergyLedger] = None,
-        tracer=None,
+        tracer: Optional[SessionTracer] = None,
     ) -> SessionResult:
-        if tracer is not None:
-            return get_engine("packed").run(
-                network,
-                masks,
-                config,
-                channel=channel,
-                rng=rng,
-                ledger=ledger,
-                tracer=tracer,
-            )
-        result = run_session_batch(
+        result = _run_kernel(
             network,
             [masks],
             config,
             channel=channel,
             rngs=None if rng is None else [rng],
+            tracer=tracer,
         )[0]
-        if ledger is not None:
-            ledger.merge(result.ledger)
-            result.ledger = ledger
-        return result
+        return _into_ledger(result, ledger)
+
+
+def _into_ledger(
+    result: SessionResult, ledger: Optional[EnergyLedger]
+) -> SessionResult:
+    """Accumulate a kernel result into a caller's ledger (its duty-cycle
+    mask applies, as it would to per-step adds)."""
+    if ledger is not None:
+        ledger.add_sent_bulk(result.ledger.bits_sent)
+        ledger.add_received_bulk(result.ledger.bits_received)
+        result.ledger = ledger
+    return result
 
 
 register_engine("batch", BatchSessionEngine)
+register_engine("packed", lambda: BatchSessionEngine("packed"))

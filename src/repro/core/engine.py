@@ -2,40 +2,34 @@
 
 :func:`repro.core.session.run_session` delegates the per-round mechanics
 (data frame, knowledge update, indicator-vector silencing, checking frame,
-energy accounting) to a :class:`SessionEngine`.  Two implementations are
-registered:
+energy accounting) to a :class:`SessionEngine`.  Two implementations
+exist:
 
-* ``"bigint"`` — the original engine: each tag's frame is an f-bit Python
-  integer, and propagation is one big-int OR per edge.  Works with any
-  :class:`~repro.net.channel.Channel` implementation.
-* ``"packed"`` — the vectorized engine: frames are bit-packed uint64
-  arrays and every per-tag loop (propagation, knowledge update, popcount
-  energy accounting, checking-frame wave) is a NumPy kernel.  Under the
-  exact :class:`~repro.net.channel.PerfectChannel` it runs *slot-major*:
-  round state is ``(f, ceil(n/64))`` per-slot tag bitsets, slot s's
-  audience is the OR of its transmitters' cached
-  :meth:`~repro.net.topology.Network.packed_adjacency` rows (computed
-  only for slots that survive the round's indicator vector), and one
-  :func:`bit_transpose` per round recovers the ``(n, ceil(f/64))``
-  tag-major view the energy ledger needs.  Other packed-capable channels
-  (``propagate_packed``/``reader_senses_packed``, implemented by
-  :class:`~repro.net.channel.LossyChannel`) take a tag-major path driven
-  through the channel interface.
+* ``"bigint"`` — the scalar oracle defined here: each tag's frame is an
+  f-bit Python integer, and propagation is one big-int OR per edge.
+  Works with any :class:`~repro.net.channel.Channel` implementation, so it
+  is also the executable reference for the channel contract.
+* the vectorized kernel of :mod:`repro.core.batch`, registered as
+  ``"packed"`` and ``"batch"`` (one session is its B = 1 case): frames
+  are bit-packed uint64 arrays and every per-tag loop is a NumPy kernel,
+  slot-major under the exact :class:`~repro.net.channel.PerfectChannel`
+  and tag-major (driven through the channel's
+  ``propagate_packed``/``reader_senses_packed``) otherwise.
 
-The two engines are bit-identical — same bitmap, rounds, slot tally,
-round statistics, and per-tag ledger floats — under both
+The two are bit-identical — same bitmap, rounds, slot tally, round
+statistics, per-tag ledger floats and tracer NDJSON — under both
 :class:`~repro.net.channel.PerfectChannel` and
 :class:`~repro.net.channel.LossyChannel`, which ``tests/test_engine.py``
 asserts across a deployment/frame-size/loss/mask grid.  Lossy parity
 rests on the ``repro-channel-rng-v1`` draw contract (see
-:mod:`repro.net.channel`): both engines consume the channel's Bernoulli
-stream in the same pinned order, the bigint path one scalar draw at a
-time and the packed path in batched-but-identical ``Generator`` calls.
-The default ``engine="auto"`` therefore selects packed for the exact
-built-in channel types (including ``LossyChannel(loss=0.0)``, which is
-routed to the silent slot-major fast path) and bigint for anything else
-— third-party channel subclasses may override propagation or not
-implement the packed-word interface at all.
+:mod:`repro.net.channel`): both consume the channel's Bernoulli stream in
+the same pinned order, the bigint path one scalar draw at a time and the
+kernel in batched-but-identical ``Generator`` calls.  The default
+``engine="auto"`` therefore selects the kernel for the exact built-in
+channel types (including ``LossyChannel(loss=0.0)``, which is routed to
+the silent slot-major path) and bigint for anything else — third-party
+channel subclasses may override propagation or not implement the
+packed-word interface at all.
 
 The registry is open: :func:`register_engine` accepts any object
 satisfying the :class:`SessionEngine` protocol, so experimental engines
@@ -73,8 +67,8 @@ from repro.net.topology import Network
 from repro.obs import metrics as obs_metrics
 from repro.sim.trace import SessionTracer
 
-#: The engine name ``run_session`` resolves per call: packed for the
-#: built-in channel types, bigint otherwise.
+#: The engine name ``run_session`` resolves per call: the vectorized
+#: kernel (``"packed"``) for the built-in channel types, bigint otherwise.
 AUTO_ENGINE = "auto"
 
 
@@ -139,11 +133,12 @@ def get_engine(name: str) -> SessionEngine:
 def resolve_engine(name: str, channel: Optional[Channel]) -> SessionEngine:
     """Resolve an ``engine=`` argument to a concrete engine.
 
-    ``"auto"`` selects the packed engine for the exact built-in channel
-    types — ``None``/:class:`PerfectChannel` (slot-major fast path) and
+    ``"auto"`` selects ``"packed"`` — the vectorized kernel of
+    :mod:`repro.core.batch` at B = 1 — for the exact built-in channel
+    types: ``None``/:class:`PerfectChannel` (slot-major path) and
     :class:`LossyChannel` (tag-major path consuming the
-    ``repro-channel-rng-v1`` draw stream, bit-identical to bigint) — and
-    the bigint engine for anything else.  The strict type checks keep
+    ``repro-channel-rng-v1`` draw stream, bit-identical to bigint).  Any
+    other channel gets the bigint engine.  The strict type checks keep
     subclasses that may override propagation on the channel-agnostic
     reference engine.
     """
@@ -203,88 +198,18 @@ def _any_neighbor(
     return (hits[indptr[1:]] - hits[indptr[:-1]]) > 0
 
 
-def _pack_bool_mask(mask: np.ndarray, n_words: int) -> np.ndarray:
-    """Pack a boolean vector into ``n_words`` little-endian uint64 words."""
-    out = np.zeros(n_words * 8, dtype=np.uint8)
-    packed = np.packbits(mask, bitorder="little")
-    out[: packed.size] = packed
-    return out.view(np.uint64)
-
-
-_T8_M1 = np.uint64(0x00AA00AA00AA00AA)
-_T8_M2 = np.uint64(0x0000CCCC0000CCCC)
-_T8_M3 = np.uint64(0x00000000F0F0F0F0)
-_T8_S1, _T8_S2, _T8_S3 = np.uint64(7), np.uint64(14), np.uint64(28)
-
-
-def _transpose8x8(x: np.ndarray) -> np.ndarray:
-    """Transpose each uint64 viewed as an 8x8 bit matrix (delta swaps)."""
-    t = (x ^ (x >> _T8_S1)) & _T8_M1
-    x = x ^ t ^ (t << _T8_S1)
-    t = (x ^ (x >> _T8_S2)) & _T8_M2
-    x = x ^ t ^ (t << _T8_S2)
-    t = (x ^ (x >> _T8_S3)) & _T8_M3
-    return x ^ t ^ (t << _T8_S3)
-
-
-def bit_transpose(words: np.ndarray, n_rows: int, n_cols: int) -> np.ndarray:
-    """Transpose a packed bit matrix: ``(n_rows, ceil(n_cols/64))`` uint64
-    in, ``(n_cols, ceil(n_rows/64))`` uint64 out (little-endian bit order
-    both ways, matching :func:`masks_to_words`).
-
-    The kernel is byte-shuffle + an 8x8 bit-block delta-swap, so a
-    session-sized matrix (10,000 x 1,671 bits) transposes in a few
-    milliseconds; the packed engine uses one transpose per round to move
-    between slot-major propagation and per-tag energy popcounts.
-    """
-    if words.shape[0] != n_rows:
-        raise ValueError(
-            f"words has {words.shape[0]} rows, expected {n_rows}"
-        )
-    n_words_out = max(1, (n_rows + 63) // 64)
-    rows_padded = n_words_out * 64
-    if n_rows < rows_padded:
-        padded = np.zeros((rows_padded, words.shape[1]), dtype=np.uint64)
-        padded[:n_rows] = words
-        words = padded
-    row_bytes = rows_padded // 8
-    wc = words.shape[1]
-    # (wc, rows) -> bytes [wc, row-group g, row-in-group i, col-byte k]
-    blocks = (
-        np.ascontiguousarray(words.T)
-        .view(np.uint8)
-        .reshape(wc, row_bytes, 8, 8)
-    )
-    # -> [wc, k, g, i]: each trailing 8-byte run is an 8x8 bit block.
-    blocks = np.ascontiguousarray(blocks.transpose(0, 3, 1, 2))
-    swapped = _transpose8x8(blocks.view(np.uint64).reshape(wc, 8, row_bytes))
-    # [wc, k, g, c] -> [wc, k, c, g]: rows of the output ordered by column
-    # index 64*wc + 8*k + c, each holding row_bytes bytes of row bits.
-    out = np.ascontiguousarray(
-        swapped.view(np.uint8).reshape(wc, 8, row_bytes, 8).transpose(0, 1, 3, 2)
-    )
-    return out.reshape(wc * 64, row_bytes).view(np.uint64)[:n_cols]
-
-
 def run_checking_frame(
     network: Network,
     has_pending: np.ndarray,
     l_c: int,
     ledger: EnergyLedger,
-    *,
-    active: Optional[np.ndarray] = None,
 ) -> Tuple[int, bool]:
-    """Run the checking frame (Alg. 1 lines 14–24); shared by all engines.
+    """Run the checking frame (Alg. 1 lines 14–24) for the bigint engine.
 
     Tags with pending data respond in slot 1; a tag that detects a response
     in slot j-1 responds (once) in slot j; the reader stops the frame at the
     first slot in which it hears a tier-1 response.  Returns the number of
     slots actually executed and whether the reader heard anything.
-
-    ``active`` (scenario engines) restricts the wave to powered tags: an
-    unpowered tag neither responds nor relays the pulse, though its pending
-    flag still seeds the wave once it regains power in a later round.  With
-    ``active=None`` (all other engines) the code path is unchanged.
 
     Energy: each response is one sent bit; every tag that has not yet
     responded listens in each executed slot (one received bit per slot).
@@ -301,14 +226,10 @@ def run_checking_frame(
 
     responded = np.zeros(n, dtype=bool)
     frontier = has_pending.copy()
-    if active is not None:
-        frontier = frontier & active
     executed = 0
     heard = False
     for _slot in range(1, l_c + 1):
         responders = frontier & ~responded
-        if active is not None:
-            responders = responders & active
         if not responders.any():
             # Nothing transmitted; the wave is dead, but per Alg. 1 the
             # reader keeps listening through the rest of the frame (it
@@ -333,12 +254,13 @@ def run_checking_frame(
 
 
 class BigintSessionEngine:
-    """The original engine: f-bit Python integers, one OR per edge.
+    """The scalar oracle: f-bit Python integers, one OR per edge.
 
     Channel-agnostic — it drives the abstract
     :meth:`~repro.net.channel.Channel.propagate` /
     :meth:`~repro.net.channel.Channel.reader_senses` interface, so any
-    custom channel model works here.
+    custom channel model works here, and it is the reference the
+    vectorized kernel is checked against.
     """
 
     name = "bigint"
@@ -525,422 +447,13 @@ class BigintSessionEngine:
         )
 
 
-# -- the bit-packed vectorized engine ----------------------------------------
-
-
-#: Upper bound on the cached neighbour-bitset size for the slot-major fast
-#: path; bigger networks fall back to the edge-wise tag-major path, whose
-#: memory is proportional to the edge count rather than n^2/8.
-_SLOT_MAJOR_MAX_ADJ_BYTES = 1 << 27
-
-
-class PackedSessionEngine:
-    """Bit-packed uint64 engine: every per-tag loop becomes a NumPy kernel.
-
-    Two internal paths, both bit-identical to
-    :class:`BigintSessionEngine` under
-    :class:`~repro.net.channel.PerfectChannel`:
-
-    * **slot-major** (perfect channel, moderate n): round state lives as
-      ``(f, ceil(n/64))`` per-slot tag bitsets; slot s's audience is the OR
-      of the cached :meth:`~repro.net.topology.Network.packed_adjacency`
-      rows of its transmitters — the bitsets stay cache-resident, where
-      the edge-wise gather is DRAM-bound.  One :func:`bit_transpose` per
-      round recovers the per-tag popcounts the energy ledger needs.
-    * **tag-major** (lossy or custom packed channels, or very large n):
-      ``(n, ceil(f/64))`` per-tag frames, propagation through the
-      channel's ``propagate_packed`` over the CSR adjacency.
-    """
-
-    name = "packed"
-
-    def run(
-        self,
-        network: Network,
-        masks: Sequence[int],
-        config: CCMConfig,
-        *,
-        channel: Optional[Channel] = None,
-        rng: Optional[np.random.Generator] = None,
-        ledger: Optional[EnergyLedger] = None,
-        tracer: Optional[SessionTracer] = None,
-    ) -> SessionResult:
-        channel = channel or PerfectChannel()
-        if not getattr(channel, "supports_packed", False):
-            raise ValueError(
-                f"channel {type(channel).__name__} does not implement the "
-                "packed-word interface; use engine='bigint'"
-            )
-        n = network.n_tags
-        n_tag_words = max(1, (n + 63) // 64)
-        # is_perfect is a strict type check per channel class, keeping
-        # subclasses that override propagation on the channel-driven path;
-        # LossyChannel(loss=0.0) qualifies because the rng contract
-        # consumes no draws at zero loss.
-        if (
-            channel.is_perfect
-            and n * n_tag_words * 8 <= _SLOT_MAJOR_MAX_ADJ_BYTES
-        ):
-            return self._run_slot_major(
-                network, masks, config, ledger=ledger, tracer=tracer
-            )
-        return self._run_tag_major(
-            network,
-            masks,
-            config,
-            channel=channel,
-            rng=rng,
-            ledger=ledger,
-            tracer=tracer,
-        )
-
-    def _run_slot_major(
-        self,
-        network: Network,
-        masks: Sequence[int],
-        config: CCMConfig,
-        *,
-        ledger: Optional[EnergyLedger],
-        tracer: Optional[SessionTracer],
-    ) -> SessionResult:
-        obs = obs_metrics.OBS
-        n = network.n_tags
-        f = config.frame_size
-        ledger = ledger if ledger is not None else EnergyLedger(n)
-        l_c = config.checking_frame_length or default_checking_frame_length(
-            network
-        )
-        max_rounds = config.max_rounds if config.max_rounds is not None else l_c
-
-        with obs.span("setup"):
-            n_frame_words = max(1, (f + 63) // 64)
-            n_tag_words = max(1, (n + 63) // 64)
-            adjacency = network.packed_adjacency()
-            tier1_words = _pack_bool_mask(network.tier1_mask, n_tag_words)
-            reachable_words = _pack_bool_mask(
-                network.reachable_mask, n_tag_words
-            )
-
-            # Slot-major state: row s is the tag bitset of slot s.  pending
-            # always excludes silenced slots (initially V is empty; each
-            # round's learned bits are masked with the updated V before they
-            # become pending), so pending IS the transmit schedule.
-            pending = bit_transpose(masks_to_words(masks, f), n, f)
-            known = pending.copy()
-            done_tm = np.zeros((n, n_frame_words), dtype=np.uint64)
-            silenced_words = np.zeros(n_frame_words, dtype=np.uint64)
-            bitmap = np.zeros(f, dtype=bool)  # B, one bool per slot
-            iv_slots = indicator_vector_slots(f)
-
-        slots = SlotCount()
-        round_stats: List[RoundStats] = []
-        terminated_cleanly = False
-        rounds_run = 0
-        pending_any = np.bitwise_or.reduce(pending, axis=0)
-
-        reduce_or = np.bitwise_or.reduce
-        flatnonzero = np.flatnonzero
-
-        for round_index in range(1, max_rounds + 1):
-            rounds_run = round_index
-            obs.inc("ccm_rounds_total")
-            if tracer is not None:
-                tracer.emit("round_start", round_index)
-            round_span = obs.span("round")
-            round_span.__enter__()
-            # --- data frame ---------------------------------------------
-            with obs.span("data_frame"):
-                transmit = pending
-                tx_any_tag = reduce_or(transmit, axis=0)
-                transmitting = int(_word_counts(tx_any_tag).sum())
-                reader_busy = (transmit & tier1_words).any(axis=1)
-
-                with obs.span("transpose_popcount"):
-                    transmit_tm = bit_transpose(transmit, f, n)
-                    sent = _word_counts(transmit_tm).sum(axis=1)
-                    done_tm |= transmit_tm
-                    monitored = _word_counts(
-                        silenced_words | done_tm
-                    ).sum(axis=1)
-                ledger.add_sent_bulk(sent.astype(np.float64))
-                ledger.add_received_bulk((f - monitored).astype(np.float64))
-                slots += SlotCount(short_slots=f)
-                obs.inc("ccm_data_frame_slots_total", f)
-
-            # --- indicator vector ---------------------------------------
-            bits_new = int(np.count_nonzero(reader_busy & ~bitmap))
-            bitmap |= reader_busy
-            if tracer is not None:
-                tracer.emit(
-                    "frame",
-                    round_index,
-                    transmitters=transmitting,
-                    bits_new_at_reader=bits_new,
-                    reader_busy_total=int(np.count_nonzero(bitmap)),
-                )
-            if config.use_indicator_vector:
-                with obs.span("indicator"):
-                    silenced_words = _pack_bool_mask(bitmap, n_frame_words)
-                    slots += SlotCount(id_slots=iv_slots)
-                    ledger.add_received_to_all(float(f))
-                    obs.inc("ccm_indicator_slots_total", iv_slots)
-                if tracer is not None:
-                    tracer.emit(
-                        "indicator",
-                        round_index,
-                        silenced_total=int(np.count_nonzero(bitmap)),
-                    )
-
-            # --- propagation + knowledge update -------------------------
-            # Slot s's audience is the OR of its transmitters' neighbour
-            # bitsets.  heard feeds only ``learned``, and learned is
-            # zeroed for every slot in the (updated) indicator vector —
-            # so V is applied *first* and the neighbourhood ORs run only
-            # for slots that survive silencing.  (The bigint engine also
-            # grows ``known`` on freshly-silenced slots, but that state is
-            # dead: such slots never transmit or learn again, so skipping
-            # them is observationally identical.)  Three further bigint
-            # terms are free here: silenced slots have no transmitters,
-            # transmit ⊆ known, and survivor rows are never in V.
-            with obs.span("propagate"):
-                surviving = transmit.any(axis=1)
-                if config.use_indicator_vector:
-                    surviving &= ~bitmap
-                survivors = flatnonzero(surviving)
-                learned = np.zeros_like(transmit)
-                if survivors.size:
-                    tx_bool = np.unpackbits(
-                        transmit[survivors].view(np.uint8),
-                        axis=1,
-                        bitorder="little",
-                        count=n,
-                    ).view(bool)
-                    for j, s in enumerate(survivors.tolist()):
-                        learned[s] = (
-                            reduce_or(
-                                adjacency[flatnonzero(tx_bool[j])], axis=0
-                            )
-                            & ~known[s]
-                        )
-                    known |= learned
-                pending = learned
-
-            # --- checking frame -----------------------------------------
-            with obs.span("checking"):
-                pending_any = reduce_or(pending, axis=0)
-                has_pending = np.unpackbits(
-                    pending_any.view(np.uint8), bitorder="little", count=n
-                ).view(bool)
-                executed, reader_heard = run_checking_frame(
-                    network, has_pending, l_c, ledger
-                )
-                slots += SlotCount(short_slots=executed)
-                obs.inc("ccm_checking_slots_total", executed)
-            round_span.__exit__(None, None, None)
-            if tracer is not None:
-                tracer.emit(
-                    "checking",
-                    round_index,
-                    slots_executed=executed,
-                    reader_heard=reader_heard,
-                    pending_tags=int(np.count_nonzero(has_pending)),
-                )
-            round_stats.append(
-                RoundStats(
-                    round_index=round_index,
-                    transmitting_tags=transmitting,
-                    bits_new_at_reader=bits_new,
-                    checking_slots_executed=executed,
-                    reader_heard_checking=reader_heard,
-                )
-            )
-            if not reader_heard:
-                break
-        terminated_cleanly = not bool((pending_any & reachable_words).any())
-
-        if tracer is not None:
-            tracer.emit(
-                "session_end",
-                rounds_run,
-                rounds=rounds_run,
-                clean=terminated_cleanly,
-                busy_slots=int(np.count_nonzero(bitmap)),
-            )
-        return SessionResult(
-            bitmap=Bitmap(
-                f, words_to_int(_pack_bool_mask(bitmap, n_frame_words))
-            ),
-            rounds=rounds_run,
-            slots=slots,
-            ledger=ledger,
-            round_stats=round_stats,
-            terminated_cleanly=terminated_cleanly,
-        )
-
-    def _run_tag_major(
-        self,
-        network: Network,
-        masks: Sequence[int],
-        config: CCMConfig,
-        *,
-        channel: Channel,
-        rng: Optional[np.random.Generator],
-        ledger: Optional[EnergyLedger],
-        tracer: Optional[SessionTracer],
-    ) -> SessionResult:
-        obs = obs_metrics.OBS
-        n = network.n_tags
-        f = config.frame_size
-        ledger = ledger if ledger is not None else EnergyLedger(n)
-        l_c = config.checking_frame_length or default_checking_frame_length(
-            network
-        )
-        max_rounds = config.max_rounds if config.max_rounds is not None else l_c
-
-        with obs.span("setup"):
-            tier1 = network.tier1_mask
-            indptr, indices = network.indptr, network.indices
-            reachable = network.reachable_mask
-            n_words = max(1, (f + 63) // 64)
-
-            pending = masks_to_words(masks, f)
-            known = pending.copy()
-            done = np.zeros((n, n_words), dtype=np.uint64)
-            silenced = np.zeros(n_words, dtype=np.uint64)
-            reader_bitmap = np.zeros(n_words, dtype=np.uint64)
-            iv_slots = indicator_vector_slots(f)
-
-        slots = SlotCount()
-        round_stats: List[RoundStats] = []
-        terminated_cleanly = False
-        rounds_run = 0
-
-        for round_index in range(1, max_rounds + 1):
-            rounds_run = round_index
-            obs.inc("ccm_rounds_total")
-            if tracer is not None:
-                tracer.emit("round_start", round_index)
-            round_span = obs.span("round")
-            round_span.__enter__()
-            # --- data frame ---------------------------------------------
-            with obs.span("data_frame"):
-                # pending bits are within the frame by construction
-                # (validated initial masks; learned bits come from
-                # transmissions), so no frame-mask clip is needed.
-                transmit = pending & ~silenced
-                tx_rows = transmit.any(axis=1)
-                transmitting = int(np.count_nonzero(tx_rows))
-                with obs.span("propagate"):
-                    heard = channel.propagate_packed(
-                        transmit, indptr, indices, rng
-                    )
-                reader_busy = channel.reader_senses_packed(
-                    transmit, tier1, rng
-                )
-
-                with obs.span("transpose_popcount"):
-                    sent = _word_counts(transmit).sum(axis=1)
-                    monitored = _word_counts(
-                        silenced | done | transmit
-                    ).sum(axis=1)
-                ledger.add_sent_bulk(sent.astype(np.float64))
-                ledger.add_received_bulk((f - monitored).astype(np.float64))
-                slots += SlotCount(short_slots=f)
-                obs.inc("ccm_data_frame_slots_total", f)
-
-                # Knowledge update (half duplex + silencing), word-parallel.
-                learned = heard & ~known & ~transmit & ~silenced
-                known |= learned | transmit
-                done |= transmit
-                new_pending = learned
-
-            # --- indicator vector ---------------------------------------
-            bits_new = int(
-                _word_counts(reader_busy & ~reader_bitmap).sum()
-            )
-            reader_bitmap |= reader_busy
-            if tracer is not None:
-                tracer.emit(
-                    "frame",
-                    round_index,
-                    transmitters=transmitting,
-                    bits_new_at_reader=bits_new,
-                    reader_busy_total=int(_word_counts(reader_bitmap).sum()),
-                )
-            if config.use_indicator_vector:
-                with obs.span("indicator"):
-                    silenced = reader_bitmap.copy()
-                    slots += SlotCount(id_slots=iv_slots)
-                    ledger.add_received_to_all(float(f))
-                    new_pending &= ~silenced
-                    obs.inc("ccm_indicator_slots_total", iv_slots)
-                if tracer is not None:
-                    tracer.emit(
-                        "indicator",
-                        round_index,
-                        silenced_total=int(_word_counts(silenced).sum()),
-                    )
-            pending = new_pending
-
-            # --- checking frame -----------------------------------------
-            with obs.span("checking"):
-                has_pending = pending.any(axis=1)
-                executed, reader_heard = run_checking_frame(
-                    network, has_pending, l_c, ledger
-                )
-                slots += SlotCount(short_slots=executed)
-                obs.inc("ccm_checking_slots_total", executed)
-            round_span.__exit__(None, None, None)
-            if tracer is not None:
-                tracer.emit(
-                    "checking",
-                    round_index,
-                    slots_executed=executed,
-                    reader_heard=reader_heard,
-                    pending_tags=int(has_pending.sum()),
-                )
-            round_stats.append(
-                RoundStats(
-                    round_index=round_index,
-                    transmitting_tags=transmitting,
-                    bits_new_at_reader=bits_new,
-                    checking_slots_executed=executed,
-                    reader_heard_checking=reader_heard,
-                )
-            )
-            if not reader_heard:
-                terminated_cleanly = not bool(pending[reachable].any())
-                break
-        else:
-            terminated_cleanly = not bool(pending[reachable].any())
-
-        if tracer is not None:
-            tracer.emit(
-                "session_end",
-                rounds_run,
-                rounds=rounds_run,
-                clean=terminated_cleanly,
-                busy_slots=int(_word_counts(reader_bitmap).sum()),
-            )
-        return SessionResult(
-            bitmap=Bitmap(f, words_to_int(reader_bitmap)),
-            rounds=rounds_run,
-            slots=slots,
-            ledger=ledger,
-            round_stats=round_stats,
-            terminated_cleanly=terminated_cleanly,
-        )
-
-
 register_engine("bigint", BigintSessionEngine)
-register_engine("packed", PackedSessionEngine)
 
 # Re-exported for callers that want the propagation kernel directly.
 __all__ = [
     "AUTO_ENGINE",
     "SessionEngine",
     "BigintSessionEngine",
-    "PackedSessionEngine",
     "available_engines",
     "get_engine",
     "register_engine",
@@ -948,6 +461,5 @@ __all__ = [
     "run_checking_frame",
     "masks_to_words",
     "words_to_int",
-    "bit_transpose",
     "or_reduce_segments",
 ]

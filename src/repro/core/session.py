@@ -29,10 +29,11 @@ Implementation notes
 This module is the *API*: parameter objects, result objects, validation,
 and the single entry point :func:`run_session`.  The per-round mechanics
 live in interchangeable :class:`~repro.core.engine.SessionEngine`
-implementations (``"bigint"`` big-int masks, ``"packed"`` bit-packed
-uint64 kernels) selected by the keyword-only ``engine=`` argument; the
-default ``"auto"`` picks the fast packed engine for the paper's perfect
-channel and the channel-agnostic bigint engine otherwise.  Tags are
+implementations (``"bigint"`` big-int masks, ``"packed"`` the
+bit-packed uint64 kernel of :mod:`repro.core.batch`) selected by the
+keyword-only ``engine=`` argument; the default ``"auto"`` picks the
+kernel for the built-in channels and the channel-agnostic bigint engine
+otherwise.  Tags are
 *state-free*: the per-tag state the engines carry (pending/known/done
 masks) exists only *within* one session, exactly as in the protocol, and
 nothing survives between sessions.

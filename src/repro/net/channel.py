@@ -28,8 +28,8 @@ engines in :mod:`repro.core.engine`:
   (:func:`or_reduce_segments`).
 
 Third-party channels only have to implement the big-int interface; the
-packed methods default to "unsupported" and the packed engine refuses such
-channels with a clear error.
+packed methods default to "unsupported" and the vectorized kernel refuses
+such channels with a clear error.
 
 The channel RNG-draw contract (``repro-channel-rng-v1``)
 --------------------------------------------------------
@@ -140,14 +140,15 @@ class Channel(abc.ABC):
     """Propagation semantics for one frame (all f slots of one round)."""
 
     #: True when the packed-word interface below is implemented; the
-    #: packed session engine checks this before dispatching.
+    #: vectorized kernel (:mod:`repro.core.batch`) checks this before
+    #: dispatching.
     supports_packed = False
 
     @property
     def is_perfect(self) -> bool:
         """True when this channel is *exactly* reliable busy/idle sensing.
 
-        The packed engine uses this to route sessions onto the slot-major
+        The vectorized kernel uses this to route sessions onto the slot-major
         fast path, which never calls the channel and never draws
         randomness — so it must hold only for channels whose propagation
         is the plain neighbourhood OR.  Deliberately strict about types:
@@ -299,7 +300,7 @@ class LossyChannel(Channel):
     reference implementation, and the packed methods batch the identical
     draws with word-level masking — so for a fixed seed the two produce
     bit-identical results, which is what lets ``engine="auto"`` route
-    lossy sessions onto the packed engine.
+    lossy sessions onto the vectorized kernel.
     """
 
     supports_packed = True

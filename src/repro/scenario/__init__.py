@@ -12,8 +12,8 @@ operations on a shared wall clock (slot counts × Gen2-derived
   sweep, waypoints (:mod:`repro.scenario.trajectory`);
 * link-budget tag power-cycling (:mod:`repro.scenario.power`);
 * a power-aware channel wrapper (:mod:`repro.scenario.channel`);
-* the ``"scenario"`` session engine — the packed tag-major round loop
-  with per-round motion/power hooks, bit-identical to the static
+* the ``"scenario"`` session engine — the vectorized tag-major kernel
+  with a per-round motion/power hook, bit-identical to the static
   engines when the hooks are off (:mod:`repro.scenario.engine`);
 * :func:`~repro.scenario.run.run_scenario`, the top-level entry the
   ``repro scenario`` CLI, the motion experiment and the benchmarks use.

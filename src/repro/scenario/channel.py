@@ -1,12 +1,13 @@
 """A power-aware wrapper around any slot-level :class:`Channel`.
 
 :class:`ScenarioChannel` composes with an inner channel (perfect, lossy,
-or any custom model) and applies the scenario's per-round *powered mask*:
-an unpowered tag's transmissions are removed before the inner channel
-sees them, and an unpowered tag hears nothing (its radio is down).  With
-no mask set the wrapper delegates verbatim — inputs, outputs, and the
-inner channel's RNG draw stream are untouched, which is what keeps the
-static scenario bit-identical to the plain engines.
+or any custom model) and applies a *powered mask*: an unpowered tag's
+transmissions are removed before the inner channel sees them, and an
+unpowered tag hears nothing (its radio is down).  With no mask set the
+wrapper delegates verbatim — inputs, outputs, and the inner channel's RNG
+draw stream are untouched.  (The scenario engine applies its per-round
+mask inside the vectorized kernel, which masks exactly the same rows, so
+a masked wrapper consumes the same draws.)
 
 RNG note: the ``repro-channel-rng-v1`` contract consumes draws only for
 *set bits* of the transmit masks, so masking a tag's transmissions to
@@ -28,9 +29,9 @@ __all__ = ["ScenarioChannel"]
 class ScenarioChannel(Channel):
     """Wrap ``inner`` with a mutable powered-tag mask.
 
-    The scenario engine updates :attr:`active` once per round (``None``
-    means every tag is powered).  The wrapper is also usable standalone
-    with any engine that drives the abstract channel interface — e.g.
+    :meth:`set_active` changes the mask (``None`` means every tag is
+    powered).  The wrapper works with any engine that drives the channel
+    interface — e.g.
     ``run_session(..., channel=ScenarioChannel(PerfectChannel()))`` runs
     on the bigint engine and, with no mask set, reproduces the unwrapped
     channel bit-for-bit.

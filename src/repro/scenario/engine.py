@@ -1,8 +1,9 @@
 """The scenario session engine: Algorithm 1 under motion and power-cycling.
 
 :class:`ScenarioSessionEngine` is a :class:`~repro.core.engine.
-SessionEngine` (registered as ``"scenario"``) that runs the packed
-tag-major round loop of the static engines with three per-round hooks:
+SessionEngine` (registered as ``"scenario"``) that runs the tag-major
+kernel of :mod:`repro.core.batch` at B = 1 and supplies its per-round
+hook:
 
 1. **Reader motion** — at each round's start time (accumulated slot count
    × :class:`~repro.net.timing.SlotTiming`, Gen2-derived by default) the
@@ -11,19 +12,20 @@ tag-major round loop of the static engines with three per-round hooks:
    tiers are recomputed via :meth:`~repro.net.topology.Network.
    with_readers` — an O(n + edges) relink that shares the tag adjacency.
 2. **Power-cycling** — the :class:`~repro.scenario.power.LinkBudget`
-   turns each tag's distance-to-reader into a powered mask.  Unpowered
-   tags neither transmit, listen, learn, respond in checking frames, nor
-   accrue energy (the ledger's duty-cycle mask); their pending data is
-   *retained* until they regain power — data parks on a sleeping tag, it
-   does not vanish.
+   turns each tag's distance-to-reader into a powered mask.  The kernel
+   applies it: unpowered tags neither transmit, listen, learn, respond in
+   checking frames, nor accrue energy; their pending data is *retained*
+   until they regain power — data parks on a sleeping tag, it does not
+   vanish.
 3. **Journal** — when :attr:`journal` is set, one record per round with
    the absolute time, reader position, powered count and relink flag.
 
 With the hooks disabled (no trajectory or a static one, no link budget —
-the default ``ScenarioConfig()``), every hook is skipped and the loop is
-the static tag-major loop verbatim: bit-identical bitmap, rounds, slots,
-round stats, and ledger floats — the static-equivalence pin the tests and
-CI smoke assert against ``run_session``.
+the default ``ScenarioConfig()``), the hook returns the fixed network and
+no mask, and the kernel runs its static tag-major round: bit-identical
+bitmap, rounds, slots, round stats, and ledger floats — the
+static-equivalence pin the tests and CI smoke assert against
+``run_session``.
 
 A session that terminates while a *sleeping* reachable tag still holds
 pending data reports ``terminated_cleanly=False``: the reader cannot hear
@@ -34,35 +36,19 @@ the motion experiment measures.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.bitmap import Bitmap
-from repro.core.engine import (
-    _word_counts,
-    masks_to_words,
-    register_engine,
-    run_checking_frame,
-    words_to_int,
-)
-from repro.core.session import (
-    CCMConfig,
-    RoundStats,
-    SessionResult,
-    default_checking_frame_length,
-)
-from repro.net.channel import Channel, PerfectChannel
+from repro.core.batch import _into_ledger, _run_kernel
+from repro.core.engine import register_engine
+from repro.core.session import CCMConfig, SessionResult
+from repro.net.channel import Channel
 from repro.net.energy import EnergyLedger
-from repro.net.timing import (
-    SlotCount,
-    SlotTiming,
-    default_slot_timing,
-    indicator_vector_slots,
-)
+from repro.net.geometry import Point
+from repro.net.timing import SlotCount, SlotTiming, default_slot_timing
 from repro.net.topology import Network
 from repro.obs import metrics as obs_metrics
-from repro.scenario.channel import ScenarioChannel
 from repro.scenario.events import EventJournal
 from repro.scenario.power import LinkBudget
 from repro.scenario.trajectory import ReaderTrajectory
@@ -114,7 +100,7 @@ class ScenarioConfig:
 
 
 class ScenarioSessionEngine:
-    """Packed tag-major engine with per-round motion/power hooks."""
+    """The tag-major kernel with per-round motion/power hooks."""
 
     name = "scenario"
 
@@ -139,252 +125,85 @@ class ScenarioSessionEngine:
     ) -> SessionResult:
         obs = obs_metrics.OBS
         scenario = self.scenario
-        inner = channel or PerfectChannel()
-        if not getattr(inner, "supports_packed", False):
-            raise ValueError(
-                f"channel {type(inner).__name__} does not implement the "
-                "packed-word interface the scenario engine drives; wrap a "
-                "packed-capable channel or use engine='bigint'"
-            )
-        chan = inner if isinstance(inner, ScenarioChannel) else ScenarioChannel(inner)
         timing = scenario.timing or default_slot_timing()
         trajectory = scenario.trajectory
+        eps = scenario.move_epsilon_m
+
+        def moved_to(net: Network, pos: Point) -> Network:
+            reader0 = net.readers[0].position
+            if abs(pos.x - reader0.x) <= eps and abs(pos.y - reader0.y) <= eps:
+                return net
+            return net.with_readers(
+                [replace(net.readers[0], position=pos)]
+                + list(net.readers[1:])
+            )
+
         if trajectory is not None and trajectory.is_static:
             # A static trajectory elsewhere than the deployed reader still
             # needs one relink; after that it behaves like None.
-            start_pos = trajectory.position(scenario.start_time_s)
-            reader0 = network.readers[0]
-            if (
-                abs(start_pos.x - reader0.position.x) > scenario.move_epsilon_m
-                or abs(start_pos.y - reader0.position.y) > scenario.move_epsilon_m
-            ):
-                network = network.with_readers(
-                    [replace(reader0, position=start_pos)]
-                    + list(network.readers[1:])
-                )
+            network = moved_to(
+                network, trajectory.position(scenario.start_time_s)
+            )
             trajectory = None
         budget = scenario.link_budget
         if budget is not None and budget.always_powered:
             budget = None
 
         n = network.n_tags
-        f = config.frame_size
-        ledger = ledger if ledger is not None else EnergyLedger(n)
-        l_c = config.checking_frame_length or default_checking_frame_length(
-            network
-        )
-        max_rounds = config.max_rounds if config.max_rounds is not None else l_c
-
-        with obs.span("setup"):
-            net = network
-            n_words = max(1, (f + 63) // 64)
-
-            pending = masks_to_words(masks, f)
-            known = pending.copy()
-            done = np.zeros((n, n_words), dtype=np.uint64)
-            silenced = np.zeros(n_words, dtype=np.uint64)
-            reader_bitmap = np.zeros(n_words, dtype=np.uint64)
-            iv_slots = indicator_vector_slots(f)
-
-        slots = SlotCount()
-        round_stats = []
-        terminated_cleanly = False
-        rounds_run = 0
+        net = network
         relinks = 0
-        powered_fractions = []
-        min_powered = n
-        powered: Optional[np.ndarray] = None
-        pos = net.readers[0].position
+        powered_counts: List[int] = []
 
-        try:
-            for round_index in range(1, max_rounds + 1):
-                rounds_run = round_index
-                obs.inc("ccm_rounds_total")
-                if tracer is not None:
-                    tracer.emit("round_start", round_index)
-                round_span = obs.span("round")
-                round_span.__enter__()
+        def hook(round_index: int, slots: SlotCount):
+            nonlocal net, relinks
+            t_round = scenario.start_time_s + slots.seconds(timing)
+            moved = False
+            if trajectory is not None:
+                with obs.span("scenario_motion"):
+                    relinked = moved_to(net, trajectory.position(t_round))
+                if relinked is not net:
+                    net = relinked
+                    moved = True
+                    relinks += 1
+                    obs.inc("scenario_relinks_total")
+            powered = None
+            if budget is not None:
+                powered = budget.powered_mask(net.reader_distance)
+                powered_counts.append(int(np.count_nonzero(powered)))
+                obs.set_gauge("scenario_powered_tags", powered_counts[-1])
+            if self.journal is not None:
+                pos = net.readers[0].position
+                entry = {
+                    "round": round_index,
+                    "reader_x": pos.x,
+                    "reader_y": pos.y,
+                    "relinked": moved,
+                }
+                if powered is not None:
+                    entry["powered"] = powered_counts[-1]
+                self.journal.record(t_round, "round", **entry)
+            return net, powered
 
-                # --- scenario hooks: motion, then power -----------------
-                t_round = scenario.start_time_s + slots.seconds(timing)
-                moved = False
-                if trajectory is not None:
-                    with obs.span("scenario_motion"):
-                        new_pos = trajectory.position(t_round)
-                        if (
-                            abs(new_pos.x - pos.x) > scenario.move_epsilon_m
-                            or abs(new_pos.y - pos.y) > scenario.move_epsilon_m
-                        ):
-                            net = net.with_readers(
-                                [replace(net.readers[0], position=new_pos)]
-                                + list(net.readers[1:])
-                            )
-                            pos = new_pos
-                            moved = True
-                            relinks += 1
-                            obs.inc("scenario_relinks_total")
-                if budget is not None:
-                    powered = budget.powered_mask(net.reader_distance)
-                    n_powered = int(np.count_nonzero(powered))
-                    powered_fractions.append(n_powered / n if n else 1.0)
-                    min_powered = min(min_powered, n_powered)
-                    ledger.set_active(powered)
-                    chan.set_active(powered)
-                    obs.set_gauge("scenario_powered_tags", n_powered)
-                if self.journal is not None:
-                    entry = {
-                        "round": round_index,
-                        "reader_x": pos.x,
-                        "reader_y": pos.y,
-                        "relinked": moved,
-                    }
-                    if powered is not None:
-                        entry["powered"] = int(np.count_nonzero(powered))
-                    self.journal.record(t_round, "round", **entry)
-
-                tier1 = net.tier1_mask
-                indptr, indices = net.indptr, net.indices
-
-                # --- data frame (tag-major packed loop) -----------------
-                with obs.span("data_frame"):
-                    transmit = pending & ~silenced
-                    if powered is not None:
-                        transmit[~powered] = 0
-                    tx_rows = transmit.any(axis=1)
-                    transmitting = int(np.count_nonzero(tx_rows))
-                    with obs.span("propagate"):
-                        heard = chan.propagate_packed(
-                            transmit, indptr, indices, rng
-                        )
-                    reader_busy = chan.reader_senses_packed(
-                        transmit, tier1, rng
-                    )
-
-                    with obs.span("transpose_popcount"):
-                        sent = _word_counts(transmit).sum(axis=1)
-                        monitored = _word_counts(
-                            silenced | done | transmit
-                        ).sum(axis=1)
-                    ledger.add_sent_bulk(sent.astype(np.float64))
-                    ledger.add_received_bulk(
-                        (f - monitored).astype(np.float64)
-                    )
-                    slots += SlotCount(short_slots=f)
-                    obs.inc("ccm_data_frame_slots_total", f)
-
-                    # Knowledge update (half duplex + silencing).  heard is
-                    # zeroed for unpowered tags by the channel wrapper, so
-                    # sleeping tags learn nothing; their pending data is
-                    # retained below instead of being replaced.
-                    learned = heard & ~known & ~transmit & ~silenced
-                    known |= learned | transmit
-                    done |= transmit
-                    if powered is not None:
-                        new_pending = np.where(
-                            powered[:, None], learned, pending
-                        )
-                    else:
-                        new_pending = learned
-
-                # --- indicator vector -----------------------------------
-                bits_new = int(
-                    _word_counts(reader_busy & ~reader_bitmap).sum()
-                )
-                reader_bitmap |= reader_busy
-                if tracer is not None:
-                    tracer.emit(
-                        "frame",
-                        round_index,
-                        transmitters=transmitting,
-                        bits_new_at_reader=bits_new,
-                        reader_busy_total=int(
-                            _word_counts(reader_bitmap).sum()
-                        ),
-                    )
-                if config.use_indicator_vector:
-                    with obs.span("indicator"):
-                        silenced = reader_bitmap.copy()
-                        slots += SlotCount(id_slots=iv_slots)
-                        ledger.add_received_to_all(float(f))
-                        # Masking retained (sleeping-tag) pending with the
-                        # new V is observationally identical to masking at
-                        # wake time: V only grows, and a woken tag applies
-                        # the then-current V before transmitting anyway.
-                        new_pending &= ~silenced
-                        obs.inc("ccm_indicator_slots_total", iv_slots)
-                    if tracer is not None:
-                        tracer.emit(
-                            "indicator",
-                            round_index,
-                            silenced_total=int(_word_counts(silenced).sum()),
-                        )
-                pending = new_pending
-
-                # --- checking frame -------------------------------------
-                with obs.span("checking"):
-                    has_pending = pending.any(axis=1)
-                    executed, reader_heard = run_checking_frame(
-                        net, has_pending, l_c, ledger, active=powered
-                    )
-                    slots += SlotCount(short_slots=executed)
-                    obs.inc("ccm_checking_slots_total", executed)
-                round_span.__exit__(None, None, None)
-                if tracer is not None:
-                    tracer.emit(
-                        "checking",
-                        round_index,
-                        slots_executed=executed,
-                        reader_heard=reader_heard,
-                        pending_tags=int(has_pending.sum()),
-                    )
-                round_stats.append(
-                    RoundStats(
-                        round_index=round_index,
-                        transmitting_tags=transmitting,
-                        bits_new_at_reader=bits_new,
-                        checking_slots_executed=executed,
-                        reader_heard_checking=reader_heard,
-                    )
-                )
-                if not reader_heard:
-                    terminated_cleanly = not bool(
-                        pending[net.reachable_mask].any()
-                    )
-                    break
-            else:
-                terminated_cleanly = not bool(
-                    pending[net.reachable_mask].any()
-                )
-        finally:
-            # The ledger and wrapper may be shared across sessions; never
-            # leak this session's duty-cycle mask.
-            ledger.set_active(None)
-            chan.set_active(None)
-
+        result = _run_kernel(
+            network,
+            [masks],
+            config,
+            channel=channel,
+            rngs=None if rng is None else [rng],
+            tracer=tracer,
+            hook=hook,
+        )[0]
         self.last_run_info = {
             "relinks": relinks,
             "powered_fraction_mean": (
-                float(np.mean(powered_fractions)) if powered_fractions else 1.0
+                float(np.mean([c / n if n else 1.0 for c in powered_counts]))
+                if powered_counts
+                else 1.0
             ),
-            "min_powered": min_powered,
-            "end_time_s": scenario.start_time_s + slots.seconds(timing),
+            "min_powered": min(powered_counts, default=n),
+            "end_time_s": scenario.start_time_s + result.slots.seconds(timing),
         }
-        if tracer is not None:
-            tracer.emit(
-                "session_end",
-                rounds_run,
-                rounds=rounds_run,
-                clean=terminated_cleanly,
-                busy_slots=int(_word_counts(reader_bitmap).sum()),
-            )
-        return SessionResult(
-            bitmap=Bitmap(f, words_to_int(reader_bitmap)),
-            rounds=rounds_run,
-            slots=slots,
-            ledger=ledger,
-            round_stats=round_stats,
-            terminated_cleanly=terminated_cleanly,
-        )
+        return _into_ledger(result, ledger)
 
 
 register_engine("scenario", ScenarioSessionEngine)

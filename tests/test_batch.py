@@ -1,9 +1,10 @@
-"""The trial-major batched kernel vs the per-trial packed reference.
+"""The trial-major batched kernel vs its own B = 1 runs.
 
-The executable reference for ``run_session_batch`` is the per-trial
-packed engine: under the ``repro-batch-rng-v1`` contract every trial in
-a batch must be bit-identical to running it alone with the same
-generator.  The grid here sweeps topology x frame size x loss and
+The executable reference for ``run_session_batch`` is B = 1 of the same
+kernel (``engine="packed"``), which ``tests/test_engine.py`` checks
+against the bigint oracle: under the ``repro-batch-rng-v1`` contract
+every trial in a batch must be bit-identical to running it alone with
+the same generator.  The grid here sweeps topology x frame size x loss and
 compares every observable field (bitmap, rounds, slot accounting, round
 stats, energy floats).  Also covered: trial-order independence, tail
 batches through the campaign engine, the ``engine="batch"`` adapter,
@@ -44,7 +45,7 @@ def draw_masks(rng, n, f, participation=0.8):
 
 
 def run_reference(network, f, loss, seed):
-    """One trial through the per-trial packed engine (the contract's
+    """One trial alone through the kernel at B = 1 (the contract's
     reference path), drawing masks and channel losses from one
     generator exactly as the batched path must."""
     rng = np.random.default_rng(seed)
@@ -162,6 +163,26 @@ class TestBatchEngineAdapter:
             rng=rng_b if loss > 0.0 else None, engine="batch",
         )
         assert_sessions_identical(ref, out)
+
+
+class TestOrRuns:
+    def test_matches_per_run_reduce(self):
+        """Runs shorter and longer than a chunk's row budget (600-word
+        rows leave room for ~54 per chunk) all OR to the plain per-run
+        reduction."""
+        rng = np.random.default_rng(5)
+        adjacency = rng.integers(
+            0, 2**63, size=(300, 600), dtype=np.uint64
+        )
+        lens = rng.integers(1, 120, size=40)
+        tags = rng.integers(0, 300, size=int(lens.sum()))
+        starts = np.concatenate(([0], np.cumsum(lens)[:-1]))
+        got = batch_mod._or_runs(adjacency, tags, starts)
+        for j, (s, k) in enumerate(zip(starts, lens)):
+            np.testing.assert_array_equal(
+                got[j],
+                np.bitwise_or.reduce(adjacency[tags[s : s + k]], axis=0),
+            )
 
 
 class TestValidation:

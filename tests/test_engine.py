@@ -1,11 +1,12 @@
 """Tests for repro.core.engine — the interchangeable session engines.
 
 The contract under test is the strongest one the redesign makes: for any
-network, initial masks and config, the bit-packed engine must produce a
-*bit-identical* :class:`~repro.core.session.SessionResult` to the big-int
-engine under the perfect channel — same bitmap, rounds, slots,
-round-by-round stats and per-tag energy ledger, down to float equality
-(both engines add the same float64 values in the same order).
+network, initial masks and config, the vectorized kernel at B = 1
+(``engine="packed"``) must produce a *bit-identical*
+:class:`~repro.core.session.SessionResult` to the big-int oracle — same
+bitmap, rounds, slots, round-by-round stats, tracer NDJSON and per-tag
+energy ledger, down to float equality (every ledger add is an
+integer-valued float64, exact in any association).
 """
 
 from __future__ import annotations
@@ -15,13 +16,12 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.core.batch import BatchSessionEngine
 from repro.core.engine import (
     AUTO_ENGINE,
     BigintSessionEngine,
-    PackedSessionEngine,
     SessionEngine,
     available_engines,
-    bit_transpose,
     get_engine,
     masks_to_words,
     register_engine,
@@ -120,35 +120,6 @@ class TestPackedPrimitives:
                 expected[t] |= rows[u]
         np.testing.assert_array_equal(got, expected)
 
-    @pytest.mark.parametrize(
-        "n_rows,n_cols",
-        [(1, 1), (5, 1), (64, 64), (100, 130), (3, 200), (400, 512), (130, 100)],
-    )
-    def test_bit_transpose_matches_unpackbits_oracle(self, n_rows, n_cols):
-        rng = np.random.default_rng(n_rows * 1000 + n_cols)
-        n_words = (n_cols + 63) // 64
-        words = rng.integers(0, 2**64, size=(n_rows, n_words), dtype=np.uint64)
-        pad = n_words * 64 - n_cols
-        if pad:
-            words[:, -1] &= np.uint64((1 << (64 - pad)) - 1)
-
-        got = bit_transpose(words, n_rows, n_cols)
-        bits = np.unpackbits(
-            words.view(np.uint8), axis=1, bitorder="little", count=n_cols
-        )
-        padded = np.zeros(
-            (n_cols, max(1, (n_rows + 63) // 64) * 64), dtype=np.uint8
-        )
-        padded[:, :n_rows] = bits.T
-        expected = np.packbits(padded, axis=1, bitorder="little").view(
-            np.uint64
-        )
-        np.testing.assert_array_equal(got, expected)
-        # Transposing back recovers the original packed matrix.
-        np.testing.assert_array_equal(
-            bit_transpose(got, n_cols, n_rows), words
-        )
-
     def test_packed_adjacency_matches_csr(self):
         network = _build_network("disk", 60, seed=5)
         adj = network.packed_adjacency()
@@ -179,7 +150,9 @@ class TestEngineRegistry:
 
     def test_get_engine_instances(self):
         assert isinstance(get_engine("bigint"), BigintSessionEngine)
-        assert isinstance(get_engine("packed"), PackedSessionEngine)
+        # "packed" is the vectorized kernel at B = 1, under its own name.
+        assert isinstance(get_engine("packed"), BatchSessionEngine)
+        assert get_engine("packed").name == "packed"
         assert isinstance(get_engine("packed"), SessionEngine)
 
     def test_unknown_engine(self):

@@ -256,7 +256,7 @@ class TestRunManifest:
 
 
 class TestInstrumentedSession:
-    @pytest.mark.parametrize("engine", ["bigint", "packed"])
+    @pytest.mark.parametrize("engine", ["bigint", "packed", "batch"])
     def test_session_records_phases_and_counters(self, small_network, engine):
         picks = frame_picks(small_network.tag_ids, 64, 1.0, seed=1)
         with use_registry() as reg:
@@ -278,7 +278,7 @@ class TestInstrumentedSession:
     def test_engines_agree_on_protocol_counters(self, small_network):
         picks = frame_picks(small_network.tag_ids, 64, 1.0, seed=1)
         values = {}
-        for engine in ("bigint", "packed"):
+        for engine in ("bigint", "packed", "batch"):
             with use_registry() as reg:
                 run_session(
                     small_network, picks, config=CCMConfig(frame_size=64),
@@ -289,7 +289,90 @@ class TestInstrumentedSession:
                 k: v for k, v in counters.items()
                 if k.startswith("ccm_") and k != "ccm_session_seconds"
             }
-        assert values["bigint"] == values["packed"]
+        assert values["bigint"] == values["packed"] == values["batch"]
+
+    @staticmethod
+    def _round_counters(reg):
+        """The per-round protocol counters (both dispatch paths post them;
+        session- and batch-call counters differ by design)."""
+        counters = reg.snapshot()["counters"]
+        return {
+            k: counters.get(k, 0.0)
+            for k in (
+                "ccm_rounds_total",
+                "ccm_data_frame_slots_total",
+                "ccm_indicator_slots_total",
+                "ccm_checking_slots_total",
+            )
+        }
+
+    @pytest.mark.parametrize("loss", [0.0, 0.2])
+    def test_batched_campaign_counters_match_per_trial(self, loss):
+        from repro.experiments.common import SessionBatchTrial
+        from repro.sim.parallel import Campaign, ExecutorConfig
+        from repro.sim.plan import RunPlan
+
+        trial = SessionBatchTrial(
+            tag_range=6.0, n_tags=250, frame_size=64, participation=0.7,
+            loss=loss, topology_seed=3,
+        )
+        counters = {}
+        for batch in (1, 8):
+            with use_registry() as reg:
+                result = Campaign(
+                    trial, 8, 29,
+                    plan=RunPlan(
+                        batch=batch, executor=ExecutorConfig.serial()
+                    ),
+                ).run()
+            assert result.ok
+            counters[batch] = self._round_counters(reg)
+        assert counters[1] == counters[8]
+        assert counters[8]["ccm_rounds_total"] >= 8.0
+
+    @pytest.mark.parametrize("loss", [0.0, 0.2])
+    def test_hooked_scenario_trace_matches_bigint(self, small_network, loss):
+        """The scenario hook engaged (a power budget every tag meets)
+        emits the bigint oracle's tracer NDJSON on ScenarioChannel."""
+        import numpy as np
+
+        from repro.net.channel import LossyChannel, PerfectChannel
+        from repro.scenario import (
+            LinkBudget,
+            ScenarioChannel,
+            ScenarioConfig,
+            ScenarioSessionEngine,
+        )
+        from repro.sim.trace import SessionTracer
+
+        f = 64
+        picks = frame_picks(small_network.tag_ids, f, 1.0, seed=1)
+        masks = [0 if p < 0 else 1 << int(p) for p in picks]
+        budget = LinkBudget(threshold_dbm=-200.0)
+        assert budget.powered_mask(small_network.reader_distance).all()
+
+        def inner():
+            return LossyChannel(loss) if loss > 0.0 else PerfectChannel()
+
+        scenario = ScenarioSessionEngine(ScenarioConfig(link_budget=budget))
+        tracers = {"scenario": SessionTracer(), "bigint": SessionTracer()}
+        ours = scenario.run(
+            small_network, masks, CCMConfig(frame_size=f), channel=inner(),
+            rng=np.random.default_rng(5), tracer=tracers["scenario"],
+        )
+        assert scenario.last_run_info["powered_fraction_mean"] == 1.0
+        theirs = run_session(
+            small_network, masks=masks, config=CCMConfig(frame_size=f),
+            channel=ScenarioChannel(inner()), rng=np.random.default_rng(5),
+            tracer=tracers["bigint"], engine="bigint",
+        )
+        ndjson = tracers["bigint"].to_ndjson()
+        assert ndjson and tracers["scenario"].to_ndjson() == ndjson
+        assert ours.round_stats == theirs.round_stats
+        assert (
+            ours.ledger.bits_received.tobytes()
+            == theirs.ledger.bits_received.tobytes()
+        )
 
     def test_disabled_session_records_nothing(self, small_network):
         picks = frame_picks(small_network.tag_ids, 64, 1.0, seed=1)
