@@ -612,21 +612,18 @@ def _cache_store(args: argparse.Namespace):
 
 
 def cmd_cache_ls(args: argparse.Namespace) -> None:
+    from repro.store import CampaignCheckpoint
+
     store = _cache_store(args)
     print(f"cache {store.root}")
     header = (
-        f"{'key':<14}{'trial':<40}{'seed':>12}{'engine':>8}"
-        f"{'fmt':>6}{'bytes':>9}"
+        f"{'key':<14}{'trial':<40}{'seed':>12}{'engine':>8}{'bytes':>9}"
     )
     rows = 0
-    by_format: dict = {}
     for entry in store.entries():
         if rows == 0:
             print(header)
         rows += 1
-        per_fmt = by_format.setdefault(entry.fmt, [0, 0])
-        per_fmt[0] += 1
-        per_fmt[1] += entry.size_bytes
         fields = entry.key_fields
         trial_type = entry.trial_type.rsplit(".", 1)[-1]
         params = (fields.get("trial") or {}).get("params") or {}
@@ -638,48 +635,20 @@ def cmd_cache_ls(args: argparse.Namespace) -> None:
             f"{(trial_type + '(' + detail + ')')[:39]:<40}"
             f"{fields.get('seed', '?'):>12}"
             f"{str(fields.get('engine')):>8}"
-            f"{entry.fmt:>6}"
             f"{entry.size_bytes:>9}"
         )
     if rows == 0:
         print("(no entries)")
-    else:
-        summary = "  ".join(
-            f"{fmt}: {count} ({_human_bytes(size)})"
-            for fmt, (count, size) in sorted(by_format.items())
-        )
-        print(f"formats: {summary}")
-    # rglob, not glob: namespaced journals (e.g. repro serve's
-    # campaigns/jobs/<job-id>/) live in subdirectories.  Both journal
-    # codecs are listed; a campaign with journals in both tiers (e.g.
-    # resumed across a codec switch) shows once — load() merges them.
-    campaigns = []
-    if store.campaigns_dir.is_dir():
-        seen = set()
-        for pattern in ("*.binj", "*.ndjson"):
-            for path in store.campaigns_dir.rglob(pattern):
-                ident = (path.parent, path.stem)
-                if ident not in seen:
-                    seen.add(ident)
-                    campaigns.append(path)
-        campaigns.sort()
-    if campaigns:
-        import pathlib
-
-        from repro.store import CampaignCheckpoint
-
-        print(f"\ncampaigns ({len(campaigns)}):")
-        for path in campaigns:
-            rel = path.relative_to(store.campaigns_dir)
-            namespace = (
-                None if rel.parent == pathlib.Path(".") else str(rel.parent)
-            )
+    journals = store.journals()
+    if journals:
+        print(f"\ncampaigns ({len(journals)}):")
+        for namespace, key in journals:
             state = CampaignCheckpoint(
-                store.root, path.stem, namespace=namespace
+                store.root, key, namespace=namespace
             ).load()
             status = "complete" if state.completed else "in progress"
             n = state.meta.get("n_trials", "?")
-            label = (f"{namespace}/" if namespace else "") + path.stem[:12]
+            label = (f"{namespace}/" if namespace else "") + key[:12]
             print(f"  {label}  {state.n_done}/{n} trials  [{status}]")
 
 
@@ -700,11 +669,6 @@ def cmd_cache_stats(args: argparse.Namespace) -> None:
     print(f"cache {stats.root}")
     print(f"  entries:   {stats.n_entries}")
     print(f"  size:      {_human_bytes(stats.total_bytes)}")
-    for fmt, per_fmt in sorted(stats.by_format.items()):
-        print(
-            f"    {fmt}: {per_fmt['entries']} entries "
-            f"({_human_bytes(per_fmt['bytes'])})"
-        )
     print(f"  campaigns: {stats.n_campaigns}")
     if stats.oldest_utc:
         print(f"  oldest:    {stats.oldest_utc}")
@@ -736,8 +700,10 @@ def cmd_cache_migrate(args: argparse.Namespace) -> None:
     outcome = store.migrate(dry_run=args.dry_run)
     verb = "would migrate" if args.dry_run else "migrated"
     print(
-        f"cache migrate: {verb} {outcome['migrated']} legacy .json "
-        f"record(s), skipped {outcome['skipped']}"
+        f"cache migrate: {verb} {outcome['migrated']} legacy file(s) "
+        f"({outcome['objects']} object(s), {outcome['journals']} "
+        f"journal(s), {outcome['jobs']} job record(s)), "
+        f"skipped {outcome['skipped']} corrupt"
     )
     if outcome["migrated"]:
         before, after = outcome["bytes_before"], outcome["bytes_after"]
@@ -1301,8 +1267,9 @@ def build_parser() -> argparse.ArgumentParser:
     gc.set_defaults(func=cmd_cache_gc)
     migrate = cache_sub.add_parser(
         "migrate", parents=[cache_common],
-        help="rewrite legacy .json objects as repro-record-bin-v1 .bin "
-             "(atomic, lock-guarded, round-trip-checked)",
+        help="convert a pre-binary store (.json objects, .ndjson "
+             "journals, .json job records) to repro-record-bin-v1, in "
+             "place (atomic, lock-guarded)",
     )
     migrate.add_argument(
         "--dry-run", action="store_true",
@@ -1596,17 +1563,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    from repro.store import LegacyStoreError
+
     args = build_parser().parse_args(argv)
     metrics_out = getattr(args, "metrics_out", None)
-    if metrics_out and not getattr(args, "handles_metrics", False):
-        from repro.obs import MetricsRegistry, metrics_to_ndjson, use_registry
+    try:
+        if metrics_out and not getattr(args, "handles_metrics", False):
+            from repro.obs import MetricsRegistry, metrics_to_ndjson, use_registry
 
-        with use_registry(MetricsRegistry()) as registry:
+            with use_registry(MetricsRegistry()) as registry:
+                args.func(args)
+            metrics_to_ndjson(registry, metrics_out)
+            print(f"[metrics written to {metrics_out}]")
+        else:
             args.func(args)
-        metrics_to_ndjson(registry, metrics_out)
-        print(f"[metrics written to {metrics_out}]")
-    else:
-        args.func(args)
+    except LegacyStoreError as exc:
+        raise SystemExit(f"repro-ccm: error: {exc}")
     return 0
 
 

@@ -30,8 +30,10 @@ Mechanics:
   *identical* campaign never interleave in one journal file.
 * **Crash-safe records.**  Every state transition rewrites
   ``<store>/serve/jobs/<id>.bin`` atomically — a ``repro-job-record-v1``
-  document inside a ``repro-record-bin-v1`` container (legacy ``.json``
-  records from older servers recover transparently);
+  document inside a ``repro-record-bin-v1`` container (a legacy
+  ``.json`` record from an older server makes recovery raise
+  :class:`~repro.store.cache.LegacyStoreError` until ``repro-ccm cache
+  migrate`` converts it);
   :meth:`JobManager.recover` re-enqueues every job a previous process
   left queued, running or interrupted, with ``resume=True`` — re-run
   trials hit the store, so a drained-and-restarted job reproduces its
@@ -64,7 +66,7 @@ from repro.store.binary import (
     read_record_path,
     write_record,
 )
-from repro.store.cache import ResultStore
+from repro.store.cache import LegacyStoreError, ResultStore
 
 __all__ = [
     "JOB_SCHEMA",
@@ -391,7 +393,7 @@ class JobManager:
         self.store = store if store is not None else ResultStore()
         self.max_queue = max_queue
         self.event_retention = event_retention
-        self.jobs_dir = pathlib.Path(self.store.root) / "serve" / "jobs"
+        self.jobs_dir = self.store.jobs_dir
         self._jobs: Dict[str, Job] = {}
         self._heap: List[Tuple[int, int, str]] = []  # (-priority, seq, id)
         self._seq = 0
@@ -427,26 +429,14 @@ class JobManager:
         recovered: List[str] = []
         if not self.jobs_dir.is_dir():
             return recovered
-        # Binary records shadow legacy JSON ones for the same job id
-        # (a server recovered from a pre-binary store persists .bin and
-        # drops the stale .json on its next transition).
-        paths: Dict[str, pathlib.Path] = {}
-        for path in sorted(self.jobs_dir.glob("*.json")):
-            paths[path.stem] = path
-        for path in sorted(self.jobs_dir.glob("*.bin")):
-            paths[path.stem] = path
+        for legacy in self.jobs_dir.glob("*.json"):
+            raise LegacyStoreError(legacy, self.store.root)
         records = []
-        for path in paths.values():
-            if path.suffix == ".bin":
-                try:
-                    record, _ = read_record_path(path)
-                except (OSError, BinaryFormatError):
-                    continue  # torn write at the kill point: drop it
-            else:
-                try:
-                    record = json.loads(path.read_text(encoding="utf-8"))
-                except (OSError, ValueError):
-                    continue
+        for path in sorted(self.jobs_dir.glob("*.bin")):
+            try:
+                record, _ = read_record_path(path)
+            except (OSError, BinaryFormatError):
+                continue  # torn write at the kill point: drop it
             if not isinstance(record, dict):
                 continue
             if record.get("schema") != RECORD_SCHEMA:
@@ -739,13 +729,6 @@ class JobManager:
             # non-finite floats; this record is never content-addressed.
             write_record(fh, job.to_dict(), RECORD_TYPE_JOB, allow_nan=True)
         os.replace(tmp, path)
-        # Drop the legacy record a pre-binary server may have left for
-        # this id, so recover() never resurrects a stale state.
-        legacy = self.jobs_dir / f"{job.id}.json"
-        try:
-            legacy.unlink()
-        except OSError:
-            pass
 
 
 def _campaign_to_dict(result) -> Dict[str, Any]:

@@ -12,15 +12,17 @@ after.  Five modules:
   and digest is computed from it, whatever the payload encoding.
 * :mod:`repro.store.binary` — the ``repro-record-bin-v1`` compact
   binary container (CRC-protected header, typed fields, raw uint64-word
-  bitmap payloads, O(1)-memory streaming) that trial records, checkpoint
-  journals and serve job records are stored in.
+  bitmap payloads) that trial records, checkpoint journals and serve job
+  records are stored in.
 * :mod:`repro.store.fingerprint` — the source hash of ``repro.core`` /
   ``repro.protocols`` / ``repro.net`` / ``repro.scenario`` that
   invalidates the cache when the simulator (or the binary record
   format) changes.
 * :mod:`repro.store.cache` — :class:`ResultStore`: atomic one-file-per-
   trial records under ``~/.cache/repro`` (or ``--cache-dir``), plus
-  ``stats``/``verify``/``gc``/``migrate`` maintenance.
+  ``stats``/``verify``/``gc``/``migrate`` maintenance; ``migrate`` is
+  the only reader of pre-binary stores, which every other path refuses
+  with :class:`LegacyStoreError`.
 * :mod:`repro.store.checkpoint` — append-only campaign journals that
   make killed campaigns resumable and record aggregate digests.
 
@@ -45,15 +47,14 @@ from repro.store.binary import (
     WordBitmap,
     decode_record,
     encode_record,
-    read_record,
     read_record_path,
     write_record,
 )
 from repro.store.cache import (
     KEY_SCHEMA,
-    OBJECT_SUFFIX,
     RESULT_FORMAT,
     CacheEntry,
+    LegacyStoreError,
     ResultStore,
     StoreLock,
     StoreStats,
@@ -78,17 +79,16 @@ from repro.store.fingerprint import FINGERPRINT_PACKAGES, code_fingerprint
 
 __all__ = [
     "KEY_SCHEMA",
-    "OBJECT_SUFFIX",
     "RESULT_FORMAT",
     "BINARY_FORMAT",
     "BinaryFormatError",
     "WordBitmap",
     "decode_record",
     "encode_record",
-    "read_record",
     "read_record_path",
     "write_record",
     "CacheEntry",
+    "LegacyStoreError",
     "ResultStore",
     "StoreLock",
     "StoreStats",

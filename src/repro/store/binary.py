@@ -5,7 +5,7 @@ format: every content address is still the SHA-256 of canonical JSON,
 so keys, dedupe semantics and cross-host verification are untouched.
 This module is the *payload* format: trial records, checkpoint journal
 events and ``repro serve`` job records round-trip through a
-strongly-typed, compact, streamable container instead of JSON text —
+strongly-typed, compact container instead of JSON text —
 uint64 bitmap words are written raw (8 bytes per word, via
 ``memoryview``, no copies) where JSON spends ~2 bytes *per bit*.
 
@@ -29,9 +29,8 @@ and are followed by a stream of *frames*, each::
 
     u32 payload length | u32 payload CRC-32 | payload (one encoded value)
 
-A frame whose length or CRC does not check out ends the readable stream
-— exactly the torn-final-line tolerance the NDJSON journals had, with
-per-record CRC instead of line framing.
+A frame whose length or CRC does not check out ends the readable stream,
+so a SIGKILL mid-append costs at most the frame being written.
 
 Value encoding — one tag byte, then a type-specific payload.  Lengths
 and counts are unsigned LEB128 varints; integers are zigzag LEB128
@@ -56,24 +55,30 @@ Versioning and compatibility rules:
   moves when the format version moves — a store written by a future
   format version is never half-read by an old decoder, it is simply
   recomputed under new keys;
-* legacy ``.json`` objects remain readable forever as a fallback tier
-  (``repro cache migrate`` rewrites them in place).
+* stores written before this format (``.json`` objects and job records,
+  ``.ndjson`` journals) are read only by ``repro-ccm cache migrate``,
+  which rewrites them in place.
 
-The encoder and decoder stream over any file object in O(1) memory: the
-encoder sizes the value in a byte-free pre-pass (so the header's body
-length is exact without buffering), the decoder reads exactly the bytes
-each field declares and never slurps the payload.
+One encoder, one decoder: :func:`encode_record` builds a container in a
+single pass, validating as it goes (non-finite floats, non-``str`` keys,
+unencodable types), and :func:`write_record` /
+:func:`append_journal_frame` hand the finished bytes to the file in one
+write — a rejected value writes nothing.  :func:`decode_record` decodes
+an in-memory container, bounds-checking every declared length before
+slicing; :func:`load_journal` replays journal frames through the same
+value decoder.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import pathlib
 import struct
 import sys
 import zlib
 from array import array
-from typing import Any, BinaryIO, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, BinaryIO, Dict, List, Optional, Tuple, Union
 
 __all__ = [
     "BINARY_FORMAT",
@@ -90,11 +95,9 @@ __all__ = [
     "encode_record",
     "decode_record",
     "write_record",
-    "read_record",
     "read_record_path",
     "write_journal_header",
     "append_journal_frame",
-    "read_journal_frames",
     "load_journal",
 ]
 
@@ -311,35 +314,11 @@ def _coerce(value: Any) -> Any:
 # -- varints -------------------------------------------------------------------
 
 
-def _write_uvarint(out: "_CrcWriter", value: int) -> None:
-    while True:
-        byte = value & 0x7F
+def _write_uvarint(out: bytearray, value: int) -> None:
+    while value > 0x7F:
+        out.append((value & 0x7F) | 0x80)
         value >>= 7
-        if value:
-            out.write(bytes((byte | 0x80,)))
-        else:
-            out.write(bytes((byte,)))
-            return
-
-
-def _uvarint_size(value: int) -> int:
-    size = 1
-    value >>= 7
-    while value:
-        size += 1
-        value >>= 7
-    return size
-
-
-def _read_uvarint(reader: "_Reader") -> int:
-    shift = 0
-    value = 0
-    while True:
-        byte = reader.read_exact(1)[0]
-        value |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return value
-        shift += 7
+    out.append(value)
 
 
 def _uvarint_at(buf: memoryview, pos: int, end: int) -> Tuple[int, int]:
@@ -365,116 +344,61 @@ def _unzigzag(z: int) -> int:
     return (z >> 1) if not z & 1 else -((z + 1) >> 1)
 
 
-# -- streaming writer ----------------------------------------------------------
+# -- encoder -------------------------------------------------------------------
 
 
-class _CrcWriter:
-    """Wraps a binary file object, tracking CRC-32 and byte count."""
+def _write_value(out: bytearray, value: Any, allow_nan: bool) -> None:
+    """Append ``value``'s encoding to ``out`` — the single encoder pass.
 
-    __slots__ = ("fh", "crc", "count")
-
-    def __init__(self, fh: BinaryIO):
-        self.fh = fh
-        self.crc = 0
-        self.count = 0
-
-    def write(self, data: Union[bytes, memoryview]) -> None:
-        self.crc = zlib.crc32(data, self.crc)
-        self.count += len(data) * (
-            data.itemsize if isinstance(data, memoryview) else 1
-        )
-        self.fh.write(data)
-
-
-def _size_value(value: Any, allow_nan: bool) -> int:
-    """Exact encoded byte size of ``value`` — the header's body length.
-
-    A byte-free pre-pass so the encoder can stream the single writing
-    pass in O(1) memory over non-seekable file objects too.
+    Validation (non-finite floats, non-``str`` dict keys, unencodable
+    types) happens as the value is walked; callers only hand ``out`` to
+    a file once the whole walk succeeded, so an invalid value writes
+    nothing.
     """
-    if value is None or isinstance(value, bool):
-        return 1
-    if isinstance(value, int):
-        return 1 + _uvarint_size(_zigzag(value))
-    if isinstance(value, float):
-        if not allow_nan and (value != value or value in (
-            float("inf"), float("-inf")
-        )):
+    if value is None:
+        out.append(_T_NONE)
+    elif isinstance(value, bool):
+        out.append(_T_TRUE if value else _T_FALSE)
+    elif isinstance(value, int):
+        out.append(_T_INT)
+        _write_uvarint(out, _zigzag(value))
+    elif isinstance(value, float):
+        if not allow_nan and not math.isfinite(value):
             raise ValueError(
                 f"non-finite float {value!r} has no canonical form "
                 "(pass allow_nan=True for non-addressed records)"
             )
-        return 9
-    if isinstance(value, str):
-        raw_len = len(value.encode("utf-8"))
-        return 1 + _uvarint_size(raw_len) + raw_len
-    if isinstance(value, (bytes, bytearray)):
-        return 1 + _uvarint_size(len(value)) + len(value)
-    if isinstance(value, (list, tuple)):
-        return (
-            1
-            + _uvarint_size(len(value))
-            + sum(_size_value(item, allow_nan) for item in value)
-        )
-    if isinstance(value, dict):
-        total = 1 + _uvarint_size(len(value))
-        for key, item in value.items():
+        out.append(_T_FLOAT)
+        out += _F64.pack(value)
+    elif isinstance(value, str):
+        raw = value.encode("utf-8")
+        out.append(_T_STR)
+        _write_uvarint(out, len(raw))
+        out += raw
+    elif isinstance(value, (bytes, bytearray)):
+        out.append(_T_BYTES)
+        _write_uvarint(out, len(value))
+        out += value
+    elif isinstance(value, (list, tuple)):
+        out.append(_T_LIST)
+        _write_uvarint(out, len(value))
+        for item in value:
+            _write_value(out, item, allow_nan)
+    elif isinstance(value, dict):
+        for key in value:
             if not isinstance(key, str):
                 raise TypeError(
                     f"binary record keys must be str, got "
                     f"{type(key).__name__}"
                 )
-            raw_len = len(key.encode("utf-8"))
-            total += _uvarint_size(raw_len) + raw_len
-            total += _size_value(item, allow_nan)
-        return total
-    words = _as_words(value)
-    if words is not None:
-        n_words = (words.nbits + 63) // 64
-        return 1 + _uvarint_size(words.nbits) + 8 * n_words
-    coerced = _coerce(value)
-    if coerced is not None:
-        return _size_value(coerced, allow_nan)
-    raise TypeError(
-        f"{type(value).__name__} is not binary-record serializable"
-    )
-
-
-def _write_value(out: _CrcWriter, value: Any, allow_nan: bool) -> None:
-    if value is None:
-        out.write(bytes((_T_NONE,)))
-    elif isinstance(value, bool):
-        out.write(bytes((_T_TRUE if value else _T_FALSE,)))
-    elif isinstance(value, int):
-        out.write(bytes((_T_INT,)))
-        _write_uvarint(out, _zigzag(value))
-    elif isinstance(value, float):
-        # sizing already rejected non-finite floats when !allow_nan
-        out.write(bytes((_T_FLOAT,)))
-        out.write(_F64.pack(value))
-    elif isinstance(value, str):
-        raw = value.encode("utf-8")
-        out.write(bytes((_T_STR,)))
-        _write_uvarint(out, len(raw))
-        out.write(raw)
-    elif isinstance(value, (bytes, bytearray)):
-        out.write(bytes((_T_BYTES,)))
-        _write_uvarint(out, len(value))
-        out.write(bytes(value))
-    elif isinstance(value, (list, tuple)):
-        out.write(bytes((_T_LIST,)))
-        _write_uvarint(out, len(value))
-        for item in value:
-            _write_value(out, item, allow_nan)
-    elif isinstance(value, dict):
-        out.write(bytes((_T_DICT,)))
+        out.append(_T_DICT)
         _write_uvarint(out, len(value))
         # Canonical JSON's sort order, so encoding is deterministic and
         # key streams match what digests were computed over.
         for key in sorted(value):
             raw = key.encode("utf-8")
             _write_uvarint(out, len(raw))
-            out.write(raw)
+            out += raw
             _write_value(out, value[key], allow_nan)
     else:
         words = _as_words(value)
@@ -487,108 +411,28 @@ def _write_value(out: _CrcWriter, value: Any, allow_nan: bool) -> None:
                 )
             _write_value(out, coerced, allow_nan)
             return
-        out.write(bytes((_T_WORDS,)))
+        out.append(_T_WORDS)
         _write_uvarint(out, words.nbits)
-        view = memoryview(words.words)
         if _LITTLE:
-            # the zero-copy path: raw words straight from the buffer
-            out.write(view.cast("B"))
+            # raw words straight from the caller's buffer
+            out += memoryview(words.words).cast("B")
         else:  # pragma: no cover - big-endian hosts
-            swapped = array("Q", view)
-            swapped.byteswap()
-            out.write(memoryview(swapped).cast("B"))
+            out += words.word_bytes()
 
 
-# -- streaming reader ----------------------------------------------------------
+def _encode_value(value: Any, allow_nan: bool) -> bytearray:
+    out = bytearray()
+    _write_value(out, value, allow_nan)
+    return out
 
 
-class _Reader:
-    """Budgeted CRC-tracking reader over a (non-seekable) file object.
-
-    ``limit`` is the declared body length: any field that claims more
-    bytes than remain is rejected *before* a read is attempted, so
-    corrupt length prefixes can never trigger huge allocations.  The
-    in-memory path (:func:`decode_record`, journal frames) goes through
-    :func:`_decode_from` instead, which validates the CRC in one pass
-    up front rather than tracking it field by field.
-    """
-
-    __slots__ = ("fh", "limit", "crc", "consumed")
-
-    def __init__(self, fh: BinaryIO, limit: int):
-        self.fh = fh
-        self.limit = limit
-        self.crc = 0
-        self.consumed = 0
-
-    def read_exact(self, n: int) -> memoryview:
-        if n > self.limit - self.consumed:
-            raise BinaryFormatError(
-                f"field claims {n} bytes with "
-                f"{self.limit - self.consumed} remaining in record"
-            )
-        raw = self.fh.read(n)
-        if len(raw) != n:
-            raise BinaryFormatError("truncated record")
-        data = memoryview(raw)
-        self.crc = zlib.crc32(data, self.crc)
-        self.consumed += n
-        return data
-
-
-def _read_value(reader: _Reader) -> Any:
-    tag = reader.read_exact(1)[0]
-    if tag == _T_NONE:
-        return None
-    if tag == _T_TRUE:
-        return True
-    if tag == _T_FALSE:
-        return False
-    if tag == _T_INT:
-        return _unzigzag(_read_uvarint(reader))
-    if tag == _T_FLOAT:
-        return _F64.unpack(reader.read_exact(8))[0]
-    if tag == _T_STR:
-        length = _read_uvarint(reader)
-        try:
-            return str(reader.read_exact(length), "utf-8")
-        except UnicodeDecodeError as exc:
-            raise BinaryFormatError(f"invalid UTF-8 in record: {exc}")
-    if tag == _T_BYTES:
-        length = _read_uvarint(reader)
-        return bytes(reader.read_exact(length))
-    if tag == _T_LIST:
-        count = _read_uvarint(reader)
-        return [_read_value(reader) for _ in range(count)]
-    if tag == _T_DICT:
-        count = _read_uvarint(reader)
-        result: Dict[str, Any] = {}
-        for _ in range(count):
-            length = _read_uvarint(reader)
-            try:
-                key = str(reader.read_exact(length), "utf-8")
-            except UnicodeDecodeError as exc:
-                raise BinaryFormatError(f"invalid UTF-8 key: {exc}")
-            result[key] = _read_value(reader)
-        return result
-    if tag == _T_WORDS:
-        nbits = _read_uvarint(reader)
-        n_words = (nbits + 63) // 64
-        raw = reader.read_exact(8 * n_words)
-        words = array("Q", raw.tobytes())
-        if not _LITTLE:  # pragma: no cover - big-endian hosts
-            words.byteswap()
-        try:
-            return WordBitmap(nbits, words)
-        except ValueError as exc:
-            raise BinaryFormatError(str(exc))
-    raise BinaryFormatError(f"unknown value tag 0x{tag:02x}")
+# -- decoder -------------------------------------------------------------------
 
 
 def _decode_from(buf: bytes, pos: int, end: int) -> Tuple[Any, int]:
-    """In-memory value decoder -> (value, next_pos).
+    """The value decoder -> (value, next_pos).
 
-    The fast path behind :func:`decode_record`: the whole body's CRC is
+    Behind :func:`decode_record` and :func:`load_journal`: the CRC is
     validated in one :func:`zlib.crc32` call *before* this runs, so the
     cursor needs no per-field CRC accounting — just bounds checks, which
     keep a CRC-colliding corrupt length prefix from over-allocating.
@@ -734,6 +578,25 @@ def _parse_header(raw: Union[bytes, memoryview]) -> Tuple[int, int]:
     return record_type, body_len
 
 
+def encode_record(
+    value: Any,
+    record_type: int = RECORD_TYPE_GENERIC,
+    *,
+    allow_nan: bool = False,
+) -> bytes:
+    """One record container as bytes: header, body, body CRC."""
+    if record_type == RECORD_TYPE_JOURNAL:
+        raise ValueError(
+            "journal containers are streams; use write_journal_header() "
+            "+ append_journal_frame()"
+        )
+    body = _encode_value(value, allow_nan)
+    return b"".join(
+        (_pack_header(record_type, len(body)), body,
+         _U32.pack(zlib.crc32(body)))
+    )
+
+
 def write_record(
     fh: BinaryIO,
     value: Any,
@@ -741,71 +604,14 @@ def write_record(
     *,
     allow_nan: bool = False,
 ) -> int:
-    """Stream one record container to ``fh``; returns bytes written.
+    """Write one record container to ``fh``; returns bytes written.
 
-    O(1) memory: the body is sized in a byte-free pre-pass, then written
-    in a single streaming pass (word payloads go out as raw
-    ``memoryview`` slices, never copied into an intermediate buffer).
+    The container is encoded in full before the single ``fh.write``, so
+    a value that fails validation leaves ``fh`` untouched.
     """
-    if record_type == RECORD_TYPE_JOURNAL:
-        raise ValueError(
-            "journal containers are streams; use write_journal_header() "
-            "+ append_journal_frame()"
-        )
-    body_len = _size_value(value, allow_nan)
-    fh.write(_pack_header(record_type, body_len))
-    out = _CrcWriter(fh)
-    _write_value(out, value, allow_nan)
-    if out.count != body_len:
-        raise RuntimeError(
-            f"encoder sizing bug: wrote {out.count} bytes, "
-            f"declared {body_len}"
-        )  # pragma: no cover - invariant
-    fh.write(_U32.pack(out.crc))
-    return HEADER_SIZE + body_len + 4
-
-
-def encode_record(
-    value: Any,
-    record_type: int = RECORD_TYPE_GENERIC,
-    *,
-    allow_nan: bool = False,
-) -> bytes:
-    """One record container as bytes (convenience over a BytesIO)."""
-    import io
-
-    out = io.BytesIO()
-    write_record(out, value, record_type, allow_nan=allow_nan)
-    return out.getvalue()
-
-
-def read_record(fh: BinaryIO) -> Tuple[Any, int]:
-    """Read one record container from a stream -> (value, record_type).
-
-    Streams in O(1) memory: each field reads exactly the bytes it
-    declares, bounded by the header's body length.  Raises
-    :class:`BinaryFormatError` on anything that is not a valid record.
-    """
-    record_type, body_len = _parse_header(fh.read(HEADER_SIZE))
-    if record_type == RECORD_TYPE_JOURNAL:
-        raise BinaryFormatError(
-            "journal container: use read_journal_frames()"
-        )
-    reader = _Reader(fh, limit=body_len)
-    try:
-        value = _read_value(reader)
-    except RecursionError:
-        raise BinaryFormatError("record nests too deep")
-    if reader.consumed != body_len:
-        raise BinaryFormatError(
-            f"body declares {body_len} bytes, value used {reader.consumed}"
-        )
-    trailer = fh.read(4)
-    if len(trailer) != 4:
-        raise BinaryFormatError("truncated body CRC")
-    if _U32.unpack(trailer)[0] != reader.crc:
-        raise BinaryFormatError("body CRC mismatch")
-    return value, record_type
+    data = encode_record(value, record_type, allow_nan=allow_nan)
+    fh.write(data)
+    return len(data)
 
 
 def decode_record(data: Union[bytes, bytearray, memoryview]) -> Tuple[Any, int]:
@@ -818,7 +624,7 @@ def decode_record(data: Union[bytes, bytearray, memoryview]) -> Tuple[Any, int]:
     record_type, body_len = _parse_header(buf)
     if record_type == RECORD_TYPE_JOURNAL:
         raise BinaryFormatError(
-            "journal container: use read_journal_frames()"
+            "journal container: use load_journal()"
         )
     if len(buf) != HEADER_SIZE + body_len + 4:
         raise BinaryFormatError(
@@ -858,51 +664,11 @@ def append_journal_frame(
     mid-write loses at most this frame — the reader stops at the first
     frame that does not check out.
     """
-    payload = _encode_value_bytes(event, allow_nan)
+    payload = _encode_value(event, allow_nan)
     if len(payload) > 0xFFFFFFFF:
         raise ValueError("journal event exceeds 4 GiB frame limit")
-    fh.write(_FRAME.pack(len(payload), zlib.crc32(payload)))
-    fh.write(payload)
+    fh.write(_FRAME.pack(len(payload), zlib.crc32(payload)) + payload)
     return _FRAME.size + len(payload)
-
-
-def _encode_value_bytes(value: Any, allow_nan: bool) -> bytes:
-    import io
-
-    out = _CrcWriter(io.BytesIO())
-    _write_value(out, value, allow_nan)
-    return out.fh.getvalue()
-
-
-def read_journal_frames(fh: BinaryIO) -> Iterator[Any]:
-    """Yield journal events until EOF or the first torn/corrupt frame.
-
-    Validates the container header first (raising
-    :class:`BinaryFormatError` if the file is not a journal at all);
-    after that, framing errors end iteration silently — a torn tail is
-    normal after a kill, exactly like a torn NDJSON line was.
-    """
-    record_type, _ = _parse_header(fh.read(HEADER_SIZE))
-    if record_type != RECORD_TYPE_JOURNAL:
-        raise BinaryFormatError(
-            f"not a journal container "
-            f"(record type {RECORD_TYPE_NAMES.get(record_type)})"
-        )
-    while True:
-        head = fh.read(_FRAME.size)
-        if len(head) != _FRAME.size:
-            return  # clean EOF or torn frame header
-        length, crc = _FRAME.unpack(head)
-        payload = fh.read(length)
-        if len(payload) != length or zlib.crc32(payload) != crc:
-            return  # torn or corrupt frame: stop at the kill point
-        try:
-            value, consumed = _decode_from(payload, 0, length)
-            if consumed != length:
-                return
-        except (BinaryFormatError, RecursionError):
-            return
-        yield value
 
 
 def load_journal(path: Any) -> Tuple[List[Any], int]:
@@ -910,9 +676,8 @@ def load_journal(path: Any) -> Tuple[List[Any], int]:
     length of its valid prefix (header + intact frames).
 
     The valid-prefix length is what a resuming writer truncates the
-    file to before appending: unlike NDJSON (where a newline resyncs
-    the stream after a torn line), binary frames do not self-delimit,
-    so a torn tail must be cut off or it would shadow every frame
+    file to before appending: binary frames do not self-delimit, so a
+    torn tail must be cut off or it would shadow every frame
     appended after it.  A missing file, or one whose header is not a
     journal container, reads as ``([], 0)`` — the writer then starts
     the journal fresh.

@@ -14,9 +14,10 @@ that function on disk:
 * **Value** — the trial's metric dict plus a RunManifest-style
   provenance record (when/where/what revision computed it), one
   ``repro-record-bin-v1`` container per trial under
-  ``<root>/objects/<k[:2]>/<k>.bin`` (legacy ``.json`` objects remain a
-  readable fallback tier; see :meth:`ResultStore.migrate`), written
-  atomically (temp file + rename) so a SIGKILL never leaves a torn entry.
+  ``<root>/objects/<k[:2]>/<k>.bin``, written atomically (temp file +
+  rename) so a SIGKILL never leaves a torn entry.  Stores written before
+  the binary format are converted once by :meth:`ResultStore.migrate`;
+  until then every read path raises :class:`LegacyStoreError`.
 * **Root** — ``~/.cache/repro`` by default; override with the
   ``REPRO_CACHE_DIR`` environment variable or ``--cache-dir``.
 
@@ -45,6 +46,7 @@ import contextlib
 import dataclasses
 import datetime
 import importlib
+import io
 import json
 import os
 import pathlib
@@ -52,16 +54,19 @@ import random
 import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.store.binary import (
+    RECORD_TYPE_JOB,
     RECORD_TYPE_TRIAL,
     BinaryFormatError,
+    append_journal_frame,
     decode_record,
     encode_record,
-    write_record,
+    load_journal,
+    write_journal_header,
 )
-from repro.store.canonical import canonical_bytes, canonical_json, digest
+from repro.store.canonical import canonical_bytes, digest
 
 try:  # POSIX advisory locks; degrade to O_EXCL spinning elsewhere
     import fcntl as _fcntl
@@ -73,8 +78,8 @@ PathLike = Union[str, pathlib.Path]
 __all__ = [
     "RESULT_FORMAT",
     "KEY_SCHEMA",
-    "OBJECT_SUFFIX",
     "CacheEntry",
+    "LegacyStoreError",
     "ResultStore",
     "StoreLock",
     "StoreStats",
@@ -91,9 +96,23 @@ RESULT_FORMAT = "repro-trial-result-v1"
 #: collide with old entries.
 KEY_SCHEMA = "repro-trial-key-v1"
 
-#: Object file suffix per storage format.  ``bin`` is what new writes
-#: use; ``json`` is the legacy tier that stays readable forever.
-OBJECT_SUFFIX = {"bin": ".bin", "json": ".json"}
+
+class LegacyStoreError(RuntimeError):
+    """A pre-binary store file (``.json`` object, ``.ndjson`` journal or
+    ``.json`` job record) was found where a binary one was expected.
+
+    Only :meth:`ResultStore.migrate` reads the legacy formats; every
+    other path refuses them with this error, whose message names the
+    command that converts the store.
+    """
+
+    def __init__(self, path: PathLike, root: PathLike):
+        self.path = pathlib.Path(path)
+        self.root = pathlib.Path(root)
+        super().__init__(
+            f"{self.path} is a legacy pre-binary store file; convert the "
+            f"store with `repro-ccm cache migrate --cache-dir {self.root}`"
+        )
 
 
 def default_cache_dir() -> pathlib.Path:
@@ -160,7 +179,6 @@ class CacheEntry:
     metrics: Dict[str, float]
     provenance: Dict[str, Any]
     size_bytes: int = 0
-    fmt: str = "json"
 
     @property
     def trial_type(self) -> str:
@@ -176,7 +194,6 @@ class StoreStats:
     n_entries: int = 0
     total_bytes: int = 0
     by_trial_type: Dict[str, int] = field(default_factory=dict)
-    by_format: Dict[str, Dict[str, int]] = field(default_factory=dict)
     n_campaigns: int = 0
     oldest_utc: Optional[str] = None
     newest_utc: Optional[str] = None
@@ -287,17 +304,15 @@ class ResultStore:
     Layout under ``root``::
 
         objects/<key[:2]>/<key>.bin    one repro-record-bin-v1 trial record
-        objects/<key[:2]>/<key>.json   legacy canonical-JSON record
-                                       (readable fallback tier; new
-                                       writes are always binary)
-        campaigns/<key>.binj           campaign checkpoint journals
-        campaigns/<key>.ndjson         legacy NDJSON journals
+        campaigns/[<namespace>/]<key>.binj
+                                       campaign checkpoint journals
+        serve/jobs/<id>.bin            repro serve job records
 
-    Keys are unchanged by the binary format: they are still the SHA-256
-    of canonical JSON, so a record's address — and cross-host dedupe —
-    is identical whichever format it happens to be stored in.  Reads
-    prefer ``.bin`` and fall back to ``.json``; ``migrate()`` rewrites
-    the legacy tier in place.
+    Keys are still the SHA-256 of canonical JSON, so a record's address
+    — and cross-host dedupe — does not depend on the payload encoding.
+    A store written before the binary format (``.json`` objects and job
+    records, ``.ndjson`` journals) is refused with
+    :class:`LegacyStoreError` until :meth:`migrate` converts it.
 
     All writes are atomic; a key's record, once written, never changes
     (same key ⇒ same content), so concurrent campaigns can share a store
@@ -317,9 +332,14 @@ class ResultStore:
     def campaigns_dir(self) -> pathlib.Path:
         return self.root / "campaigns"
 
-    def path_for(self, key: str, fmt: str = "bin") -> pathlib.Path:
-        """Where ``key``'s record lives in storage format ``fmt``."""
-        return self.objects_dir / key[:2] / f"{key}{OBJECT_SUFFIX[fmt]}"
+    @property
+    def jobs_dir(self) -> pathlib.Path:
+        """Where ``repro serve`` keeps its job records."""
+        return self.root / "serve" / "jobs"
+
+    def path_for(self, key: str) -> pathlib.Path:
+        """Where ``key``'s record lives."""
+        return self.objects_dir / key[:2] / f"{key}.bin"
 
     def lock(self) -> StoreLock:
         """The store's advisory maintenance lock (see :class:`StoreLock`)."""
@@ -339,25 +359,17 @@ class ResultStore:
         return None if record is None else record.metrics
 
     def get_record(self, key: str) -> Optional[CacheEntry]:
-        # Binary tier first (the fast path), legacy JSON as fallback.
-        path = self.path_for(key, "bin")
+        path = self.path_for(key)
         try:
             data = path.read_bytes()
         except OSError:
-            data = None
-        if data is not None:
-            entry = self._parse_binary(key, path, data)
-            if entry is not None and entry.key == key:
-                return entry
-            return None  # a corrupt .bin shadows nothing: miss
-        path = self.path_for(key, "json")
-        try:
-            raw = path.read_text(encoding="utf-8")
-        except OSError:
+            legacy = path.with_suffix(".json")
+            if legacy.exists():
+                raise LegacyStoreError(legacy, self.root)
             return None
-        entry = self._parse(key, path, raw)
+        entry = self._parse_binary(path, data)
         if entry is None or entry.key != key:
-            return None
+            return None  # corrupt or misplaced: a miss
         return entry
 
     def put(
@@ -366,21 +378,11 @@ class ResultStore:
         key_fields: Dict[str, Any],
         metrics: Dict[str, float],
         provenance: Optional[Dict[str, Any]] = None,
-        *,
-        fmt: str = "bin",
     ) -> pathlib.Path:
-        """Write one trial record atomically; a no-op if already present.
-
-        New records are ``repro-record-bin-v1`` containers by default;
-        ``fmt="json"`` writes the legacy canonical-JSON form (used by
-        format-comparison benchmarks and for building fixture stores).
-        A key already present in *either* format is left alone — same
-        key means same content, whatever the encoding.
-        """
-        path = self.path_for(key, fmt)
-        if path.exists() or self.path_for(
-            key, "json" if fmt == "bin" else "bin"
-        ).exists():
+        """Write one trial record atomically; a no-op if already present
+        (same key means same content)."""
+        path = self.path_for(key)
+        if path.exists():
             return path
         record = {
             "format": RESULT_FORMAT,
@@ -389,24 +391,7 @@ class ResultStore:
             "metrics": dict(metrics),
             "provenance": dict(provenance or {}),
         }
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=str(path.parent), prefix=".tmp-", suffix=OBJECT_SUFFIX[fmt]
-        )
-        try:
-            if fmt == "bin":
-                with os.fdopen(fd, "wb") as fh:
-                    write_record(fh, record, RECORD_TYPE_TRIAL)
-            else:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    fh.write(canonical_json(record) + "\n")
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        _atomic_write(path, encode_record(record, RECORD_TYPE_TRIAL))
         return path
 
     @staticmethod
@@ -438,41 +423,37 @@ class ResultStore:
     # -- enumeration ---------------------------------------------------------
 
     def entries(self) -> Iterator[CacheEntry]:
-        """All parseable records, in key order.
-
-        Traverses both storage tiers; a key present in both (e.g. a
-        store snapshotted mid-migration) yields its binary record only.
-        """
+        """All parseable records, in key order."""
         if not self.objects_dir.is_dir():
             return
-        paths: Dict[str, pathlib.Path] = {}
-        for path in self.objects_dir.glob("*/*.json"):
-            paths[path.stem] = path
-        for path in self.objects_dir.glob("*/*.bin"):
-            paths[path.stem] = path  # binary shadows legacy JSON
-        for key in sorted(paths):
-            entry = self._load_path(key, paths[key])
-            if entry is not None:
-                yield entry
-
-    def _load_path(
-        self, key: str, path: pathlib.Path
-    ) -> Optional[CacheEntry]:
-        """Parse whichever format ``path``'s suffix says it holds."""
-        if path.suffix == ".bin":
+        for path in sorted(
+            self.objects_dir.glob("*/*.bin"), key=lambda p: p.stem
+        ):
             try:
                 data = path.read_bytes()
             except OSError:
-                return None
-            return self._parse_binary(key, path, data)
-        try:
-            raw = path.read_text(encoding="utf-8")
-        except OSError:
-            return None
-        return self._parse(key, path, raw)
+                continue
+            entry = self._parse_binary(path, data)
+            if entry is not None:
+                yield entry
+
+    def journals(self) -> List[Tuple[Optional[str], str]]:
+        """Every campaign checkpoint journal as ``(namespace, key)``.
+
+        Namespaced journals (e.g. ``repro serve``'s
+        ``campaigns/jobs/<job-id>/``) live in subdirectories; the
+        namespace is their path relative to ``campaigns/``.
+        """
+        if not self.campaigns_dir.is_dir():
+            return []
+        found = []
+        for path in self.campaigns_dir.rglob("*.binj"):
+            parent = path.parent.relative_to(self.campaigns_dir).as_posix()
+            found.append((None if parent == "." else parent, path.stem))
+        return sorted(found, key=lambda nk: (nk[0] or "", nk[1]))
 
     def _parse_binary(
-        self, key: str, path: pathlib.Path, data: bytes
+        self, path: pathlib.Path, data: bytes
     ) -> Optional[CacheEntry]:
         """A ``.bin`` object decoded, or ``None`` if corrupt (a miss)."""
         try:
@@ -493,12 +474,11 @@ class ResultStore:
             metrics=record.get("metrics") or {},
             provenance=record.get("provenance") or {},
             size_bytes=len(data),
-            fmt="bin",
         )
 
-    def _parse(
-        self, key: str, path: pathlib.Path, raw: str
-    ) -> Optional[CacheEntry]:
+    @staticmethod
+    def _parse(path: pathlib.Path, raw: str) -> Optional[CacheEntry]:
+        """A legacy ``.json`` object parsed (``migrate`` only), or None."""
         try:
             record = json.loads(raw)
         except ValueError:
@@ -516,7 +496,6 @@ class ResultStore:
             metrics=record.get("metrics") or {},
             provenance=record.get("provenance") or {},
             size_bytes=len(raw.encode("utf-8")),
-            fmt="json",
         )
 
     # -- maintenance ---------------------------------------------------------
@@ -530,24 +509,13 @@ class ResultStore:
             stats.total_bytes += entry.size_bytes
             t = entry.trial_type
             stats.by_trial_type[t] = stats.by_trial_type.get(t, 0) + 1
-            per_fmt = stats.by_format.setdefault(
-                entry.fmt, {"entries": 0, "bytes": 0}
-            )
-            per_fmt["entries"] += 1
-            per_fmt["bytes"] += entry.size_bytes
             created = entry.provenance.get("created_utc")
             if isinstance(created, str) and created:
                 oldest = created if oldest is None else min(oldest, created)
                 newest = created if newest is None else max(newest, created)
         stats.oldest_utc = oldest
         stats.newest_utc = newest
-        if self.campaigns_dir.is_dir():
-            # rglob: job-namespaced journals live in subdirectories.
-            stats.n_campaigns = sum(
-                1
-                for pattern in ("*.ndjson", "*.binj")
-                for _ in self.campaigns_dir.rglob(pattern)
-            )
+        stats.n_campaigns = len(self.journals())
         return stats
 
     def gc(
@@ -580,15 +548,12 @@ class ResultStore:
         now = time.time() if now is None else now
         records: List = []  # (mtime, size, path)
         if self.objects_dir.is_dir():
-            # Both tiers: a half-migrated store must never be
-            # under-collected.
-            for pattern in ("*/*.bin", "*/*.json"):
-                for path in self.objects_dir.glob(pattern):
-                    try:
-                        st = path.stat()
-                    except OSError:
-                        continue
-                    records.append((st.st_mtime, st.st_size, path))
+            for path in self.objects_dir.glob("*/*.bin"):
+                try:
+                    st = path.stat()
+                except OSError:
+                    continue
+                records.append((st.st_mtime, st.st_size, path))
         records.sort()
         removed = 0
         freed = 0
@@ -620,79 +585,111 @@ class ResultStore:
         return {"removed": removed, "freed_bytes": freed, "kept": len(survivors)}
 
     def migrate(self, dry_run: bool = False) -> Dict[str, int]:
-        """Rewrite legacy ``.json`` objects as ``.bin`` in place.
+        """Convert a pre-binary store to ``repro-record-bin-v1`` in place.
 
-        Each record is parsed, re-encoded as a ``repro-record-bin-v1``
-        container, decoded back, and only swapped in once the round-trip
-        reproduces byte-identical canonical metrics — then the binary
-        file is renamed into place atomically and the JSON file removed.
-        ``dry_run=True`` reports what would happen without touching the
-        store.  Returns ``{"migrated", "skipped", "bytes_before",
-        "bytes_after"}``.
+        The only reader of the legacy formats.  Three kinds of file are
+        converted, each written atomically before its legacy file is
+        removed:
+
+        * ``objects/*/<k>.json`` trial records -> ``<k>.bin``.  A ``.bin``
+          already beside it is kept only if it decodes to a valid record
+          for ``k``; otherwise it is replaced from the JSON.
+        * ``campaigns/**/<key>.ndjson`` journals -> ``<key>.binj``, NDJSON
+          events first, then the events of any ``.binj`` beside it (the
+          order a mixed journal was always replayed in).  Torn lines are
+          dropped, as replay always dropped them.
+        * ``serve/jobs/<id>.json`` job records -> ``<id>.bin`` (unless a
+          valid ``.bin``, always the newer state, exists already).
+
+        A legacy object or job record that does not parse is renamed to
+        ``<name>.json.corrupt``: kept for forensics, out of the way of
+        :class:`LegacyStoreError`.  ``dry_run=True`` reports without
+        touching the store.  Returns ``{"migrated", "objects",
+        "journals", "jobs", "skipped", "bytes_before", "bytes_after"}``
+        (``migrated`` is the sum of the three per-kind counts;
+        ``skipped`` counts the corrupt files).
 
         Holds the exclusive maintenance lock: a migrate racing a ``gc``
         (or another migrate) would otherwise double-delete or mis-count.
-        Campaign readers are unaffected — every key stays readable in
-        one format or the other at all times.
         """
         with self.lock().exclusive():
             return self._migrate_locked(dry_run)
 
     def _migrate_locked(self, dry_run: bool) -> Dict[str, int]:
-        result = {
-            "migrated": 0,
-            "skipped": 0,
-            "bytes_before": 0,
-            "bytes_after": 0,
-        }
-        if not self.objects_dir.is_dir():
-            return result
-        for path in sorted(self.objects_dir.glob("*/*.json")):
-            key = path.stem
-            try:
-                raw = path.read_text(encoding="utf-8")
-            except OSError:
-                result["skipped"] += 1
-                continue
-            entry = self._parse(key, path, raw)
-            if entry is None or entry.key != key:
-                result["skipped"] += 1  # corrupt legacy record: leave it
-                continue
-            record = {
-                "format": RESULT_FORMAT,
-                "key": entry.key,
-                "key_fields": entry.key_fields,
-                "metrics": entry.metrics,
-                "provenance": entry.provenance,
-            }
-            payload = encode_record(record, RECORD_TYPE_TRIAL)
-            decoded, _ = decode_record(payload)
-            if canonical_bytes(decoded["metrics"]) != canonical_bytes(
-                entry.metrics
-            ):  # pragma: no cover - round-trip is lossless by design
-                result["skipped"] += 1
-                continue
+        result = dict.fromkeys(
+            ("migrated", "objects", "journals", "jobs", "skipped",
+             "bytes_before", "bytes_after"),
+            0,
+        )
+
+        def convert(kind, legacy, raw, target, payload):
+            """Retire ``legacy`` for ``target``; a ``None`` payload keeps
+            the valid ``target`` already there."""
+            result[kind] += 1
             result["migrated"] += 1
-            result["bytes_before"] += len(raw.encode("utf-8"))
-            result["bytes_after"] += len(payload)
-            if dry_run:
+            result["bytes_before"] += len(raw)
+            result["bytes_after"] += (
+                target.stat().st_size if payload is None else len(payload)
+            )
+            if not dry_run:
+                if payload is not None:
+                    _atomic_write(target, payload)
+                legacy.unlink()
+
+        def quarantine(legacy):
+            result["skipped"] += 1
+            if not dry_run:
+                os.replace(legacy, legacy.with_name(legacy.name + ".corrupt"))
+
+        for legacy in _sorted_glob(self.objects_dir, "*/*.json"):
+            raw = legacy.read_bytes()
+            entry = self._parse(legacy, raw.decode("utf-8", "replace"))
+            if entry is None or entry.key != legacy.stem:
+                quarantine(legacy)
                 continue
-            bin_path = self.path_for(key, "bin")
-            if not bin_path.exists():
-                fd, tmp = tempfile.mkstemp(
-                    dir=str(path.parent), prefix=".tmp-", suffix=".bin"
+            target = legacy.with_suffix(".bin")
+            if target.exists() and self.get_record(entry.key) is not None:
+                payload = None
+            else:
+                payload = encode_record(
+                    {
+                        "format": RESULT_FORMAT,
+                        "key": entry.key,
+                        "key_fields": entry.key_fields,
+                        "metrics": entry.metrics,
+                        "provenance": entry.provenance,
+                    },
+                    RECORD_TYPE_TRIAL,
                 )
+            convert("objects", legacy, raw, target, payload)
+
+        for legacy in _sorted_glob(self.campaigns_dir, "**/*.ndjson"):
+            raw = legacy.read_bytes()
+            target = legacy.with_suffix(".binj")
+            events = _ndjson_events(raw) + load_journal(target)[0]
+            out = io.BytesIO()
+            write_journal_header(out)
+            for event in events:
                 try:
-                    with os.fdopen(fd, "wb") as fh:
-                        fh.write(payload)
-                    os.replace(tmp, bin_path)
-                except BaseException:
-                    try:
-                        os.unlink(tmp)
-                    except OSError:
-                        pass
-                    raise
-            path.unlink()
+                    append_journal_frame(out, event)
+                except (TypeError, ValueError):
+                    continue  # unencodable: nothing was written for it
+            convert("journals", legacy, raw, target, out.getvalue())
+
+        for legacy in _sorted_glob(self.jobs_dir, "*.json"):
+            raw = legacy.read_bytes()
+            try:
+                record = json.loads(raw)
+            except ValueError:
+                record = None
+            if not isinstance(record, dict):
+                quarantine(legacy)
+                continue
+            target = legacy.with_suffix(".bin")
+            payload = None if _decodes(target) else encode_record(
+                record, RECORD_TYPE_JOB, allow_nan=True
+            )
+            convert("jobs", legacy, raw, target, payload)
         return result
 
     def verify(
@@ -752,6 +749,46 @@ class ResultStore:
                 entry.key, False, "recomputed metrics differ from stored"
             )
         return VerifyOutcome(entry.key, True)
+
+
+def _atomic_write(path: pathlib.Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` via a temp file + rename."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(
+        dir=str(path.parent), prefix=".tmp-", suffix=path.suffix
+    )
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
+def _sorted_glob(base: pathlib.Path, pattern: str) -> List[pathlib.Path]:
+    return sorted(base.glob(pattern)) if base.is_dir() else []
+
+
+def _ndjson_events(raw: bytes) -> List[Any]:
+    """The intact events of a legacy NDJSON journal (torn lines dropped)."""
+    events = []
+    for line in raw.decode("utf-8", "replace").splitlines():
+        try:
+            events.append(json.loads(line))
+        except ValueError:
+            continue  # blank, or torn at a kill point
+    return events
+
+
+def _decodes(path: pathlib.Path) -> bool:
+    """Whether ``path`` holds a valid record container."""
+    try:
+        decode_record(path.read_bytes())
+    except (OSError, BinaryFormatError):
+        return False
+    return True
 
 
 def _tuplify(params: Dict[str, Any]) -> Dict[str, Any]:

@@ -9,8 +9,9 @@ digest of its aggregates for later bit-identity checks.
 The journal is an append-only event stream under
 ``<store>/campaigns/<campaign_key>.binj`` — a ``repro-record-bin-v1``
 journal container whose frames are length-prefixed and CRC-protected
-(legacy ``.ndjson`` journals remain readable; ``codec="json"`` still
-writes them).  Event kinds are unchanged from the NDJSON days:
+(a legacy ``.ndjson`` journal raises
+:class:`~repro.store.cache.LegacyStoreError` until ``repro-ccm cache
+migrate`` converts it).  Event kinds:
 
 * ``{"kind": "meta", ...}`` — the campaign identity, written at start;
 * ``{"kind": "trial", "trial_index": k, "key": ..., "ok": true}`` —
@@ -19,11 +20,10 @@ writes them).  Event kinds are unchanged from the NDJSON days:
 * ``{"kind": "complete", "aggregates_digest": ..., "elapsed_s": ...}``
   — appended when the campaign finishes.
 
-Torn-record tolerance carries over: where NDJSON stopped trusting a
-line without a newline, the binary codec stops at the first frame whose
-length or CRC fails — and, because binary frames do not resynchronize
-the way newlines do, a resuming writer truncates the torn tail before
-appending (see :func:`repro.store.binary.load_journal`).
+Torn records are tolerated: replay stops at the first frame whose
+length or CRC fails — and, because binary frames do not resynchronize,
+a resuming writer truncates the torn tail before appending (see
+:func:`repro.store.binary.load_journal`).
 
 Resume correctness does **not** depend on the journal: a resumed
 campaign re-checks every trial key against the object store, so the
@@ -34,20 +34,19 @@ and for the completion digest.
 
 from __future__ import annotations
 
-import contextlib
 import datetime
-import json
 import pathlib
 import re
 from dataclasses import dataclass, field
-from typing import IO, Any, Dict, Optional
+from typing import IO, Any, Dict, Iterable, Optional
 
 from repro.store.binary import (
     append_journal_frame,
     load_journal,
     write_journal_header,
 )
-from repro.store.canonical import canonical_json, digest
+from repro.store.cache import LegacyStoreError
+from repro.store.canonical import digest
 
 __all__ = [
     "CHECKPOINT_FORMAT",
@@ -119,11 +118,6 @@ class CheckpointState:
 class CampaignCheckpoint:
     """One campaign's append-only progress journal.
 
-    ``codec`` picks the journal encoding: ``"binary"`` (the default)
-    appends CRC-framed ``repro-record-bin-v1`` events to ``<key>.binj``;
-    ``"json"`` keeps the legacy NDJSON form at ``<key>.ndjson``.  Reads
-    always cover both.
-
     ``namespace`` relocates the journal under
     ``campaigns/<namespace>/<key>.binj`` — the ``repro serve`` job
     runner gives every job its own namespace so two concurrent
@@ -140,24 +134,14 @@ class CampaignCheckpoint:
         *,
         namespace: Optional[str] = None,
         trace_id: Optional[str] = None,
-        codec: str = "binary",
     ):
-        if codec not in ("binary", "json"):
-            raise ValueError(
-                f"unknown checkpoint codec {codec!r} "
-                "(expected 'binary' or 'json')"
-            )
         self.key = key
-        self.codec = codec
-        base = pathlib.Path(store_root) / "campaigns"
+        self.store_root = pathlib.Path(store_root)
+        base = self.store_root / "campaigns"
         if namespace is not None:
             base = base / validate_namespace(namespace)
-        #: Binary-framed journal (what new campaigns write).
-        self.binary_path = base / f"{key}.binj"
-        #: Legacy NDJSON journal (still readable; written by codec="json").
-        self.json_path = base / f"{key}.ndjson"
-        #: The journal this checkpoint appends to, per its codec.
-        self.path = self.binary_path if codec == "binary" else self.json_path
+        #: The ``repro-record-bin-v1`` journal this checkpoint appends to.
+        self.path = base / f"{key}.binj"
         #: Trace id stamped onto every journal event (``None`` = no trace).
         self.trace_id = trace_id
         self._fh: Optional[IO[Any]] = None
@@ -165,47 +149,30 @@ class CampaignCheckpoint:
     # -- reading -------------------------------------------------------------
 
     def load(self) -> CheckpointState:
-        """Parse the journal; tolerant of a torn final record (SIGKILL).
+        """Replay the journal; tolerant of a torn final frame (SIGKILL)."""
+        self._refuse_legacy()
+        return self._replay(load_journal(self.path)[0])
 
-        Both journal tiers are read regardless of this checkpoint's
-        write codec — a campaign journaled as NDJSON before a codec
-        switch resumes seamlessly — with binary events applied last
-        (they win on conflicting meta/completion).
-        """
-        state = CheckpointState()
-        for event in self._iter_json_events():
-            self._apply(state, event)
-        events, _ = load_journal(self.binary_path)
-        for event in events:
-            self._apply(state, event)
-        return state
-
-    def _iter_json_events(self):
-        try:
-            raw = self.json_path.read_text(encoding="utf-8")
-        except OSError:
-            return
-        for line in raw.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield json.loads(line)
-            except ValueError:
-                continue  # torn write at the kill point
+    def _refuse_legacy(self) -> None:
+        legacy = self.path.with_suffix(".ndjson")
+        if legacy.exists():
+            raise LegacyStoreError(legacy, self.store_root)
 
     @staticmethod
-    def _apply(state: CheckpointState, event: Any) -> None:
-        if not isinstance(event, dict):
-            return
-        kind = event.get("kind")
-        if kind == "meta":
-            state.meta = event
-        elif kind == "trial" and event.get("ok"):
-            state.done[int(event["trial_index"])] = str(event.get("key"))
-        elif kind == "complete":
-            state.completed = True
-            state.aggregates_digest = event.get("aggregates_digest")
+    def _replay(events: Iterable[Any]) -> CheckpointState:
+        state = CheckpointState()
+        for event in events:
+            if not isinstance(event, dict):
+                continue
+            kind = event.get("kind")
+            if kind == "meta":
+                state.meta = event
+            elif kind == "trial" and event.get("ok"):
+                state.done[int(event["trial_index"])] = str(event.get("key"))
+            elif kind == "complete":
+                state.completed = True
+                state.aggregates_digest = event.get("aggregates_digest")
+        return state
 
     # -- writing -------------------------------------------------------------
 
@@ -216,28 +183,18 @@ class CampaignCheckpoint:
 
         Returns the prior state (empty when starting fresh).
         """
-        prior = self.load() if resume else CheckpointState()
+        self._refuse_legacy()
+        events, valid = load_journal(self.path) if resume else ([], 0)
+        prior = self._replay(events)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        if not resume:
-            # A fresh campaign must not leave stale events in the
-            # *other* tier for the next load() to resurrect.
-            for stale in (self.binary_path, self.json_path):
-                if stale != self.path:
-                    with contextlib.suppress(OSError):
-                        stale.unlink()
-        if self.codec == "binary":
-            valid = load_journal(self.binary_path)[1] if resume else 0
-            if valid > 0:
-                # Cut off any torn tail frame, then append after it.
-                with open(self.binary_path, "rb+") as fh:
-                    fh.truncate(valid)
-                self._fh = open(self.binary_path, "ab")
-            else:
-                self._fh = open(self.binary_path, "wb")
-                write_journal_header(self._fh)
+        if valid > 0:
+            # Cut off any torn tail frame, then append after it.
+            with open(self.path, "rb+") as fh:
+                fh.truncate(valid)
+            self._fh = open(self.path, "ab")
         else:
-            mode = "a" if (resume and self.path.exists()) else "w"
-            self._fh = open(self.path, mode, encoding="utf-8")
+            self._fh = open(self.path, "wb")
+            write_journal_header(self._fh)
         self._emit(
             {
                 "kind": "meta",
@@ -280,10 +237,7 @@ class CampaignCheckpoint:
             raise RuntimeError("checkpoint journal not open; call begin()")
         if self.trace_id is not None:
             event = {**event, "trace_id": self.trace_id}
-        if self.codec == "binary":
-            append_journal_frame(self._fh, event)
-        else:
-            self._fh.write(canonical_json(event) + "\n")
+        append_journal_frame(self._fh, event)
         self._fh.flush()
 
 

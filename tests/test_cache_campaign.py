@@ -415,6 +415,44 @@ class TestCliCacheFlags:
         ls_out = capsys.readouterr().out
         assert "PaperTrial" in ls_out
 
+    def test_stats_and_ls_count_campaigns_alike(self, tmp_path, capsys):
+        """One enumeration behind both commands: a campaign journaled in
+        both formats (resumed across the format switch) is one campaign,
+        before and after migration, namespaced journals included."""
+        import re
+
+        store = ResultStore(tmp_path)
+        Campaign(FlakyTrial(), 3, 5, plan=RunPlan(store=store)).run()
+        Campaign(
+            FlakyTrial(), 2, 6,
+            plan=RunPlan(store=store, checkpoint_namespace="jobs/j1"),
+        ).run()
+        binj = sorted(store.campaigns_dir.glob("*.binj"))[0]
+        twin = binj.read_bytes()
+        _demote_journals(store)
+        binj.write_bytes(twin)  # the resumed half, beside its NDJSON half
+
+        def counts():
+            assert main(["cache", "ls", "--cache-dir", str(tmp_path)]) == 0
+            listed = re.search(
+                r"campaigns \((\d+)\)", capsys.readouterr().out
+            )
+            assert main(
+                ["cache", "stats", "--cache-dir", str(tmp_path)]
+            ) == 0
+            stated = re.search(
+                r"campaigns: (\d+)", capsys.readouterr().out
+            )
+            return int(listed.group(1)) if listed else 0, int(stated.group(1))
+
+        with pytest.raises(SystemExit, match="cache migrate"):
+            counts()  # ls must replay the journal, which is refused
+        capsys.readouterr()
+        assert ResultStore(tmp_path).stats().n_campaigns == 1
+        assert store.migrate()["journals"] == 2
+        assert counts() == (2, 2)
+        assert [ns for ns, _ in store.journals()] == [None, "jobs/j1"]
+
     def test_cache_stats_json(self, tmp_path, capsys):
         main([*self.FIG3, "--cache-dir", str(tmp_path)])
         capsys.readouterr()
@@ -443,29 +481,42 @@ class TestCliCacheFlags:
 # -- storage format: bit-identity and migration --------------------------------
 
 
-def _demote_to_json(store):
-    """Rewrite every object as legacy ``.json``, as a pre-binary store.
+def _demote_to_json(store, keys=None):
+    """Rewrite objects as legacy ``.json``, as a pre-binary store had them.
 
-    What a store written before this release looks like: same keys, same
-    records, canonical-JSON payloads.
+    What a store written before the binary format looks like: same keys,
+    same records, canonical-JSON payloads.  ``keys`` limits the demotion
+    to those records (a half-migrated store).
     """
-    from repro.store.cache import RESULT_FORMAT
+    from repro.store.binary import read_record_path
     from repro.store.canonical import canonical_json
 
     demoted = 0
-    for entry in list(store.entries()):
-        record = {
-            "format": RESULT_FORMAT,
-            "key": entry.key,
-            "key_fields": entry.key_fields,
-            "metrics": entry.metrics,
-            "provenance": entry.provenance,
-        }
-        json_path = store.path_for(entry.key, "json")
-        json_path.write_text(canonical_json(record) + "\n", encoding="utf-8")
-        bin_path = store.path_for(entry.key, "bin")
-        if bin_path.exists():
-            bin_path.unlink()
+    for path in sorted(store.objects_dir.glob("*/*.bin")):
+        if keys is not None and path.stem not in keys:
+            continue
+        record, _ = read_record_path(path)
+        path.with_suffix(".json").write_text(
+            canonical_json(record) + "\n", encoding="utf-8"
+        )
+        path.unlink()
+        demoted += 1
+    return demoted
+
+
+def _demote_journals(store):
+    """Rewrite every checkpoint journal as legacy NDJSON."""
+    from repro.store.binary import load_journal
+    from repro.store.canonical import canonical_json
+
+    demoted = 0
+    for path in sorted(store.campaigns_dir.rglob("*.binj")):
+        events, _ = load_journal(path)
+        path.with_suffix(".ndjson").write_text(
+            "".join(canonical_json(e) + "\n" for e in events),
+            encoding="utf-8",
+        )
+        path.unlink()
         demoted += 1
     return demoted
 
@@ -474,40 +525,32 @@ class TestStorageFormatBitIdentity:
     def test_aggregates_bit_identical_across_json_binary_and_mixed(
         self, tmp_path
     ):
-        """The storage format never shows up in a campaign's answer."""
+        """A legacy or half-migrated store is refused until migrated, and
+        the migrated store answers bit-identically."""
+        from repro.store import LegacyStoreError
+
         baseline = Campaign(FlakyTrial(), 6, 42).run()
 
         binary_store = ResultStore(tmp_path / "binary")
         cold = Campaign(
             FlakyTrial(), 6, 42, plan=RunPlan(store=binary_store)
         ).run()
-        assert all(e.fmt == "bin" for e in binary_store.entries())
 
         # a legacy store: every record demoted to canonical JSON
         json_store = ResultStore(tmp_path / "json")
         Campaign(FlakyTrial(), 6, 42, plan=RunPlan(store=json_store)).run()
         assert _demote_to_json(json_store) == 6
-        assert all(e.fmt == "json" for e in json_store.entries())
 
-        # a half-migrated store: records split across both tiers
+        # a half-migrated store: records split across both formats
         mixed_store = ResultStore(tmp_path / "mixed")
         Campaign(FlakyTrial(), 6, 42, plan=RunPlan(store=mixed_store)).run()
-        entries = sorted(mixed_store.entries(), key=lambda e: e.key)
-        _demote_to_json(mixed_store)
-        assert mixed_store.migrate(dry_run=True)["migrated"] == 6
-        # promote half the records back to binary by hand
-        from repro.store.binary import RECORD_TYPE_TRIAL, encode_record
+        half = {e.key for e in list(mixed_store.entries())[:3]}
+        assert _demote_to_json(mixed_store, keys=half) == 3
 
-        for entry in entries[:3]:
-            raw = json.loads(
-                mixed_store.path_for(entry.key, "json").read_text()
-            )
-            mixed_store.path_for(entry.key, "bin").write_bytes(
-                encode_record(raw, RECORD_TYPE_TRIAL)
-            )
-            mixed_store.path_for(entry.key, "json").unlink()
-        fmts = {e.fmt for e in mixed_store.entries()}
-        assert fmts == {"bin", "json"}
+        for store, n_legacy in ((json_store, 6), (mixed_store, 3)):
+            with pytest.raises(LegacyStoreError, match="cache migrate"):
+                Campaign(FlakyTrial(), 6, 42, plan=RunPlan(store=store)).run()
+            assert store.migrate()["objects"] == n_legacy
 
         for store in (binary_store, json_store, mixed_store):
             warm = Campaign(
@@ -524,16 +567,17 @@ class TestStorageFormatBitIdentity:
 
         store = ResultStore(tmp_path)
         Campaign(FlakyTrial(), 5, 9, plan=RunPlan(store=store)).run()
-        _demote_to_json(store)
         before = {e.key: e.metrics for e in store.entries()}
-        json_bytes = sum(e.size_bytes for e in store.entries())
+        _demote_to_json(store)
+        legacy = sorted(store.objects_dir.glob("*/*.json"))
+        json_bytes = sum(p.stat().st_size for p in legacy)
 
         dry = store.migrate(dry_run=True)
-        assert dry["migrated"] == 5
-        assert all(e.fmt == "json" for e in store.entries())  # untouched
+        assert (dry["migrated"], dry["objects"]) == (5, 5)
+        assert sorted(store.objects_dir.glob("*/*.json")) == legacy
 
         outcome = store.migrate()
-        assert outcome["migrated"] == 5
+        assert outcome["objects"] == 5
         assert outcome["skipped"] == 0
         assert outcome["bytes_before"] == json_bytes
         assert outcome["bytes_after"] < json_bytes
@@ -549,28 +593,24 @@ class TestStorageFormatBitIdentity:
         assert len(outcomes) == 5
         assert all(o.ok for o in outcomes), [o.reason for o in outcomes]
 
-    def test_migrate_cli_reports_and_stats_split_by_format(
-        self, tmp_path, capsys
-    ):
+    def test_migrate_cli_reports_per_kind_counts(self, tmp_path, capsys):
         store = ResultStore(tmp_path)
         Campaign(FlakyTrial(), 4, 3, plan=RunPlan(store=store)).run()
         _demote_to_json(store)
+        _demote_journals(store)
         assert main(
             ["cache", "migrate", "--dry-run", "--cache-dir", str(tmp_path)]
         ) == 0
         out = capsys.readouterr().out
-        assert "would migrate 4" in out
-        stats = ResultStore(tmp_path).stats()
-        assert stats.by_format["json"]["entries"] == 4
-        assert "bin" not in stats.by_format
+        assert "would migrate 5 legacy file(s)" in out
+        assert "4 object(s), 1 journal(s), 0 job record(s)" in out
+        assert ResultStore(tmp_path).stats().n_entries == 0
         assert main(["cache", "migrate", "--cache-dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "migrated 4" in out
+        assert "migrated 5" in capsys.readouterr().out
         stats = ResultStore(tmp_path).stats()
-        assert stats.by_format["bin"]["entries"] == 4
-        assert "json" not in stats.by_format
-        assert main(["cache", "ls", "--cache-dir", str(tmp_path)]) == 0
-        assert "bin: 4" in capsys.readouterr().out
+        assert (stats.n_entries, stats.n_campaigns) == (4, 1)
+        assert main(["cache", "migrate", "--cache-dir", str(tmp_path)]) == 0
+        assert "migrated 0" in capsys.readouterr().out
 
     def test_corrupt_legacy_record_is_skipped_not_destroyed(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -579,20 +619,20 @@ class TestStorageFormatBitIdentity:
         victim = sorted(store.objects_dir.glob("*/*.json"))[0]
         victim.write_text("{torn", encoding="utf-8")
         outcome = store.migrate()
-        assert outcome == {
-            "migrated": 1,
-            "skipped": 1,
-            "bytes_before": outcome["bytes_before"],
-            "bytes_after": outcome["bytes_after"],
-        }
-        assert victim.exists()  # left in place for forensics
+        assert (outcome["migrated"], outcome["skipped"]) == (1, 1)
+        # kept for forensics, but out of the way of LegacyStoreError
+        assert not victim.exists()
+        corrupt = victim.with_name(victim.name + ".corrupt")
+        assert corrupt.read_text(encoding="utf-8") == "{torn"
+        warm = Campaign(FlakyTrial(), 2, 1, plan=RunPlan(store=store)).run()
+        assert warm.cache_hits == 1
 
     def test_migrate_then_resume_sigkilled_campaign_bit_identical(
         self, tmp_path
     ):
-        """The CI scenario: kill a campaign, migrate the store to
-        binary, resume through the binary checkpoint journal, and land
-        on the clean-run digest."""
+        """The CI scenario: kill a campaign, demote its store to the
+        legacy formats, migrate, resume through the binary checkpoint
+        journal, and land on the clean-run digest."""
         script = tmp_path / "campaign_script.py"
         script.write_text(
             textwrap.dedent(
@@ -650,12 +690,16 @@ class TestStorageFormatBitIdentity:
         killed = run_script(cache, kill_at=4)
         assert killed.returncode in (-9, 137), killed.stderr
 
-        # the kill left 4 records; demote them to the legacy tier, then
-        # migrate back — resume must not notice any of it
+        # the kill left 4 records and a journal; demote them to the
+        # legacy formats: resume refuses the store and names the fix
         store = ResultStore(cache)
         assert _demote_to_json(store) == 4
+        assert _demote_journals(store) == 1
+        refused = run_script(cache, "--resume")
+        assert refused.returncode != 0
+        assert "cache migrate" in refused.stderr
         outcome = store.migrate()
-        assert outcome["migrated"] == 4
+        assert (outcome["objects"], outcome["journals"]) == (4, 1)
 
         resumed = run_script(cache, "--resume")
         assert resumed.returncode == 0, resumed.stderr
