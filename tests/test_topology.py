@@ -192,3 +192,61 @@ class TestPaperNetwork:
     def test_repr(self, small_network):
         text = repr(small_network)
         assert "n_tags=400" in text
+
+
+class TestTopologyGolden:
+    """CSR adjacency and tier map of the paper deployment, pinned.
+
+    Covers ``indptr``/``indices`` (values, per-row order and dtype) and
+    ``tiers`` at n = 2,000 for r in {2, 6, 10} m, seeds 0 and 1.  The
+    per-row neighbour order is part of the ``repro-channel-rng-v1`` draw
+    order (lossy draws walk CSR rows), so it must never move.
+    """
+
+    GOLDEN = {
+        (2.0, 0): (
+            "78515a88c93dc9d8dae2b3018d3fc93f"
+            "45e1d003be34debacabb2e64d7396ffd"
+        ),
+        (2.0, 1): (
+            "05d9378373127d2f860e6691358a68f7"
+            "d0ebdfcfab8ee08b8d6573aa05ac886d"
+        ),
+        (6.0, 0): (
+            "46393a42d274aff39e6c625f8b02401b"
+            "c3f31a7e0a8779af3ffebe29b8c313d7"
+        ),
+        (6.0, 1): (
+            "7f2d86b847a0515cdd35260a904243d5"
+            "f36319a40469c82acdc135165eaba977"
+        ),
+        (10.0, 0): (
+            "521bd7c3625173e3448308000b22acb6"
+            "8e349e9c1644afd05d031d2721e2fc49"
+        ),
+        (10.0, 1): (
+            "8c14005fc655dbe66fb531fa5b58bff5"
+            "ec6177ef08ce3d39385698ca0d3c1d9f"
+        ),
+    }
+
+    @staticmethod
+    def _digest(tag_range, seed):
+        import hashlib
+
+        net = paper_network(
+            tag_range, n_tags=2000, seed=seed,
+            deployment=PaperDeployment(n_tags=2000),
+        )
+        h = hashlib.sha256()
+        for arr in (net.indptr, net.indices, net.tiers):
+            h.update(str(arr.dtype).encode())
+            h.update(b"\0")
+            h.update(np.ascontiguousarray(arr).tobytes())
+            h.update(b"\0")
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("tag_range", [2.0, 6.0, 10.0])
+    def test_digest_pinned(self, tag_range, seed):
+        assert self._digest(tag_range, seed) == self.GOLDEN[(tag_range, seed)]
