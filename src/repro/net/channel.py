@@ -281,6 +281,25 @@ class PerfectChannel(Channel):
         return np.bitwise_or.reduce(rows, axis=0)
 
 
+def _set_bits(words: np.ndarray):
+    """``(row, column)`` of every set bit of a 2-D unsigned word array, in
+    row-major order with bits LSB first within a row (for uint64 words,
+    column ``64 * w + b`` is bit ``b`` of word ``w``).
+
+    Scans the words first and unpacks only the non-zero ones, so a sparse
+    frame costs O(non-zero words), not O(rows × bits).
+    """
+    w_row, w_col = np.nonzero(words)
+    width = words.dtype.itemsize
+    bits = np.unpackbits(
+        words[w_row, w_col].view(np.uint8).reshape(-1, width),
+        axis=1,
+        bitorder="little",
+    )
+    hit, bit = np.nonzero(bits)
+    return w_row[hit], w_col[hit] * (8 * width) + bit
+
+
 #: Per-chunk bound on the number of Bernoulli draws the packed lossy path
 #: materializes at once (each draw carries a float64 plus a few int64
 #: scratch columns, so this is ~200 MB peak at the default).
@@ -392,13 +411,9 @@ class LossyChannel(Channel):
         heard_flat = np.zeros(n * f_bits, dtype=np.uint8)
         active = np.flatnonzero(transmit.any(axis=1))
         if active.size:
-            # Set-bit positions of every active transmitter, row-major —
-            # little-endian unpack puts each row's columns in the
-            # LSB-first order the contract draws them.
-            bits = np.unpackbits(
-                transmit[active].view(np.uint8), axis=1, bitorder="little"
-            )
-            pos_row, pos_col = np.nonzero(bits)
+            # Set-bit positions of every active transmitter, row-major and
+            # LSB first within a row: the order the contract draws them.
+            pos_row, pos_col = _set_bits(transmit[active])
             counts = np.bincount(pos_row, minlength=active.size)
             pos_start = np.zeros(active.size + 1, dtype=np.int64)
             np.cumsum(counts, out=pos_start[1:])
@@ -465,14 +480,9 @@ class LossyChannel(Channel):
             if rows.shape[0] == 0:
                 return np.zeros(n_words, dtype=transmit.dtype)
             return np.bitwise_or.reduce(rows, axis=0)
-        rows = transmit[tier1]
-        rows = rows[rows.any(axis=1)]
+        _, pos_col = _set_bits(transmit[tier1])
         busy_bits = np.zeros(n_words * 64, dtype=np.uint8)
-        if rows.shape[0]:
-            bits = np.unpackbits(
-                rows.view(np.uint8), axis=1, bitorder="little"
-            )
-            _, pos_col = np.nonzero(bits)
+        if pos_col.size:
             keep = rng.random(pos_col.size) >= self.loss
             busy_bits[pos_col[keep]] = 1
         return np.packbits(busy_bits, bitorder="little").view(np.uint64)

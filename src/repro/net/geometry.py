@@ -166,6 +166,29 @@ def grid_deployment(
     return pos
 
 
+def check_positions(positions: np.ndarray) -> np.ndarray:
+    """``positions`` as an ``(n, 2)`` float64 array of finite coordinates.
+
+    Raises ``ValueError`` on a wrong shape, and on NaN or infinite
+    coordinates naming the first offending tag index.
+    """
+    positions = np.asarray(positions, dtype=np.float64)
+    if positions.ndim != 2 or positions.shape[1] != 2:
+        raise ValueError("positions must be an (n, 2) array")
+    bad = ~np.isfinite(positions).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(
+            f"tag {i} has a non-finite position {positions[i].tolist()}"
+        )
+    return positions
+
+
+#: Largest cell coordinate magnitude the index accepts, so neighbour-cell
+#: arithmetic (``cx +- 1``) can never overflow int64.
+_MAX_CELL = 2**62
+
+
 class GridIndex:
     """Uniform-grid spatial index for fixed-radius neighbour queries.
 
@@ -174,45 +197,72 @@ class GridIndex:
     neighbourhood.  With ``cell_size == radius`` this is exact and runs in
     expected O(occupancy) per query — the standard structure for building
     random geometric graphs at n = 10,000 scale.
+
+    The cells are held sparsely: point indices stable-sorted by cell (so
+    ascending within a cell) plus the bounds of each occupied cell, keyed
+    by the ranks of its x and y cell coordinates among the occupied ones.
+    Memory is O(n) however far apart the points are.
     """
 
     def __init__(self, positions: np.ndarray, cell_size: float):
         if cell_size <= 0:
             raise ValueError("cell_size must be positive")
-        if positions.ndim != 2 or positions.shape[1] != 2:
-            raise ValueError("positions must be an (n, 2) array")
-        self.positions = np.asarray(positions, dtype=np.float64)
+        self.positions = check_positions(positions)
         self.cell_size = float(cell_size)
-        self._cells: dict = {}
-        cx = np.floor(self.positions[:, 0] / cell_size).astype(np.int64)
-        cy = np.floor(self.positions[:, 1] / cell_size).astype(np.int64)
-        for i, key in enumerate(zip(cx.tolist(), cy.tolist())):
-            self._cells.setdefault(key, []).append(i)
-        self._cells = {k: np.array(v, dtype=np.int64) for k, v in self._cells.items()}
+        cells = np.floor(self.positions / self.cell_size)
+        if cells.size and np.abs(cells).max() >= _MAX_CELL:
+            raise ValueError(
+                f"positions span more than 2**62 cells of size {cell_size}"
+            )
+        cells = cells.astype(np.int64)
+        self._cx, self._cy = cells[:, 0], cells[:, 1]
+        self._xs = np.unique(self._cx)
+        self._ys = np.unique(self._cy)
+        key = (
+            np.searchsorted(self._xs, self._cx) * self._ys.size
+            + np.searchsorted(self._ys, self._cy)
+        )
+        self._order = np.argsort(key, kind="stable")
+        sorted_key = key[self._order]
+        first = np.flatnonzero(np.diff(sorted_key)) + 1
+        self._keys = sorted_key[np.concatenate(([0], first))] if key.size else key
+        self._bounds = np.concatenate(([0], first, [key.size])).astype(np.int64)
+        self._sorted_positions = self.positions[self._order]
 
-    def _candidates(self, x: float, y: float) -> np.ndarray:
-        cx = math.floor(x / self.cell_size)
-        cy = math.floor(y / self.cell_size)
-        chunks = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                cell = self._cells.get((cx + dx, cy + dy))
-                if cell is not None:
-                    chunks.append(cell)
-        if not chunks:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(chunks)
+    def _cell_ranges(self, cx: np.ndarray, cy: np.ndarray):
+        """``(start, stop)`` into ``_order`` of cells ``(cx, cy)``; empty
+        (``start == stop``) where no point lies in the cell."""
+        if self._keys.size == 0:
+            zero = np.zeros(np.shape(cx), dtype=np.int64)
+            return zero, zero
+        rx = np.minimum(np.searchsorted(self._xs, cx), self._xs.size - 1)
+        ry = np.minimum(np.searchsorted(self._ys, cy), self._ys.size - 1)
+        key = rx * self._ys.size + ry
+        c = np.minimum(np.searchsorted(self._keys, key), self._keys.size - 1)
+        hit = (self._xs[rx] == cx) & (self._ys[ry] == cy) & (self._keys[c] == key)
+        start = np.where(hit, self._bounds[c], 0)
+        stop = np.where(hit, self._bounds[c + 1], 0)
+        return start, stop
 
-    def query_point(self, point: Point, radius: float) -> np.ndarray:
-        """Indices of stored points within ``radius`` of ``point``."""
+    def _check_radius(self, radius: float) -> None:
         if radius > self.cell_size + 1e-12:
             raise ValueError(
                 f"radius {radius} exceeds cell size {self.cell_size}; "
                 "build the index with cell_size >= radius"
             )
-        cand = self._candidates(point.x, point.y)
-        if cand.size == 0:
-            return cand
+
+    def query_point(self, point: Point, radius: float) -> np.ndarray:
+        """Indices of stored points within ``radius`` of ``point``."""
+        self._check_radius(radius)
+        cx = math.floor(point.x / self.cell_size)
+        cy = math.floor(point.y / self.cell_size)
+        start, stop = self._cell_ranges(
+            np.array([cx - 1, cx - 1, cx - 1, cx, cx, cx, cx + 1, cx + 1, cx + 1]),
+            np.array([cy - 1, cy, cy + 1] * 3),
+        )
+        cand = np.concatenate(
+            [self._order[a:b] for a, b in zip(start.tolist(), stop.tolist())]
+        )
         d = self.positions[cand] - np.array([point.x, point.y])
         keep = d[:, 0] ** 2 + d[:, 1] ** 2 <= radius * radius
         return cand[keep]
@@ -224,22 +274,72 @@ class GridIndex:
         out = self.query_point(Point(float(x), float(y)), radius)
         return out[out != i]
 
+    def _offset_neighbors(self, dx: int, dy: int, radius: float):
+        """Every point's neighbours within ``radius`` in the cell offset
+        ``(dx, dy)`` from its own: ``(neighbours, counts)`` with
+        ``counts[i]`` neighbours of point ``i`` after those of ``i - 1``,
+        ascending index within a point's group."""
+        n = self.positions.shape[0]
+        start, stop = self._cell_ranges(self._cx + dx, self._cy + dy)
+        cnt = stop - start
+        offs = segment_offsets(start, cnt)  # candidates, into _order
+        # ddx**2 + ddy**2 in place, so few candidate-sized temporaries are
+        # alive at once.
+        d2 = self._sorted_positions[:, 0][offs]
+        d2 -= np.repeat(self.positions[:, 0], cnt)
+        d2 *= d2
+        ddy = self._sorted_positions[:, 1][offs]
+        ddy -= np.repeat(self.positions[:, 1], cnt)
+        ddy *= ddy
+        d2 += ddy
+        ok = d2 <= radius * radius
+        del d2, ddy
+        if dx == 0 and dy == 0:  # a point's own cell holds itself
+            ok &= self._order[offs] != np.repeat(np.arange(n), cnt)
+        seen = np.zeros(offs.size + 1, dtype=np.int64)
+        np.cumsum(ok, out=seen[1:])
+        ends = np.cumsum(cnt)
+        idx = np.int32 if n < 2**31 else np.int64
+        return self._order[offs[ok]].astype(idx), seen[ends] - seen[ends - cnt]
+
     def neighbor_lists(self, radius: float) -> Tuple[np.ndarray, np.ndarray]:
         """All-pairs fixed-radius neighbours in CSR form.
 
         Returns ``(indptr, indices)`` where the neighbours of point ``i``
         are ``indices[indptr[i]:indptr[i+1]]``.  Symmetric by construction
         (the geometric link model of Sec. II is distance-based).
+
+        Each row lists its neighbours in :meth:`query_index` order — the
+        nine cells ``(dx, dy)`` with ``dx`` outer and ``dy`` inner, and
+        ascending index within a cell.  That order is part of the
+        ``repro-channel-rng-v1`` draw order (lossy draws walk CSR rows).
+        Built one offset at a time as whole-array passes: gather every
+        point's candidates in the offset cell, apply the distance test,
+        then scatter each offset's survivors after the earlier offsets'
+        in every row.
         """
+        self._check_radius(radius)
         n = self.positions.shape[0]
-        counts = np.zeros(n + 1, dtype=np.int64)
-        per_point = []
-        for i in range(n):
-            nb = self.query_index(i, radius)
-            per_point.append(nb)
-            counts[i + 1] = nb.size
-        indptr = np.cumsum(counts)
-        indices = (
-            np.concatenate(per_point) if per_point else np.empty(0, dtype=np.int64)
-        )
+        kept = [  # per offset: (surviving neighbours, per-point counts)
+            self._offset_neighbors(dx, dy, radius)
+            for dx in (-1, 0, 1)
+            for dy in (-1, 0, 1)
+        ]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(sum(c for _, c in kept), out=indptr[1:])
+        indices = np.empty(int(indptr[-1]), dtype=np.int64)
+        row_fill = indptr[:-1].copy()
+        for dst, cnt in kept:
+            indices[segment_offsets(row_fill, cnt)] = dst
+            row_fill += cnt
         return indptr, indices
+
+
+def segment_offsets(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(starts[k], starts[k] + counts[k])`` over ``k``
+    (CSR segment arithmetic: one ``repeat``, no per-segment loop)."""
+    out = np.repeat(starts - np.cumsum(counts) + counts, counts).astype(
+        np.int64, copy=False
+    )
+    out += np.arange(out.size, dtype=np.int64)
+    return out

@@ -23,7 +23,15 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.net.geometry import GridIndex, Point, density_for, pairwise_distance, uniform_disk
+from repro.net.geometry import (
+    GridIndex,
+    Point,
+    check_positions,
+    density_for,
+    pairwise_distance,
+    segment_offsets,
+    uniform_disk,
+)
 
 #: Tier value assigned to tags that cannot reach any reader.
 UNREACHABLE = -1
@@ -89,9 +97,7 @@ class Network:
         tag_ids: Optional[Sequence[int]] = None,
     ) -> "Network":
         """Construct the network: links within ``tag_range``, tiers by BFS."""
-        positions = np.asarray(positions, dtype=np.float64)
-        if positions.ndim != 2 or positions.shape[1] != 2:
-            raise ValueError("positions must be an (n, 2) array")
+        positions = check_positions(positions)
         if not readers:
             raise ValueError("at least one reader is required")
         if tag_range <= 0:
@@ -106,21 +112,9 @@ class Network:
             if len(np.unique(ids)) != n:
                 raise ValueError("tag IDs must be unique")
 
-        if n:
-            index = GridIndex(positions, cell_size=tag_range)
-            indptr, indices = index.neighbor_lists(tag_range)
-        else:
-            indptr = np.zeros(1, dtype=np.int64)
-            indices = np.empty(0, dtype=np.int64)
-
-        reader_distance = np.full(n, np.inf)
-        tier1 = np.zeros(n, dtype=bool)
-        for reader in readers:
-            d = pairwise_distance(positions, reader.position)
-            reader_distance = np.minimum(reader_distance, d)
-            tier1 |= d <= reader.tag_to_reader_range
-
-        tiers = _bfs_tiers(n, indptr, indices, tier1)
+        index = GridIndex(positions, cell_size=tag_range)
+        indptr, indices = index.neighbor_lists(tag_range)
+        tiers, reader_distance = _reader_tiers(positions, readers, indptr, indices)
         return cls(
             positions=positions,
             tag_ids=ids,
@@ -245,14 +239,9 @@ class Network:
         """
         if not readers:
             raise ValueError("at least one reader is required")
-        n = self.n_tags
-        reader_distance = np.full(n, np.inf)
-        tier1 = np.zeros(n, dtype=bool)
-        for reader in readers:
-            d = pairwise_distance(self.positions, reader.position)
-            reader_distance = np.minimum(reader_distance, d)
-            tier1 |= d <= reader.tag_to_reader_range
-        tiers = _bfs_tiers(n, self.indptr, self.indices, tier1)
+        tiers, reader_distance = _reader_tiers(
+            self.positions, readers, self.indptr, self.indices
+        )
         net = Network(
             positions=self.positions,
             tag_ids=self.tag_ids,
@@ -289,24 +278,48 @@ class Network:
         )
 
 
+def _reader_tiers(
+    positions: np.ndarray,
+    readers: Sequence[Reader],
+    indptr: np.ndarray,
+    indices: np.ndarray,
+):
+    """``(tiers, reader_distance)`` of the tags at ``positions`` for a
+    reader set: tier 1 is every tag within some reader's ``r'``, the rest
+    follow by BFS over the CSR tag graph."""
+    n = positions.shape[0]
+    reader_distance = np.full(n, np.inf)
+    tier1 = np.zeros(n, dtype=bool)
+    for reader in readers:
+        d = pairwise_distance(positions, reader.position)
+        reader_distance = np.minimum(reader_distance, d)
+        tier1 |= d <= reader.tag_to_reader_range
+    return _bfs_tiers(n, indptr, indices, tier1), reader_distance
+
+
 def _bfs_tiers(
     n: int, indptr: np.ndarray, indices: np.ndarray, tier1: np.ndarray
 ) -> np.ndarray:
-    """Multi-source BFS from the tier-1 set over the tag-to-tag graph."""
+    """Multi-source BFS from the tier-1 set over the tag-to-tag graph.
+
+    One whole-array pass per level: gather the frontier's CSR rows by
+    segment arithmetic, mark them in an n-sized bool array, drop tags that
+    already hold a tier, and take the rest (ascending) as the next level.
+    """
     tiers = np.full(n, UNREACHABLE, dtype=np.int64)
     frontier = np.flatnonzero(tier1)
     tiers[frontier] = 1
+    unvisited = ~np.asarray(tier1, dtype=bool)
+    mark = np.zeros(n, dtype=bool)
     level = 1
     while frontier.size:
-        # Gather all neighbours of the frontier, then keep the unvisited.
-        chunks = [indices[indptr[i] : indptr[i + 1]] for i in frontier.tolist()]
-        if not chunks:
-            break
-        nxt = np.unique(np.concatenate(chunks))
-        nxt = nxt[tiers[nxt] == UNREACHABLE]
+        starts = indptr[frontier]
+        mark[indices[segment_offsets(starts, indptr[frontier + 1] - starts)]] = True
+        mark &= unvisited
+        frontier = np.flatnonzero(mark)
+        unvisited[frontier] = False
         level += 1
-        tiers[nxt] = level
-        frontier = nxt
+        tiers[frontier] = level
     return tiers
 
 
