@@ -11,7 +11,8 @@ paper's fixed-reader evaluation never sees.
 
 The rendered table is committed as ``benchmarks/output/scenario.txt``;
 the machine-readable manifest as ``benchmarks/output/BENCH_scenario.json``
-(recorded into ``BENCH_history.ndjson`` via ``repro-ccm bench record``).
+(``BENCH_history.ndjson`` records ``perfbench/run.py`` runs, not this
+manifest).
 CI runs a reduced-n smoke via ``REPRO_BENCH_SCENARIO_NTAGS``.
 """
 

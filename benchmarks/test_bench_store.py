@@ -21,7 +21,8 @@ dominate the payload):
 
 The rendered comparison is committed as ``benchmarks/output/store.txt``;
 the machine-readable record is ``benchmarks/output/BENCH_store.json``
-(appended into ``BENCH_history.ndjson`` via ``repro-ccm bench record``).
+(``BENCH_history.ndjson`` records ``perfbench/run.py`` runs, not this
+manifest).
 """
 
 from __future__ import annotations

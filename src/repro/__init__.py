@@ -85,7 +85,6 @@ from repro.sim import (
 from repro.scenario import (
     LinkBudget,
     ReaderTrajectory,
-    ScenarioChannel,
     ScenarioConfig,
     ScenarioResult,
     make_trajectory,
@@ -150,7 +149,6 @@ __all__ = [
     "sweep",
     "LinkBudget",
     "ReaderTrajectory",
-    "ScenarioChannel",
     "ScenarioConfig",
     "ScenarioResult",
     "make_trajectory",

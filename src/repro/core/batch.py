@@ -1035,8 +1035,7 @@ class BatchSessionEngine:
 def _into_ledger(
     result: SessionResult, ledger: Optional[EnergyLedger]
 ) -> SessionResult:
-    """Accumulate a kernel result into a caller's ledger (its duty-cycle
-    mask applies, as it would to per-step adds)."""
+    """Accumulate a kernel result into a caller's ledger."""
     if ledger is not None:
         ledger.add_sent_bulk(result.ledger.bits_sent)
         ledger.add_received_bulk(result.ledger.bits_received)

@@ -217,8 +217,6 @@ def run_checking_frame(
     received bits are (slots executed) − (1 if it responded), posted as
     one bulk ledger update after the BFS wave instead of per slot —
     integer-valued float64 sums, so bit-identical to the per-slot tally.
-    (The ledger's own duty-cycle mask zeroes the listening term for
-    powered-down tags.)
     """
     n = network.n_tags
     tier1 = network.tier1_mask

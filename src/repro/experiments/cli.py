@@ -1005,60 +1005,38 @@ def cmd_top(args: argparse.Namespace) -> None:
 
 
 def cmd_bench(args: argparse.Namespace) -> None:
-    """Benchmark trajectory history: record, compare, report."""
-    import glob as _glob
-
+    """History of perfbench runs: record, compare, report."""
     from repro.obs import bench_track
 
-    if args.bench_command == "record":
-        manifests = args.manifest or sorted(
-            _glob.glob("benchmarks/output/BENCH_*.json")
-        )
-        if not manifests:
-            raise SystemExit(
-                "repro-ccm: error: no BENCH_*.json manifests found "
-                "(run the benchmark suites first, or pass paths)"
-            )
-        if args.name is not None and len(manifests) > 1:
-            raise SystemExit(
-                "repro-ccm: error: --name only applies to a single manifest"
-            )
-        for manifest in manifests:
-            try:
-                record = bench_track.record_manifest(
-                    manifest, args.history, name=args.name
-                )
-            except (OSError, ValueError) as exc:
-                raise SystemExit(f"repro-ccm: error: {exc}")
-            print(
-                f"recorded {record.name}: {len(record.metrics)} metric(s) "
-                f"@ {record.created_utc or '?'}"
-            )
-        print(f"[history appended to {args.history}]")
-        return
     try:
-        records = bench_track.load_history(args.history)
-    except ValueError as exc:
-        raise SystemExit(f"repro-ccm: error: {exc}")
-    if args.bench_command == "compare":
+        if args.bench_command == "record":
+            for path in args.runs:
+                entry = bench_track.record_run(path, args.history)
+                print(
+                    f"recorded {bench_track.key_label(entry)} seed "
+                    f"{entry['seed']}: {len(entry['metrics'])} metric(s), "
+                    f"correct={str(entry['correct']).lower()}"
+                )
+            print(f"[history appended to {args.history}]")
+            return
+        entries = bench_track.load_history(args.history)
+        if args.bench_command == "report":
+            print(bench_track.render_report(entries, args.bench, args.last))
+            return
         text, regressed = bench_track.render_compare(
-            records, noise=args.noise, bench=args.bench
+            entries, bench_track.load_spec("BENCHMARK.json"), args.bench
         )
-        print(text)
-        if regressed:
-            print(
-                "bench compare: regression(s) beyond the noise band"
-                + ("" if args.strict else " (soft gate; --strict to fail)"),
-                file=sys.stderr,
-            )
-            if args.strict:
-                raise SystemExit(1)
-    elif args.bench_command == "report":
+    except (OSError, ValueError, KeyError) as exc:
+        raise SystemExit(f"repro-ccm: error: {exc}")
+    print(text)
+    if regressed:
         print(
-            bench_track.render_report(
-                records, bench=args.bench, last=args.last
-            )
+            "bench compare: regression(s) beyond the spec's bounds"
+            + ("" if args.strict else " (soft gate; --strict to fail)"),
+            file=sys.stderr,
         )
+        if args.strict:
+            raise SystemExit(1)
 
 
 def cmd_all(args: argparse.Namespace) -> None:
@@ -1393,8 +1371,8 @@ def build_parser() -> argparse.ArgumentParser:
     top.set_defaults(func=cmd_top)
     bench = sub.add_parser(
         "bench",
-        help="benchmark trajectory history: record manifests, compare "
-             "runs within a noise band, report trends",
+        help="history of perfbench runs: record run outputs, compare the "
+             "last two runs by BENCHMARK.json's bounds, report trends",
     )
     bench_sub = bench.add_subparsers(dest="bench_command", required=True)
     bench_common = argparse.ArgumentParser(add_help=False)
@@ -1406,28 +1384,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_record = bench_sub.add_parser(
         "record", parents=[bench_common],
-        help="append BENCH_*.json manifests as history lines",
+        help="append saved perfbench/run.py outputs as history lines",
     )
     bench_record.add_argument(
-        "manifest", nargs="*",
-        help="manifest paths (default: benchmarks/output/BENCH_*.json)",
-    )
-    bench_record.add_argument(
-        "--name", type=str, default=None,
-        help="override the bench name (single manifest only)",
+        "runs", nargs="+", help="saved standard output of perfbench/run.py",
     )
     bench_record.set_defaults(func=cmd_bench)
     bench_compare = bench_sub.add_parser(
         "compare", parents=[bench_common],
-        help="latest vs previous run per bench, beyond a noise band",
+        help="newest vs previous run per workload, size and tracing, "
+             "judged by BENCHMARK.json (read from the working directory)",
     )
     bench_compare.add_argument(
-        "--noise", type=float, default=0.25,
-        help="relative change treated as machine noise (default: 0.25)",
-    )
-    bench_compare.add_argument(
-        "--bench", type=str, default=None,
-        help="restrict to one bench name",
+        "--bench", type=str, default=None, help="restrict to one workload",
     )
     bench_compare.add_argument(
         "--strict", action="store_true",
@@ -1439,12 +1408,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="metric trajectories across recorded runs",
     )
     bench_report.add_argument(
-        "--bench", type=str, default=None,
-        help="restrict to one bench name",
+        "--bench", type=str, default=None, help="restrict to one workload",
     )
     bench_report.add_argument(
         "--last", type=int, default=6,
-        help="show at most the last N runs per bench (default: 6)",
+        help="show at most the last N runs per key (default: 6)",
     )
     bench_report.set_defaults(func=cmd_bench)
     scen = sub.add_parser(

@@ -14,11 +14,9 @@ Counting rules (also documented in DESIGN.md §6):
 * a received indicator-vector broadcast adds f bits (the reader ships it in
   ⌈f/96⌉ 96-bit slots, Sec. III-D);
 * baselines add 96 bits per transmitted/overheard tag ID;
-* a powered-down tag accrues *zero* bits — scenario engines set a
-  duty-cycle mask via :meth:`EnergyLedger.set_active` and every recording
-  method drops contributions for inactive tags (a sleeping radio neither
-  transmits nor carrier-senses).  With no mask set (the default) all
-  recording paths are bit-identical to the unmasked ledger.
+* a powered-down tag accrues *zero* bits — the scenario engine's kernel
+  masks a sleeping tag's adds before they reach the ledger (a sleeping
+  radio neither transmits nor carrier-senses).
 """
 
 from __future__ import annotations
@@ -69,48 +67,17 @@ class EnergyLedger:
         self.n_tags = n_tags
         self.bits_sent = np.zeros(n_tags, dtype=np.float64)
         self.bits_received = np.zeros(n_tags, dtype=np.float64)
-        #: duty-cycle mask: None (all tags powered) or a boolean array —
-        #: recording methods drop contributions where it is False.
-        self._active: "np.ndarray | None" = None
-
-    # -- duty cycle ---------------------------------------------------------
-
-    def set_active(self, mask: "np.ndarray | None") -> None:
-        """Set (or clear, with ``None``) the powered-tag duty-cycle mask.
-
-        While a mask is set, every recording method ignores contributions
-        for tags whose entry is False: a powered-down tag accrues zero TX
-        *and* RX bits for the rounds it sleeps through.  Scenario engines
-        update this per round from the link budget and clear it when the
-        session ends (the ledger may be shared across sessions).
-        """
-        if mask is None:
-            self._active = None
-            return
-        arr = np.asarray(mask, dtype=bool)
-        if arr.shape != (self.n_tags,):
-            raise ValueError("active mask must have one entry per tag")
-        self._active = arr
-
-    @property
-    def active_mask(self) -> "np.ndarray | None":
-        """The current duty-cycle mask (None means all tags powered)."""
-        return self._active
 
     # -- recording ----------------------------------------------------------
 
     def add_sent(self, tag: int, bits: float) -> None:
         if bits < 0:
             raise ValueError("bits must be non-negative")
-        if self._active is not None and not self._active[tag]:
-            return
         self.bits_sent[tag] += bits
 
     def add_received(self, tag: int, bits: float) -> None:
         if bits < 0:
             raise ValueError("bits must be non-negative")
-        if self._active is not None and not self._active[tag]:
-            return
         self.bits_received[tag] += bits
 
     def add_sent_bulk(self, bits: ArrayLike) -> None:
@@ -120,8 +87,6 @@ class EnergyLedger:
             raise ValueError("bulk update must have one entry per tag")
         if np.any(arr < 0):
             raise ValueError("bits must be non-negative")
-        if self._active is not None:
-            arr = np.where(self._active, arr, 0.0)
         self.bits_sent += arr
 
     def add_received_bulk(self, bits: ArrayLike) -> None:
@@ -130,8 +95,6 @@ class EnergyLedger:
             raise ValueError("bulk update must have one entry per tag")
         if np.any(arr < 0):
             raise ValueError("bits must be non-negative")
-        if self._active is not None:
-            arr = np.where(self._active, arr, 0.0)
         self.bits_received += arr
 
     def add_received_to_all(self, bits: float, mask: np.ndarray = None) -> None:
@@ -140,14 +103,9 @@ class EnergyLedger:
         if bits < 0:
             raise ValueError("bits must be non-negative")
         if mask is None:
-            if self._active is None:
-                self.bits_received += bits
-            else:
-                self.bits_received[self._active] += bits
+            self.bits_received += bits
         else:
             mask = np.asarray(mask, dtype=bool)
-            if self._active is not None:
-                mask = mask & self._active
             self.bits_received[mask] += bits
 
     def merge(self, other: "EnergyLedger") -> None:

@@ -1,427 +1,216 @@
-"""Benchmark trajectories: append-only history, noise-banded comparison.
+"""Benchmark trajectories: a history of ``perfbench/run.py`` results.
 
-The bench suites already write one ``repro-run-manifest-v1`` document per
-benchmark (``benchmarks/output/BENCH_*.json``) with their numbers in
-``extra``.  Those files are *overwritten* on every run, so the repo knows
-its latest numbers but not its trajectory.  This module turns each
-manifest into one ``repro-bench-history-v1`` NDJSON line::
+``perfbench/run.py`` prints a header line, the metrics, and a JSON
+verdict as its last line::
 
-    {"schema": "repro-bench-history-v1", "name": "engine",
-     "created_utc": ..., "git_rev": ..., "host": ..., "python_version":
-     ..., "numpy_version": ..., "engine": ..., "contracts": {...},
-     "config": {...}, "metrics": {"elapsed_s": ..., "speedup": ...}}
+    workload serve_mixed seed 1 size bench: ops=… host_speed=0.713; …
+    workload serve_mixed seed 1 size bench: traced ops=120
+    {"correct": true, "attempted": 50, "failed": 0, "metrics": {…}}
 
-appended to a history file (default
-``benchmarks/output/BENCH_history.ndjson``).  ``metrics`` is the flat
-numeric projection of the manifest (``extra`` leaves, dotted for nesting,
-plus ``elapsed_s``); everything else is provenance so a comparison can
-refuse to compare apples to oranges.
-
-Comparison is *noise-banded*: hosts differ, CI machines are loud, so a
-delta only counts when it exceeds ``noise`` (default 25%) **and** the
-metric has a known good direction — ``*_per_s``/``speedup`` up is good,
-``*seconds*``/``*rss*`` down is good, anything else is reported but
-never flagged.  ``repro bench compare`` exits non-zero only with
-``--strict``; the CI gate runs it warn-only, which is the point: a
-trajectory you can see beats a gate you learn to ignore.
+:func:`record_run` appends one saved output to the history as one
+``repro-bench-history-v2`` NDJSON line.  :func:`render_compare` judges
+the newest run of each (workload, size, traced) key against the previous
+one by the rules of ``BENCHMARK.json``: an end-to-end metric worse by
+more than its own ``bound`` in its ``better`` direction, a run that is
+not ``correct``, or a larger share of failed ops is a regression.
+Per-layer metrics are shown, never judged.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
-from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+import re
+from typing import Any, Dict, List, Optional, Tuple, Union
 
+from repro.obs.manifest import git_revision
 from repro.store.canonical import canonical_json
 
 PathLike = Union[str, pathlib.Path]
+Entry = Dict[str, Any]
 
 __all__ = [
-    "HISTORY_SCHEMA",
-    "BenchDelta",
-    "BenchRecord",
-    "compare_history",
-    "load_history",
-    "metric_direction",
-    "record_manifest",
-    "render_compare",
-    "render_report",
-    "validate_entry",
+    "HISTORY_SCHEMA", "key_label", "load_history", "load_spec",
+    "record_run", "render_compare", "render_report",
 ]
 
 #: Version tag of one history line.
-HISTORY_SCHEMA = "repro-bench-history-v1"
+HISTORY_SCHEMA = "repro-bench-history-v2"
 
-#: Default history location, next to the BENCH_*.json manifests.
-DEFAULT_HISTORY = "benchmarks/output/BENCH_history.ndjson"
-
-#: Relative change below which a delta is considered machine noise.
-DEFAULT_NOISE = 0.25
-
-_REQUIRED_FIELDS = ("schema", "name", "created_utc", "metrics")
-_KNOWN_FIELDS = {
-    "schema", "name", "created_utc", "git_rev", "host", "python_version",
-    "numpy_version", "engine", "contracts", "config", "metrics",
+#: Every field of a history line and the types it may hold.
+_FIELDS = {
+    "schema": (str,), "workload": (str,), "seed": (int,), "size": (str,),
+    "traced": (bool,), "git_rev": (str, type(None)),
+    "host_speed": (int, float, type(None)), "correct": (bool,),
+    "attempted": (int,), "failed": (int,), "metrics": (dict,),
 }
 
-#: Substrings that decide whether a metric is better high or better low.
-_HIGHER_IS_BETTER = ("per_s", "speedup", "throughput", "hit_rate")
-_LOWER_IS_BETTER = ("seconds", "elapsed", "rss", "bytes", "latency")
+_HEADER = re.compile(r"workload (\S+) seed (-?\d+) size (\S+): (.*)")
+_HOST_SPEED = re.compile(r"\bhost_speed=([0-9.]+)")
 
 
-def metric_direction(name: str) -> Optional[str]:
-    """``"higher"``, ``"lower"``, or ``None`` when unknown.
-
-    Unknown-direction metrics (round counts, slot totals — protocol
-    outputs, not performance) are carried in the history and shown by
-    ``report`` but never flagged by ``compare``.
-    """
-    lowered = name.lower()
-    if any(token in lowered for token in _HIGHER_IS_BETTER):
-        return "higher"
-    if any(token in lowered for token in _LOWER_IS_BETTER):
-        return "lower"
-    return None
-
-
-def _flatten_numeric(
-    doc: Mapping[str, Any], prefix: str = ""
-) -> Dict[str, float]:
-    """Numeric leaves of a nested mapping, dotted keys for nesting."""
-    out: Dict[str, float] = {}
-    for key, value in doc.items():
-        dotted = f"{prefix}{key}"
-        if isinstance(value, bool):
-            continue
-        if isinstance(value, (int, float)):
-            out[dotted] = float(value)
-        elif isinstance(value, Mapping):
-            out.update(_flatten_numeric(value, prefix=f"{dotted}."))
-    return out
+def _validate(doc: Any) -> Entry:
+    if not isinstance(doc, dict) or doc.get("schema") != HISTORY_SCHEMA:
+        raise ValueError(f"not a {HISTORY_SCHEMA} object")
+    if set(doc) != set(_FIELDS):
+        odd = ", ".join(sorted(set(doc) ^ set(_FIELDS)))
+        raise ValueError(f"fields differ from the schema: {odd}")
+    for field, types in _FIELDS.items():
+        value = doc[field]
+        if not isinstance(value, types) or (
+            isinstance(value, bool) and bool not in types
+        ):
+            raise ValueError(f"field {field!r} has a wrong type")
+    values = doc["metrics"].values()
+    if not values or any(
+        isinstance(v, bool) or not isinstance(v, (int, float)) for v in values
+    ):
+        raise ValueError("'metrics' must be a non-empty numeric map")
+    return doc
 
 
-@dataclass(frozen=True)
-class BenchRecord:
-    """One history line, validated."""
-
-    name: str
-    created_utc: str
-    metrics: Tuple[Tuple[str, float], ...]
-    git_rev: Optional[str] = None
-    host: Optional[str] = None
-    python_version: Optional[str] = None
-    numpy_version: Optional[str] = None
-    engine: Optional[str] = None
-    contracts: Tuple[Tuple[str, str], ...] = ()
-    config: Tuple[Tuple[str, Any], ...] = ()
-
-    @property
-    def metric_map(self) -> Dict[str, float]:
-        return dict(self.metrics)
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "schema": HISTORY_SCHEMA,
-            "name": self.name,
-            "created_utc": self.created_utc,
-            "git_rev": self.git_rev,
-            "host": self.host,
-            "python_version": self.python_version,
-            "numpy_version": self.numpy_version,
-            "engine": self.engine,
-            "contracts": dict(self.contracts),
-            "config": dict(self.config),
-            "metrics": dict(self.metrics),
-        }
-
-    @classmethod
-    def from_json(cls, doc: Mapping[str, Any]) -> "BenchRecord":
-        validate_entry(doc)
-        return cls(
-            name=str(doc["name"]),
-            created_utc=str(doc["created_utc"]),
-            metrics=tuple(sorted(
-                (str(k), float(v)) for k, v in doc["metrics"].items()
-            )),
-            git_rev=doc.get("git_rev"),
-            host=doc.get("host"),
-            python_version=doc.get("python_version"),
-            numpy_version=doc.get("numpy_version"),
-            engine=doc.get("engine"),
-            contracts=tuple(sorted(
-                (str(k), str(v))
-                for k, v in (doc.get("contracts") or {}).items()
-            )),
-            config=tuple(sorted((doc.get("config") or {}).items())),
-        )
-
-
-def validate_entry(doc: Mapping[str, Any]) -> None:
-    """Raise :class:`ValueError` unless ``doc`` is a valid history line."""
-    if not isinstance(doc, Mapping):
-        raise ValueError(
-            f"history line must be a JSON object, got {type(doc).__name__}"
-        )
-    if doc.get("schema") != HISTORY_SCHEMA:
-        raise ValueError(
-            f"unsupported history schema {doc.get('schema')!r} "
-            f"(expected {HISTORY_SCHEMA!r})"
-        )
-    for required in _REQUIRED_FIELDS:
-        if required not in doc:
-            raise ValueError(f"history line missing field {required!r}")
-    unknown = set(doc) - _KNOWN_FIELDS
-    if unknown:
-        raise ValueError(
-            f"unknown history field(s): {', '.join(sorted(unknown))}"
-        )
-    metrics = doc["metrics"]
-    if not isinstance(metrics, Mapping) or not metrics:
-        raise ValueError("history 'metrics' must be a non-empty object")
-    for key, value in metrics.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(
-                f"history metric {key!r} must be numeric, got "
-                f"{type(value).__name__}"
-            )
-
-
-def _contract_versions() -> Dict[str, str]:
-    """The determinism contracts in force when the number was recorded.
-
-    A contract bump is a *deliberate* stream change — comparisons across
-    different contract versions are provenance-flagged, not apples to
-    apples.
-    """
-    from repro.core.batch import BATCH_RNG_CONTRACT
-    from repro.net.channel import CHANNEL_RNG_CONTRACT
-
-    return {
-        "batch_rng": BATCH_RNG_CONTRACT,
-        "channel_rng": CHANNEL_RNG_CONTRACT,
-    }
-
-
-def record_manifest(
-    manifest_path: PathLike,
-    history_path: PathLike = DEFAULT_HISTORY,
-    *,
-    name: Optional[str] = None,
-) -> BenchRecord:
-    """Append one manifest's numbers to the history; returns the record.
-
-    ``name`` defaults to the manifest filename with its ``BENCH_`` prefix
-    and extension stripped (``BENCH_engine.json`` → ``engine``).
-    """
-    path = pathlib.Path(manifest_path)
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    if not isinstance(doc, Mapping):
-        raise ValueError(f"{path}: manifest must be a JSON object")
-    if doc.get("format") != "repro-run-manifest-v1":
-        raise ValueError(
-            f"{path}: not a repro-run-manifest-v1 document "
-            f"(format={doc.get('format')!r})"
-        )
-    if name is None:
-        stem = path.stem
-        name = stem[len("BENCH_"):] if stem.startswith("BENCH_") else stem
-    metrics = _flatten_numeric(doc.get("extra") or {})
-    if doc.get("elapsed_s") is not None:
-        metrics["elapsed_s"] = float(doc["elapsed_s"])
-    if not metrics:
-        raise ValueError(f"{path}: manifest carries no numeric metrics")
-    record = BenchRecord(
-        name=name,
-        created_utc=str(doc.get("created_utc") or ""),
-        metrics=tuple(sorted(metrics.items())),
-        git_rev=doc.get("git_rev"),
-        host=doc.get("host"),
-        python_version=doc.get("python_version"),
-        numpy_version=doc.get("numpy_version"),
-        engine=doc.get("engine"),
-        contracts=tuple(sorted(_contract_versions().items())),
-        config=tuple(sorted((doc.get("config") or {}).items())),
-    )
+def record_run(run_path: PathLike, history_path: PathLike) -> Entry:
+    """Append one saved ``perfbench/run.py`` output to the history."""
+    path = pathlib.Path(run_path)
+    lines = path.read_text(encoding="utf-8").strip().splitlines()
+    header = next(filter(None, map(_HEADER.fullmatch, lines)), None)
+    try:
+        if header is None:
+            raise ValueError("no 'workload W seed S size Z:' header")
+        workload, seed, size, notes = header.groups()
+        traced = notes.startswith("traced")
+        speed = _HOST_SPEED.search(notes)
+        if speed is None and not traced:
+            raise ValueError("untraced header without host_speed=")
+        verdict = json.loads(lines[-1])
+        entry = _validate({
+            "schema": HISTORY_SCHEMA, "workload": workload,
+            "seed": int(seed), "size": size, "traced": traced,
+            "git_rev": git_revision(),
+            "host_speed": None if traced else float(speed.group(1)),
+            "correct": verdict["correct"], "attempted": verdict["attempted"],
+            "failed": verdict["failed"],
+            "metrics": {k: v["value"] for k, v in verdict["metrics"].items()},
+        })
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+        raise ValueError(f"{path}: not a perfbench run output: {exc}") from exc
     target = pathlib.Path(history_path)
     target.parent.mkdir(parents=True, exist_ok=True)
     with open(target, "a", encoding="utf-8") as fh:
-        fh.write(canonical_json(record.to_json()) + "\n")
-    return record
+        fh.write(canonical_json(entry) + "\n")
+    return entry
 
 
-def load_history(history_path: PathLike = DEFAULT_HISTORY) -> List[BenchRecord]:
-    """Every validated history line, in file (append) order.
+def load_history(history_path: PathLike) -> List[Entry]:
+    """Every history line in append order; a missing file is empty.
 
-    Raises :class:`ValueError` naming the offending line number on a
-    malformed entry — the CI validation step is exactly this call.
+    Raises :class:`ValueError` naming the line number of a malformed line.
     """
     path = pathlib.Path(history_path)
-    records: List[BenchRecord] = []
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError:
-        return records
+    if not path.exists():
+        return []
+    entries = []
+    text = path.read_text(encoding="utf-8")
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
         try:
-            records.append(BenchRecord.from_json(json.loads(line)))
+            entries.append(_validate(json.loads(line)))
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return records
+    return entries
 
 
-# -- comparison ----------------------------------------------------------------
+def load_spec(spec_path: PathLike) -> Dict[str, Tuple[str, float]]:
+    """End-to-end metric name -> (``better``, ``bound``) from the spec."""
+    doc = json.loads(pathlib.Path(spec_path).read_text(encoding="utf-8"))
+    return {m["name"]: (m["better"], m["bound"]) for m in doc["end_to_end"]}
 
 
-@dataclass(frozen=True)
-class BenchDelta:
-    """One metric's latest-vs-previous movement."""
-
-    bench: str
-    metric: str
-    old: float
-    new: float
-    direction: Optional[str]  # "higher" / "lower" / None
-    rel_change: float  # (new - old) / old, signed
-
-    @property
-    def verdict(self) -> str:
-        """``"regression"``, ``"improvement"``, or ``"ok"``."""
-        if self.direction is None:
-            return "ok"
-        worse = (
-            self.rel_change < 0
-            if self.direction == "higher"
-            else self.rel_change > 0
-        )
-        if worse:
-            return "regression"
-        return "improvement" if self.rel_change != 0 else "ok"
+def key_label(entry: Entry) -> str:
+    """The key runs are compared under: workload, size, traced or not."""
+    traced = " traced" if entry["traced"] else ""
+    return f"{entry['workload']} size {entry['size']}{traced}"
 
 
-def compare_history(
-    records: List[BenchRecord],
-    *,
-    noise: float = DEFAULT_NOISE,
-    bench: Optional[str] = None,
-) -> List[BenchDelta]:
-    """Latest vs previous record per bench name, beyond the noise band.
+def _by_key(entries: List[Entry], workload: Optional[str]) -> Dict[str, list]:
+    keyed: Dict[str, list] = {}
+    for entry in entries:
+        if workload in (None, entry["workload"]):
+            keyed.setdefault(key_label(entry), []).append(entry)
+    return dict(sorted(keyed.items()))
 
-    Only metrics present in both records with a *known* direction are
-    eligible; a delta is emitted when ``|rel_change| > noise``.  Records
-    whose determinism contracts differ are skipped (the stream changed
-    on purpose; the numbers are not comparable).
-    """
-    by_name: Dict[str, List[BenchRecord]] = {}
-    for record in records:
-        if bench is not None and record.name != bench:
-            continue
-        by_name.setdefault(record.name, []).append(record)
-    deltas: List[BenchDelta] = []
-    for name in sorted(by_name):
-        series = by_name[name]
-        if len(series) < 2:
-            continue
-        previous, latest = series[-2], series[-1]
-        if previous.contracts != latest.contracts:
-            continue
-        old_metrics = previous.metric_map
-        for metric, new_value in sorted(latest.metric_map.items()):
-            direction = metric_direction(metric)
-            if direction is None or metric not in old_metrics:
-                continue
-            old_value = old_metrics[metric]
-            if old_value == 0:
-                continue
-            rel = (new_value - old_value) / abs(old_value)
-            if abs(rel) <= noise:
-                continue
-            deltas.append(
-                BenchDelta(
-                    bench=name,
-                    metric=metric,
-                    old=old_value,
-                    new=new_value,
-                    direction=direction,
-                    rel_change=rel,
-                )
-            )
-    return deltas
+
+def _failed_share(entry: Entry) -> float:
+    return entry["failed"] / entry["attempted"] if entry["attempted"] else 1.0
+
+
+def _rev(entry: Entry) -> str:
+    return (entry["git_rev"] or "???????")[:7]
 
 
 def render_compare(
-    records: List[BenchRecord],
-    *,
-    noise: float = DEFAULT_NOISE,
-    bench: Optional[str] = None,
+    entries: List[Entry],
+    spec: Dict[str, Tuple[str, float]],
+    workload: Optional[str] = None,
 ) -> Tuple[str, bool]:
-    """Human comparison text and whether any regression was flagged."""
-    names = sorted({r.name for r in records if bench in (None, r.name)})
-    comparable = [
-        n for n in names
-        if sum(1 for r in records if r.name == n) >= 2
-    ]
-    deltas = compare_history(records, noise=noise, bench=bench)
-    lines = [
-        f"bench compare: {len(comparable)}/{len(names)} bench(es) with "
-        f"history, noise band ±{100.0 * noise:.0f}%"
-    ]
-    if not names:
+    """Newest vs previous run per key: the text, and whether any regressed."""
+    keyed = _by_key(entries, workload)
+    lines = [f"bench compare: {len(keyed)} key(s), bounds from the spec"]
+    regressed = False
+    for label, runs in keyed.items():
+        new = runs[-1]
+        if not new["correct"]:
+            regressed = True
+            lines.append(f"  {label}: newest run not correct  REGRESSION")
+        if len(runs) < 2:
+            lines.append(f"  {label}: one run, nothing to compare")
+            continue
+        old = runs[-2]
+        lines.append(f"  {label}: {_rev(old)} -> {_rev(new)}")
+        if _failed_share(new) > _failed_share(old):
+            regressed = True
+            lines.append(
+                f"    failed {old['failed']}/{old['attempted']} -> "
+                f"{new['failed']}/{new['attempted']}  REGRESSION"
+            )
+        for name, value in new["metrics"].items():
+            before = old["metrics"].get(name)
+            if not before:  # absent or zero: no relative change
+                continue
+            change = (value - before) / abs(before)
+            line = f"    {name:<31} {before:.6g} -> {value:.6g} {change:+.0%}"
+            if name in spec:
+                better, bound = spec[name]
+                worse = (-change if better == "higher" else change) > bound
+                regressed |= worse
+                verdict = "REGRESSION" if worse else "ok"
+                line += f"  bound {bound:.0%} {better}: {verdict}"
+            lines.append(line)
+    if not keyed:
         lines.append("  (no history)")
-    for name in names:
-        if name not in comparable:
-            lines.append(f"  {name}: only one record, nothing to compare")
-    flagged = [d for d in deltas if d.verdict == "regression"]
-    for delta in deltas:
-        arrow = "▲" if delta.rel_change > 0 else "▼"
-        tag = "REGRESSION" if delta.verdict == "regression" else "improved"
-        lines.append(
-            f"  {delta.bench}.{delta.metric}: {delta.old:.6g} → "
-            f"{delta.new:.6g} ({arrow}{100.0 * abs(delta.rel_change):.0f}%) "
-            f"[{tag}]"
-        )
-    if names and not deltas:
-        lines.append("  all tracked metrics within the noise band")
-    return "\n".join(lines), bool(flagged)
+    return "\n".join(lines), regressed
 
 
 def render_report(
-    records: List[BenchRecord], *, bench: Optional[str] = None, last: int = 6
+    entries: List[Entry], workload: Optional[str] = None, last: int = 6
 ) -> str:
-    """Per-bench metric trajectories across the most recent records."""
-    by_name: Dict[str, List[BenchRecord]] = {}
-    for record in records:
-        if bench is not None and record.name != bench:
-            continue
-        by_name.setdefault(record.name, []).append(record)
-    if not by_name:
-        return "(no bench history)"
-    sections: List[str] = []
-    for name in sorted(by_name):
-        series = by_name[name][-last:]
-        lines = [f"bench {name} ({len(by_name[name])} record(s)):"]
-        lines.append(
-            "  runs: "
-            + "  ".join(
-                f"{r.created_utc or '?'}@{(r.git_rev or '???????')[:7]}"
-                for r in series
-            )
-        )
-        metric_names = sorted({
-            metric for r in series for metric in r.metric_map
-        })
-        for metric in metric_names:
-            values = [
-                f"{r.metric_map[metric]:.6g}" if metric in r.metric_map
-                else "-"
-                for r in series
+    """Per-key metric trajectories across the most recent runs."""
+    sections = []
+    for label, runs in _by_key(entries, workload).items():
+        shown = runs[-last:]
+        rows = {
+            "git_rev": [_rev(e) for e in shown],
+            "correct": [str(e["correct"]).lower() for e in shown],
+            "failed": [f"{e['failed']}/{e['attempted']}" for e in shown],
+            "host_speed": [f"{e['host_speed'] or '-'}" for e in shown],
+        }
+        for name in dict.fromkeys(n for e in shown for n in e["metrics"]):
+            rows[name] = [
+                f"{e['metrics'][name]:.6g}" if name in e["metrics"] else "-"
+                for e in shown
             ]
-            marker = {"higher": "↑", "lower": "↓"}.get(
-                metric_direction(metric) or "", " "
-            )
-            lines.append(f"  {marker} {metric:<38} " + "  ".join(values))
-        sections.append("\n".join(lines))
-    return "\n\n".join(sections)
+        sections.append("\n".join(
+            [f"bench {label} ({len(runs)} run(s)):"]
+            + [f"  {k:<31} " + "  ".join(f"{v:>10}" for v in values)
+               for k, values in rows.items()]
+        ))
+    return "\n\n".join(sections) or "(no bench history)"

@@ -11,7 +11,6 @@ operations on a shared wall clock (slot counts × Gen2-derived
 * a reader trajectory family — static, aisle drive-by, UAV lawnmower
   sweep, waypoints (:mod:`repro.scenario.trajectory`);
 * link-budget tag power-cycling (:mod:`repro.scenario.power`);
-* a power-aware channel wrapper (:mod:`repro.scenario.channel`);
 * the ``"scenario"`` session engine — the vectorized tag-major kernel
   with a per-round motion/power hook, bit-identical to the static
   engines when the hooks are off (:mod:`repro.scenario.engine`);
@@ -23,7 +22,6 @@ Importing this package registers the ``"scenario"`` engine in the
 imports it, so any ``import repro...`` makes the engine resolvable).
 """
 
-from repro.scenario.channel import ScenarioChannel
 from repro.scenario.engine import ScenarioConfig, ScenarioSessionEngine
 from repro.scenario.events import (
     SCENARIO_RNG_CONTRACT,
@@ -48,7 +46,6 @@ __all__ = [
     "Event",
     "EventJournal",
     "EventScheduler",
-    "ScenarioChannel",
     "ScenarioConfig",
     "ScenarioSessionEngine",
     "LinkBudget",

@@ -134,85 +134,6 @@ class TestTransceiverProfile:
         )
 
 
-class TestDutyCycle:
-    """The powered-off rule: a sleeping tag accrues zero bits, ever."""
-
-    def test_inactive_scalar_adds_dropped(self):
-        led = EnergyLedger(3)
-        led.set_active(np.array([True, False, True]))
-        led.add_sent(1, 5)
-        led.add_received(1, 7)
-        assert led.bits_sent.tolist() == [0.0, 0.0, 0.0]
-        assert led.bits_received.tolist() == [0.0, 0.0, 0.0]
-        led.add_sent(0, 5)
-        assert led.bits_sent.tolist() == [5.0, 0.0, 0.0]
-
-    def test_inactive_bulk_adds_zeroed(self):
-        led = EnergyLedger(3)
-        led.set_active(np.array([True, False, True]))
-        led.add_sent_bulk([1.0, 2.0, 3.0])
-        led.add_received_bulk([10.0, 20.0, 30.0])
-        assert led.bits_sent.tolist() == [1.0, 0.0, 3.0]
-        assert led.bits_received.tolist() == [10.0, 0.0, 30.0]
-
-    def test_inactive_broadcast_skips_sleepers(self):
-        led = EnergyLedger(3)
-        led.set_active(np.array([False, True, True]))
-        led.add_received_to_all(8.0)
-        assert led.bits_received.tolist() == [0.0, 8.0, 8.0]
-
-    def test_broadcast_mask_intersects_active(self):
-        led = EnergyLedger(3)
-        led.set_active(np.array([True, True, False]))
-        led.add_received_to_all(4.0, mask=np.array([False, True, True]))
-        assert led.bits_received.tolist() == [0.0, 4.0, 0.0]
-
-    def test_clearing_active_restores_everyone(self):
-        led = EnergyLedger(2)
-        led.set_active(np.array([False, False]))
-        led.add_sent_bulk([1.0, 1.0])
-        led.set_active(None)
-        led.add_sent_bulk([1.0, 1.0])
-        assert led.bits_sent.tolist() == [1.0, 1.0]
-
-    def test_all_true_mask_is_bit_identical_to_no_mask(self):
-        """np.where with an all-True mask must not perturb float totals —
-        the static-equivalence pin depends on it."""
-        rng = np.random.default_rng(5)
-        bits = rng.random(64) * 100.0
-        a, b = EnergyLedger(64), EnergyLedger(64)
-        b.set_active(np.ones(64, dtype=bool))
-        for led in (a, b):
-            led.add_sent_bulk(bits)
-            led.add_received_bulk(bits * 3.0)
-            led.add_received_to_all(7.25)
-        assert a.bits_sent.tobytes() == b.bits_sent.tobytes()
-        assert a.bits_received.tobytes() == b.bits_received.tobytes()
-
-    def test_active_shape_validated(self):
-        led = EnergyLedger(3)
-        with pytest.raises(ValueError):
-            led.set_active(np.array([True, False]))
-
-    def test_active_mask_property_reflects_state(self):
-        led = EnergyLedger(2)
-        assert led.active_mask is None
-        mask = np.array([True, False])
-        led.set_active(mask)
-        assert led.active_mask.tolist() == [True, False]
-        led.set_active(None)
-        assert led.active_mask is None
-
-    def test_merge_ignores_activity_gating_of_target(self):
-        """merge() folds a worker's totals in verbatim; the duty-cycle
-        mask gates *accrual*, not aggregation."""
-        a, b = EnergyLedger(2), EnergyLedger(2)
-        a.set_active(np.array([False, False]))
-        b.add_sent(0, 2)
-        a.merge(b)
-        assert a.bits_sent.tolist() == [2.0, 0.0]
-
-
 class TestGroupedMeans:
     def test_groups_by_label(self):
         led = EnergyLedger(4)

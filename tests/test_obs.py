@@ -333,13 +333,12 @@ class TestInstrumentedSession:
     @pytest.mark.parametrize("loss", [0.0, 0.2])
     def test_hooked_scenario_trace_matches_bigint(self, small_network, loss):
         """The scenario hook engaged (a power budget every tag meets)
-        emits the bigint oracle's tracer NDJSON on ScenarioChannel."""
+        emits the bigint oracle's tracer NDJSON."""
         import numpy as np
 
         from repro.net.channel import LossyChannel, PerfectChannel
         from repro.scenario import (
             LinkBudget,
-            ScenarioChannel,
             ScenarioConfig,
             ScenarioSessionEngine,
         )
@@ -363,7 +362,7 @@ class TestInstrumentedSession:
         assert scenario.last_run_info["powered_fraction_mean"] == 1.0
         theirs = run_session(
             small_network, masks=masks, config=CCMConfig(frame_size=f),
-            channel=ScenarioChannel(inner()), rng=np.random.default_rng(5),
+            channel=inner(), rng=np.random.default_rng(5),
             tracer=tracers["bigint"], engine="bigint",
         )
         ndjson = tracers["bigint"].to_ndjson()

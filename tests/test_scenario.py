@@ -16,7 +16,6 @@ from repro.scenario import (
     EventJournal,
     EventScheduler,
     LinkBudget,
-    ScenarioChannel,
     ScenarioConfig,
     ScenarioSessionEngine,
     StaticTrajectory,
@@ -163,44 +162,6 @@ class TestLinkBudget:
             LinkBudget(path_loss_exponent=0.0)
         with pytest.raises(ValueError):
             LinkBudget(reference_m=0.0)
-
-
-class TestScenarioChannel:
-    def test_delegates_when_inactive(self):
-        net = small_network(n=120)
-        chan = ScenarioChannel(PerfectChannel())
-        masks = np.random.default_rng(0).integers(
-            0, 2**63, size=(net.n_tags, 2), dtype=np.uint64
-        )
-        heard = chan.propagate_packed(masks, net.indptr, net.indices, None)
-        plain = PerfectChannel().propagate_packed(
-            masks, net.indptr, net.indices, None
-        )
-        assert np.array_equal(heard, plain)
-
-    def test_inactive_tags_silent_and_deaf(self):
-        net = small_network(n=120)
-        chan = ScenarioChannel(PerfectChannel())
-        active = np.zeros(net.n_tags, dtype=bool)
-        active[: net.n_tags // 2] = True
-        chan.set_active(active)
-        masks = np.full((net.n_tags, 2), 3, dtype=np.uint64)
-        heard = chan.propagate_packed(masks, net.indptr, net.indices, None)
-        # Sleeping tags hear nothing...
-        assert not heard[~active].any()
-        # ...and transmit nothing: the reader senses only awake tier-1 tags.
-        busy = chan.reader_senses_packed(masks, net.tier1_mask, None)
-        only_awake = PerfectChannel().reader_senses_packed(
-            np.where(active[:, None], masks, np.uint64(0)),
-            net.tier1_mask,
-            None,
-        )
-        assert np.array_equal(busy, only_awake)
-
-    def test_not_perfect_keeps_wrapper_off_fast_path(self):
-        # auto engine routing special-cases exact channel types; the
-        # wrapper must never masquerade as one of them.
-        assert not ScenarioChannel(PerfectChannel()).is_perfect
 
 
 class TestWithReaders:
@@ -380,7 +341,10 @@ class TestScenarioEngineDynamics:
             net, _picks_to_masks(picks, f), CCMConfig(frame_size=f),
             ledger=ledger,
         )
-        assert ledger.active_mask is None
+        # The ledger keeps no gating state: every tag still accrues.
+        before = ledger.bits_received.copy()
+        ledger.add_received_to_all(1.0)
+        assert np.array_equal(ledger.bits_received, before + 1.0)
 
 
 class TestRunScenarioDeterminism:

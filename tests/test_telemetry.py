@@ -15,6 +15,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import textwrap
@@ -314,106 +315,229 @@ class TestEventRetention:
 
 # -- bench trajectory history --------------------------------------------------
 
+REPO = pathlib.Path(__file__).resolve().parent.parent
+SPEC = bench_track.load_spec(REPO / "BENCHMARK.json")
 
-def manifest_doc(elapsed=1.0, per_s=10.0, created="2026-01-01T00:00:00Z"):
-    return {
-        "format": "repro-run-manifest-v1",
-        "created_utc": created,
-        "elapsed_s": elapsed,
-        "git_rev": "abc1234def",
-        "host": "testhost",
-        "python_version": "3.11.7",
-        "numpy_version": "2.4.6",
-        "engine": "packed",
-        "seed": 1,
-        "config": {"n_tags": 100},
-        "extra": {"trials_per_s": per_s, "nested": {"seconds": elapsed}},
-    }
+
+def perfbench_stdout(
+    workload="serve_mixed", traced=False, correct=True, attempted=50,
+    failed=0, **metrics,
+):
+    """Synthetic ``perfbench/run.py`` output in either header form."""
+    if traced:
+        notes = f"traced ops={attempted}"
+    else:
+        notes = (
+            f"ops={attempted} beyond_p90=5 setups=5 host_speed=0.713; "
+            "uncorrected: setup_s=0.8870 ops_per_s=21.9 op_p50_s=0.0445"
+        )
+    values = metrics or {"setup_s": 0.6, "ops_per_s": 30.0}
+    return "\n".join(
+        [f"workload {workload} seed 1 size smoke: {notes}"]
+        + [f"  {name:<28} {value:>14.6g} s" for name, value in values.items()]
+        + [json.dumps({
+            "correct": correct, "attempted": attempted, "failed": failed,
+            "metrics": {
+                name: {"value": value, "unit": "s"}
+                for name, value in values.items()
+            },
+        })]
+    ) + "\n"
+
+
+def record_runs(tmp_path, *outputs):
+    history = tmp_path / "history.ndjson"
+    for i, text in enumerate(outputs):
+        run = tmp_path / f"run{i}.txt"
+        run.write_text(text)
+        bench_track.record_run(run, history)
+    return bench_track.load_history(history)
 
 
 class TestBenchTrack:
     def test_record_and_load_round_trip(self, tmp_path):
-        manifest = tmp_path / "BENCH_demo.json"
-        manifest.write_text(json.dumps(manifest_doc()))
-        history = tmp_path / "history.ndjson"
-        record = bench_track.record_manifest(manifest, history)
-        assert record.name == "demo"
-        loaded = bench_track.load_history(history)
-        assert loaded == [record]
-        assert loaded[0].metric_map["elapsed_s"] == 1.0
-        assert loaded[0].metric_map["nested.seconds"] == 1.0
-        assert dict(loaded[0].contracts) == {
-            "batch_rng": "repro-batch-rng-v1",
-            "channel_rng": "repro-channel-rng-v1",
-        }
+        entries = record_runs(
+            tmp_path,
+            perfbench_stdout(),
+            perfbench_stdout(traced=True, **{"core.session_s": 0.01}),
+        )
+        plain, traced = entries
+        assert plain["schema"] == bench_track.HISTORY_SCHEMA
+        assert (plain["workload"], plain["seed"], plain["size"]) == (
+            "serve_mixed", 1, "smoke"
+        )
+        assert plain["traced"] is False and plain["host_speed"] == 0.713
+        assert plain["metrics"] == {"setup_s": 0.6, "ops_per_s": 30.0}
+        assert (plain["correct"], plain["attempted"], plain["failed"]) == (
+            True, 50, 0
+        )
+        assert traced["traced"] is True and traced["host_speed"] is None
+        assert traced["metrics"] == {"core.session_s": 0.01}
+        assert bench_track.key_label(traced) == "serve_mixed size smoke traced"
 
     def test_schema_validation_rejects_bad_lines(self, tmp_path):
+        good = record_runs(tmp_path, perfbench_stdout())[0]
         history = tmp_path / "history.ndjson"
-        history.write_text('{"schema": "nope"}\n')
-        with pytest.raises(ValueError):
-            bench_track.load_history(history)
-        history.write_text(json.dumps({
-            "schema": bench_track.HISTORY_SCHEMA,
-            "name": "x",
-            "created_utc": "t",
-            "metrics": {"elapsed_s": 1.0},
-            "surprise": True,
-        }) + "\n")
-        with pytest.raises(ValueError):  # unknown keys rejected
-            bench_track.load_history(history)
-
-    def test_direction_heuristics(self):
-        assert bench_track.metric_direction("trials_per_s") == "higher"
-        assert bench_track.metric_direction("speedup_vs_dispatch") == "higher"
-        assert bench_track.metric_direction("elapsed_s") == "lower"
-        assert bench_track.metric_direction("peak_rss_bytes") == "lower"
-        assert bench_track.metric_direction("rounds") is None
+        for bad in (
+            {**good, "schema": "repro-bench-history-v1"},
+            {**good, "surprise": True},
+            {**good, "seed": "1"},
+            {**good, "attempted": True},
+            {**good, "metrics": {}},
+            {**good, "metrics": {"ops_per_s": "fast"}},
+        ):
+            history.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+            with pytest.raises(ValueError, match=r"history.ndjson:2: "):
+                bench_track.load_history(history)
+        run = tmp_path / "broken.txt"
+        run.write_text("no header here\n{}\n")
+        with pytest.raises(ValueError, match="header"):
+            bench_track.record_run(run, history)
+        run.write_text(perfbench_stdout().rsplit("\n", 2)[0] + "\n")
+        with pytest.raises(ValueError, match="broken.txt"):
+            bench_track.record_run(run, history)  # no verdict line
 
     def test_compare_flags_regressions_beyond_noise(self, tmp_path):
-        history = tmp_path / "history.ndjson"
-        for elapsed, per_s in ((1.0, 10.0), (2.0, 4.0)):
-            manifest = tmp_path / "BENCH_demo.json"
-            manifest.write_text(json.dumps(manifest_doc(elapsed, per_s)))
-            bench_track.record_manifest(manifest, history)
-        records = bench_track.load_history(history)
-        deltas = bench_track.compare_history(records, noise=0.25)
-        verdicts = {
-            (d.metric, d.verdict) for d in deltas
-        }
-        assert ("elapsed_s", "regression") in verdicts
-        assert ("trials_per_s", "regression") in verdicts
-        text, regressed = bench_track.render_compare(records, noise=0.25)
+        """The noise band is each metric's own bound: ops_per_s down 30%
+        regresses (higher is better); setup_s down 30% improves."""
+        entries = record_runs(
+            tmp_path,
+            perfbench_stdout(setup_s=1.0, ops_per_s=30.0),
+            perfbench_stdout(setup_s=0.7, ops_per_s=21.0),
+        )
+        text, regressed = bench_track.render_compare(entries, SPEC)
         assert regressed is True
-        assert "REGRESSION" in text
+        assert "ops_per_s" in text and "bound 20% higher: REGRESSION" in text
+        assert "bound 25% lower: ok" in text  # setup_s
+        entries = record_runs(
+            tmp_path,
+            perfbench_stdout(setup_s=1.0, ops_per_s=30.0),
+            perfbench_stdout(setup_s=0.7, ops_per_s=30.0),
+        )
+        assert bench_track.render_compare(entries, SPEC)[1] is False
 
     def test_compare_within_noise_is_quiet(self, tmp_path):
-        history = tmp_path / "history.ndjson"
-        for elapsed in (1.0, 1.1):
-            manifest = tmp_path / "BENCH_demo.json"
-            manifest.write_text(json.dumps(manifest_doc(elapsed)))
-            bench_track.record_manifest(manifest, history)
-        records = bench_track.load_history(history)
-        text, regressed = bench_track.render_compare(records, noise=0.25)
+        entries = record_runs(
+            tmp_path,
+            perfbench_stdout(setup_s=1.0, ops_per_s=30.0),
+            perfbench_stdout(setup_s=1.1, ops_per_s=27.0),
+        )
+        text, regressed = bench_track.render_compare(entries, SPEC)
         assert regressed is False
-        assert "within the noise band" in text
+        assert "REGRESSION" not in text and "+10%" in text
+
+    def test_compare_flags_incorrect_runs_and_failed_share(self, tmp_path):
+        entries = record_runs(
+            tmp_path, perfbench_stdout(), perfbench_stdout(correct=False)
+        )
+        text, regressed = bench_track.render_compare(entries, SPEC)
+        assert regressed is True and "not correct" in text
+        entries = record_runs(
+            tmp_path,
+            perfbench_stdout(attempted=50, failed=1),
+            perfbench_stdout(attempted=50, failed=2),
+        )
+        text, regressed = bench_track.render_compare(entries, SPEC)
+        assert regressed is True and "failed 1/50 -> 2/50" in text
+        entries = record_runs(
+            tmp_path,
+            perfbench_stdout(attempted=50, failed=2),
+            perfbench_stdout(attempted=100, failed=2),
+        )
+        assert bench_track.render_compare(entries, SPEC)[1] is False
+
+    def test_bounds_come_from_the_spec(self, tmp_path):
+        entries = record_runs(
+            tmp_path,
+            perfbench_stdout(ops_per_s=30.0),
+            perfbench_stdout(ops_per_s=21.0),
+        )
+        doc = json.loads((REPO / "BENCHMARK.json").read_text())
+        for metric in doc["end_to_end"]:
+            metric["bound"] = 0.5
+        wide = tmp_path / "wide.json"
+        wide.write_text(json.dumps(doc))
+        assert bench_track.render_compare(entries, SPEC)[1] is True
+        text, regressed = bench_track.render_compare(
+            entries, bench_track.load_spec(wide)
+        )
+        assert regressed is False and "bound 50% higher: ok" in text
+
+    def test_per_layer_metrics_are_shown_not_judged(self, tmp_path):
+        entries = record_runs(
+            tmp_path,
+            perfbench_stdout(traced=True, **{"core.session_s": 0.01}),
+            perfbench_stdout(traced=True, **{"core.session_s": 0.05}),
+        )
+        text, regressed = bench_track.render_compare(entries, SPEC)
+        assert regressed is False
+        assert "core.session_s" in text and "+400%" in text
+
+    def test_one_run_key_has_nothing_to_compare(self, tmp_path):
+        entries = record_runs(
+            tmp_path,
+            perfbench_stdout(),
+            perfbench_stdout(workload="paper_sweep"),
+            perfbench_stdout(),
+        )
+        text, regressed = bench_track.render_compare(entries, SPEC)
+        assert regressed is False
+        assert "paper_sweep size smoke: one run, nothing to compare" in text
+        assert "within" not in text
+        only = bench_track.render_compare(entries, SPEC, "paper_sweep")[0]
+        assert "serve_mixed" not in only
 
     def test_report_renders_trajectories(self, tmp_path):
-        history = tmp_path / "history.ndjson"
-        manifest = tmp_path / "BENCH_demo.json"
-        manifest.write_text(json.dumps(manifest_doc()))
-        bench_track.record_manifest(manifest, history)
-        text = bench_track.render_report(bench_track.load_history(history))
-        assert "bench demo" in text
-        assert "trials_per_s" in text
+        entries = record_runs(
+            tmp_path,
+            perfbench_stdout(ops_per_s=30.0),
+            perfbench_stdout(ops_per_s=27.0),
+            perfbench_stdout(traced=True, **{"core.session_s": 0.01}),
+        )
+        text = bench_track.render_report(entries)
+        assert "bench serve_mixed size smoke (2 run(s))" in text
+        assert "bench serve_mixed size smoke traced (1 run(s))" in text
+        assert "ops_per_s" in text and "27" in text
+        assert "30" not in bench_track.render_report(entries, last=1)
+        assert bench_track.render_report([]) == "(no bench history)"
+
+    def test_cli_record_compare_report(self, tmp_path, capsys, monkeypatch):
+        from repro.experiments.cli import main
+
+        monkeypatch.chdir(REPO)
+        history = str(tmp_path / "history.ndjson")
+        runs = []
+        for i, ops in enumerate((30.0, 21.0)):
+            run = tmp_path / f"run{i}.txt"
+            run.write_text(perfbench_stdout(ops_per_s=ops))
+            runs.append(str(run))
+        main(["bench", "record", "--history", history, *runs])
+        main(["bench", "compare", "--history", history])
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "compare", "--history", history, "--strict"])
+        assert exc.value.code == 1
+        main(["bench", "report", "--history", history, "--last", "1"])
+        out = capsys.readouterr().out
+        assert "recorded serve_mixed size smoke seed 1" in out
+        assert "REGRESSION" in out and "bench serve_mixed" in out
+        for gone in ("--noise", "--name"):
+            with pytest.raises(SystemExit):
+                main(["bench", "compare", "--history", history, gone, "x"])
 
     def test_committed_history_validates(self):
-        """The repo's seed history parses under the schema with >= 2 runs."""
-        here = os.path.dirname(os.path.abspath(__file__))
-        path = os.path.join(
-            here, "..", "benchmarks", "output", "BENCH_history.ndjson"
+        """The committed history holds one untraced bench-size run per
+        benchmark workload."""
+        entries = bench_track.load_history(
+            REPO / "benchmarks" / "output" / "BENCH_history.ndjson"
         )
-        records = bench_track.load_history(path)
-        assert len(records) >= 2
+        spec = json.loads((REPO / "BENCHMARK.json").read_text())
+        assert sorted(e["workload"] for e in entries) == sorted(
+            w["name"] for w in spec["workloads"]
+        )
+        assert all(
+            e["size"] == "bench" and not e["traced"] and e["correct"]
+            for e in entries
+        )
 
 
 # -- dashboard renderers -------------------------------------------------------
