@@ -11,6 +11,7 @@ from repro.protocols.transport import (
     TraditionalTransport,
     frame_picks,
     ideal_bitmap,
+    search_masks,
 )
 
 
@@ -159,3 +160,61 @@ class TestOptionalTransportMethods:
             {picks[i] for i in range(small_network.n_tags) if reachable[i]}
         )
         assert list(out.bitmap.indices()) == expected
+
+
+class TestPicksGolden:
+    """``frame_picks`` and ``search_masks`` on a fixed ID list, pinned.
+
+    The list mixes small IDs, int64 extremes, negative IDs and Python
+    ints at and beyond 2**63 and 2**64 (hashed masked to 64 bits), so the
+    tag-side hash stays the same function of (ID, seed) however it is
+    evaluated.
+    """
+
+    IDS = (
+        list(range(1, 301))
+        + [2**31 - 1, 2**32, 2**62 + 17, 2**63 - 1, -1, -(2**63), -12345]
+        + [2**63, 2**63 + 99, 2**64 - 1, 2**64, 2**64 + 7, 2**96 - 3]
+    )
+
+    GOLDEN = {
+        "picks_p1": (
+            "6a865a735aa061714a7a175c2142698d"
+            "fa2a36b165a5002aa05d1bea5b0221fe"
+        ),
+        "picks_p03": (
+            "8fb03455737db44132f83120cbe71173"
+            "9343c296f92dd35b0bd6e3164eb79d43"
+        ),
+        "picks_bigseed": (
+            "71c9f3ad8490ef8a70150795bf965ef3"
+            "463f5d25ed9fe63e07f30ea1d8213c13"
+        ),
+        "masks": (
+            "97d09e678161ee03e081ac40f6739f77"
+            "945e5747fe0e6704af063511da805297"
+        ),
+        "masks_bigseed": (
+            "21e83f8be35358a437e99027dcfbf914"
+            "25fa3e5fa34b6098d9f343b9f038a584"
+        ),
+    }
+
+    @staticmethod
+    def _digest(values):
+        import hashlib
+
+        return hashlib.sha256(",".join(map(str, values)).encode()).hexdigest()
+
+    @pytest.mark.parametrize(
+        "name, fn, args",
+        [
+            ("picks_p1", frame_picks, (1671, 1.0, 5)),
+            ("picks_p03", frame_picks, (1671, 0.3, 5)),
+            ("picks_bigseed", frame_picks, (97, 0.3, 2**63 + 12345)),
+            ("masks", search_masks, (257, 3, 11)),
+            ("masks_bigseed", search_masks, (64, 4, 2**64 - 5)),
+        ],
+    )
+    def test_digest_pinned(self, name, fn, args):
+        assert self._digest(fn(self.IDS, *args)) == self.GOLDEN[name]
