@@ -36,6 +36,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.net.energy import ID_BITS, EnergyLedger
+from repro.net.geometry import segment_offsets
 from repro.net.timing import SlotCount
 from repro.net.topology import Network
 
@@ -64,6 +65,10 @@ class SICPParams:
             raise ValueError("ack_slots must be non-negative")
         if self.announce_base_window <= 0:
             raise ValueError("announce_base_window must be positive")
+        if self.max_announce_windows < 1:
+            raise ValueError("max_announce_windows must be at least 1")
+        if self.id_bits < 1:
+            raise ValueError("id_bits must be at least 1")
 
 
 @dataclass
@@ -92,16 +97,50 @@ class SpanningTree:
     def children_of(self, i: int) -> np.ndarray:
         return np.flatnonzero(self.parent == i)
 
+    def _levels(self) -> List[np.ndarray]:
+        """Attached tags grouped by depth, shallowest level first, in
+        ascending tag index within a level."""
+        nodes = np.flatnonzero(self.attached_mask())
+        order = nodes[np.argsort(self.depth[nodes], kind="stable")]
+        return np.split(order, np.flatnonzero(np.diff(self.depth[order])) + 1)
+
+    def _sizes(self, levels: List[np.ndarray]) -> np.ndarray:
+        sizes = self.attached_mask().astype(np.int64)
+        # Deepest level first: a level's sizes are final before they are
+        # added into the level above.
+        for level in reversed(levels[1:]):
+            np.add.at(sizes, self.parent[level], sizes[level])
+        return sizes
+
     def subtree_sizes(self) -> np.ndarray:
         """Tags in each tag's subtree, itself included (0 if unattached)."""
-        sizes = np.where(self.attached_mask(), 1, 0).astype(np.int64)
-        # Children attach strictly after their parents, so walking the
-        # attach order backwards accumulates leaves upward in one pass.
-        for i in reversed(self.attach_order):
-            p = int(self.parent[i])
-            if p >= 0:
-                sizes[p] += sizes[i]
-        return sizes
+        return self._sizes(self._levels())
+
+    def post_order(self) -> np.ndarray:
+        """Attached tags in post-order over the forest: roots and siblings
+        in ascending tag index, every subtree before its root.
+
+        Level-wise offsets: a tag's subtree occupies ``[start, start +
+        size)`` of the order, a root starts after the earlier roots'
+        subtrees and a child after its parent's start plus its earlier
+        siblings' subtrees; the tag itself closes its span.
+        """
+        levels = self._levels()
+        sizes = self._sizes(levels)
+        start = np.zeros(self.n_tags, dtype=np.int64)
+        for k, level in enumerate(levels):
+            par = self.parent[level]
+            order = np.argsort(par, kind="stable")
+            kids, par = level[order], par[order]
+            before = np.cumsum(sizes[kids]) - sizes[kids]
+            first = np.ones(kids.size, dtype=bool)
+            first[1:] = par[1:] != par[:-1]
+            before -= before[first][np.cumsum(first) - 1]
+            start[kids] = before if k == 0 else start[par] + before
+        nodes = np.flatnonzero(self.attached_mask())
+        post = np.empty(nodes.size, dtype=np.int64)
+        post[start[nodes] + sizes[nodes] - 1] = nodes
+        return post
 
     def max_depth(self) -> int:
         attached = self.depth[self.attached_mask()]
@@ -122,13 +161,6 @@ class SICPResult:
     @property
     def total_slots(self) -> int:
         return self.slots.total_slots
-
-
-def _edge_sources(network: Network) -> np.ndarray:
-    """Per-edge source index aligned with ``network.indices``."""
-    return np.repeat(
-        np.arange(network.n_tags, dtype=np.int64), np.diff(network.indptr)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -153,11 +185,20 @@ def build_tree(
     load-spreading parent selection, which reproduces the paper's trend of
     the maximum per-tag load *decreasing* with the inter-tag range (more
     candidate parents → flatter subtrees).  A tag announces until it
-    succeeds once.
+    succeeds once, or until the stage has used ``max_announce_windows``.
+
+    Each window works on the contenders' CSR rows only, gathered with
+    :func:`~repro.net.geometry.segment_offsets`: the contender-neighbour
+    count is one ``bincount`` of those rows' targets (valid because the
+    tag graph is symmetric), collisions and candidate (announcer,
+    listener) edges are read off the same rows, and no array the size of
+    the whole edge list is built.  The draws are one n-sized
+    ``rng.integers`` per window and one ``rng.random`` key per candidate
+    edge in CSR order, so the generator stream, the tree and the ledger's
+    float sums are those of a pass over the whole edge list.
     """
     n = network.n_tags
     indptr, indices = network.indptr, network.indices
-    edge_src = _edge_sources(network)
 
     parent = np.full(n, SpanningTree.UNATTACHED, dtype=np.int64)
     depth = np.zeros(n, dtype=np.int64)
@@ -180,28 +221,28 @@ def build_tree(
         adopted_key = np.full(n, np.inf)
 
         windows_used = 0
-        while contender.any() and windows_used < params.max_announce_windows:
+        while current.size and windows_used < params.max_announce_windows:
             windows_used += 1
+            # The contenders' CSR rows, in CSR order: only these edges can
+            # collide or be heard this window.
+            starts = indptr[current]
+            counts = indptr[current + 1] - starts
+            src = np.repeat(current, counts)
+            dst = indices[segment_offsets(starts, counts)]
+            # Contending neighbours of every tag; the graph is symmetric,
+            # so counting the contenders' row targets counts them.
+            tx_neighbors = np.bincount(dst, minlength=n)
             # Worst-case local contention: contending neighbours + self.
-            local = np.bincount(
-                edge_src, weights=contender[indices].astype(np.float64), minlength=n
-            )
-            max_local = int(local[contender].max()) + 1 if contender.any() else 1
+            max_local = int(tx_neighbors[current].max()) + 1
             window = max(
                 params.announce_base_window, 1 << (max_local - 1).bit_length()
             )
 
-            picks = np.where(
-                contender, rng.integers(0, window, size=n), -1
-            ).astype(np.int64)
+            picks = rng.integers(0, window, size=n)
             # Collision: some contending neighbour picked the same slot.
-            same = (
-                (picks[edge_src] >= 0)
-                & (picks[edge_src] == picks[indices])
-            )
+            same = contender[dst] & (picks[dst] == picks[src])
             collided = np.zeros(n, dtype=bool)
-            np.logical_or.at(collided, edge_src[same], True)
-            succeeded = contender & ~collided
+            collided[src[same]] = True
 
             # Energy: every contender transmits a 96-bit beacon this
             # window; every tag still in phase 1 carrier-senses the whole
@@ -212,11 +253,8 @@ def build_tree(
             ledger.add_sent_bulk(
                 np.where(contender, float(params.id_bits), 0.0)
             )
-            tx_neighbors = np.bincount(
-                edge_src, weights=contender[indices].astype(np.float64), minlength=n
-            )
             ledger.add_received_bulk(
-                np.where(awake, tx_neighbors * (params.id_bits - 1), 0.0)
+                np.where(awake, tx_neighbors * (params.id_bits - 1.0), 0.0)
             )
             slots += SlotCount(id_slots=int(window))
 
@@ -224,15 +262,16 @@ def build_tree(
             # unattached listener) pair is a candidate edge; each listener
             # picks one candidate with a random key minimised across the
             # stage's windows.
-            succ_edge = succeeded[edge_src] & unattached[indices]
+            succ_edge = ~collided[src] & unattached[dst]
             if succ_edge.any():
-                listeners = indices[succ_edge]
-                announcers = edge_src[succ_edge]
+                listeners = dst[succ_edge]
+                announcers = src[succ_edge]
                 keys = rng.random(announcers.shape[0])
                 np.minimum.at(adopted_key, listeners, keys)
                 chosen = keys == adopted_key[listeners]
                 adopted_parent[listeners[chosen]] = announcers[chosen]
-            contender &= ~succeeded
+            contender[current] = collided[current]
+            current = current[collided[current]]
 
         newly = np.flatnonzero((adopted_parent >= 0) & unattached)
         parent[newly] = adopted_parent[newly]
@@ -264,10 +303,13 @@ def collect_ids(
     descendant).  Being serialized, events are strictly sequential, so the
     phase length is the sum of the per-event costs; being state-free, every
     attached tag carrier-senses the whole phase.
+
+    IDs reach the reader in post-order (subtrees in ascending tag index,
+    each before its root), computed level by level from the tree's depths
+    by :meth:`SpanningTree.post_order`; overheard payloads are summed per
+    CSR row in integers.
     """
-    n = network.n_tags
     indptr, indices = network.indptr, network.indices
-    edge_src = _edge_sources(network)
     attached = tree.attached_mask()
     subtree = tree.subtree_sizes()
 
@@ -293,33 +335,19 @@ def collect_ids(
     received = received + np.where(attached, float(phase_total), 0.0)
     # Overheard payloads: every attached neighbour of a transmitter
     # captures the 95 bits beyond the sensed one, for each of its sends.
-    overheard = np.bincount(
-        edge_src,
-        weights=sends[indices].astype(np.float64) * (params.id_bits - 1),
-        minlength=n,
-    )
+    # Summed per CSR row in integers (exact, so equal to the float sums);
+    # ``reduceat`` needs the empty rows left out.
+    rows = np.flatnonzero(np.diff(indptr))
+    overheard = np.zeros(tree.n_tags)
+    if rows.size:
+        overheard[rows] = np.add.reduceat(sends[indices], indptr[rows])
+    overheard *= params.id_bits - 1
     received = received + np.where(attached, overheard, 0.0)
     ledger.add_sent_bulk(sent.astype(np.float64))
     ledger.add_received_bulk(received)
 
     # Reader-arrival order: post-order over the forest.
-    roots = np.flatnonzero(tree.parent == SpanningTree.ROOT).tolist()
-    children: List[List[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        p = int(tree.parent[i])
-        if p >= 0:
-            children[p].append(i)
-    post: List[int] = []
-    stack = [(r, False) for r in reversed(roots)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            post.append(node)
-            continue
-        stack.append((node, True))
-        for c in reversed(children[node]):
-            stack.append((c, False))
-    collected = [int(network.tag_ids[t]) for t in post]
+    collected = network.tag_ids[tree.post_order()].tolist()
     return collected, phase_slots
 
 

@@ -33,7 +33,7 @@ from repro.net.channel import Channel
 from repro.net.energy import EnergyLedger
 from repro.net.timing import SlotCount
 from repro.net.topology import Network, Reader
-from repro.sim.rng import TagHasher
+from repro.sim.rng import TagHasher, as_uint64
 
 
 @dataclass
@@ -54,32 +54,47 @@ def frame_picks(
     A tag participates with probability ``p`` and, if so, pseudo-randomly
     selects one slot — both decisions are deterministic functions of
     (tag ID, seed), evaluated identically by tags and by a predicting
-    reader.  Non-participants get -1.
+    reader.  Non-participants get -1.  Evaluated over the whole ID array
+    at once; the values are those of :meth:`TagHasher.participates` and
+    :meth:`TagHasher.slot_of` per tag.
     """
     hasher = TagHasher(seed)
-    picks = []
-    for tid in tag_ids:
-        tid = int(tid)
-        if probability >= 1.0 or hasher.participates(tid, probability):
-            picks.append(hasher.slot_of(tid, frame_size))
-        else:
-            picks.append(-1)
-    return picks
+    ids = as_uint64(tag_ids)
+    if not ids.size:
+        return []
+    if probability >= 1.0:
+        return hasher.slot_of_array(ids, frame_size).tolist()
+    joins = hasher.participates_array(ids, probability)
+    # object dtype only when a slot may not fit in int64
+    picks = np.full(ids.size, -1, dtype=np.int64 if frame_size <= 2**63 else object)
+    if joins.any():
+        picks[joins] = hasher.slot_of_array(ids[joins], frame_size)
+    return picks.tolist()
 
 
 def search_masks(
     tag_ids: Sequence[int], frame_size: int, k_hashes: int, seed: int
 ) -> List[int]:
     """Per-tag multi-slot masks for a search request (f, k, seed):
-    every tag sets its ``k_hashes`` hashed slots (Sec. III-B)."""
+    every tag sets its ``k_hashes`` hashed slots (Sec. III-B).  The masks
+    are assembled as little-endian byte rows, one per tag."""
     hasher = TagHasher(seed)
-    masks = []
-    for tid in tag_ids:
-        mask = 0
-        for slot in hasher.slots_of(int(tid), frame_size, k_hashes):
-            mask |= 1 << slot
-        masks.append(mask)
-    return masks
+    ids = as_uint64(tag_ids)
+    if not ids.size:
+        return []
+    slots = hasher.slots_of_array(ids, frame_size, k_hashes)
+    width = (frame_size + 7) // 8
+    rows = np.zeros((ids.size, width), dtype=np.uint8)
+    tags = np.arange(ids.size)
+    for slot in slots:
+        rows[tags, slot >> np.uint64(3)] |= np.left_shift(
+            1, slot & np.uint64(7)
+        ).astype(np.uint8)
+    data = rows.tobytes()
+    return [
+        int.from_bytes(data[i : i + width], "little")
+        for i in range(0, len(data), width)
+    ]
 
 
 class FrameTransport(abc.ABC):

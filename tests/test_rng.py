@@ -1,8 +1,74 @@
-"""Unit tests for repro.sim.rng — the deterministic tag-side hashing."""
+"""Unit tests for repro.sim.rng — the deterministic tag-side hashing.
 
+The ``*_array`` hashes and the vectorized ``frame_picks``/``search_masks``
+are held to the scalar functions and the per-tag loops they replaced.
+"""
+
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.sim.rng import TagHasher, derive_seed, hash2, splitmix64, uniform_unit
+from repro.protocols.transport import frame_picks, search_masks
+from repro.sim.rng import (
+    TagHasher,
+    as_uint64,
+    derive_seed,
+    hash2,
+    hash2_array,
+    splitmix64,
+    splitmix64_array,
+    uniform_unit,
+    uniform_unit_array,
+)
+
+
+# -- oracles ---------------------------------------------------------------
+
+
+def oracle_frame_picks(tag_ids, frame_size, probability, seed):
+    """One scalar hash per tag."""
+    hasher = TagHasher(seed)
+    picks = []
+    for tid in tag_ids:
+        tid = int(tid)
+        if probability >= 1.0 or hasher.participates(tid, probability):
+            picks.append(hasher.slot_of(tid, frame_size))
+        else:
+            picks.append(-1)
+    return picks
+
+
+def oracle_search_masks(tag_ids, frame_size, k_hashes, seed):
+    hasher = TagHasher(seed)
+    masks = []
+    for tid in tag_ids:
+        mask = 0
+        for slot in hasher.slots_of(int(tid), frame_size, k_hashes):
+            mask |= 1 << slot
+        masks.append(mask)
+    return masks
+
+
+def _outcome(fn, *args):
+    """A value, or the error type and message it raised."""
+    try:
+        return ("ok", fn(*args))
+    except (ValueError, TypeError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+uint64s = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.sampled_from([0, 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1]),
+)
+# Python ints well outside int64 and uint64, negatives included.
+wide_ints = st.one_of(uint64s, st.integers(-(2**70), 2**70))
+seeds = st.one_of(st.integers(0, 1000), wide_ints)
+frame_sizes = st.one_of(
+    st.integers(1, 5000), st.sampled_from([2**31, 2**63, 2**63 + 5, 2**64 + 3])
+)
 
 
 class TestSplitmix:
@@ -121,3 +187,99 @@ class TestBackoff:
     def test_invalid_window(self):
         with pytest.raises(ValueError):
             TagHasher(3).backoff(1, 0, 0)
+
+
+class TestArrayHashes:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(uint64s, max_size=40), wide_ints)
+    def test_match_scalar(self, xs, a):
+        arr = np.array(xs, dtype=np.uint64)
+        assert splitmix64_array(arr).tolist() == [splitmix64(x) for x in xs]
+        h = hash2_array(a, arr)
+        assert h.dtype == np.uint64
+        assert h.tolist() == [hash2(a, x) for x in xs]
+        assert uniform_unit_array(h).tolist() == [
+            uniform_unit(x) for x in h.tolist()
+        ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(wide_ints, max_size=30))
+    def test_as_uint64_masks_like_hash2(self, xs):
+        want = [x & (2**64 - 1) for x in xs]
+        assert as_uint64(xs).tolist() == want
+        assert as_uint64(iter(xs)).tolist() == want
+        in_int64 = [x for x in xs if -(2**63) <= x < 2**63]
+        assert as_uint64(np.array(in_int64, dtype=np.int64)).tolist() == [
+            x & (2**64 - 1) for x in in_int64
+        ]
+
+
+class TestVectorPicksMatchOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(wide_ints, max_size=40),
+        frame_sizes,
+        st.one_of(
+            st.sampled_from([0.0, 0.3, 1.0, 1.5, 1 - 1e-12]),
+            st.floats(0.0, 1.0),
+        ),
+        seeds,
+    )
+    def test_frame_picks(self, ids, frame_size, probability, seed):
+        got = frame_picks(ids, frame_size, probability, seed)
+        assert got == oracle_frame_picks(ids, frame_size, probability, seed)
+        assert all(type(v) is int for v in got)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(-(2**63), 2**63 - 1), max_size=40),
+        st.integers(1, 3000),
+        st.floats(0.0, 1.0),
+        seeds,
+    )
+    def test_frame_picks_int64_array(self, ids, frame_size, probability, seed):
+        arr = np.array(ids, dtype=np.int64)
+        assert frame_picks(arr, frame_size, probability, seed) == (
+            oracle_frame_picks(ids, frame_size, probability, seed)
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(wide_ints, max_size=30),
+        st.integers(1, 700),
+        st.integers(1, 5),
+        seeds,
+    )
+    def test_search_masks(self, ids, frame_size, k_hashes, seed):
+        assert search_masks(ids, frame_size, k_hashes, seed) == (
+            oracle_search_masks(ids, frame_size, k_hashes, seed)
+        )
+
+    def test_probability_equal_to_a_tags_draw(self):
+        # Participation is uniform < p, strictly: a tag whose draw equals p
+        # stays silent.
+        ids, seed = list(range(1, 50)), 77
+        stream = derive_seed(TagHasher(seed).seed, TagHasher._SAMPLE_STREAM)
+        for tid in (3, 17, 40):
+            p = uniform_unit(hash2(stream, tid))
+            got = frame_picks(ids, 64, p, seed)
+            assert got == oracle_frame_picks(ids, 64, p, seed)
+            assert got[tid - 1] == -1
+
+    @pytest.mark.parametrize(
+        "frame_size, probability",
+        [(0, 1.0), (-3, 1.0), (0, 0.999), (16, -0.1), (0, -0.1), (16, math.nan),
+         (0, 0.0), (16, 1.5)],
+    )
+    @pytest.mark.parametrize("ids", [[], [1, 2, 3], list(range(200))])
+    def test_frame_picks_errors(self, ids, frame_size, probability):
+        assert _outcome(frame_picks, ids, frame_size, probability, 3) == (
+            _outcome(oracle_frame_picks, ids, frame_size, probability, 3)
+        )
+
+    @pytest.mark.parametrize("frame_size, k_hashes", [(0, 2), (16, 0), (0, 0)])
+    @pytest.mark.parametrize("ids", [[], [5, 6]])
+    def test_search_masks_errors(self, ids, frame_size, k_hashes):
+        assert _outcome(search_masks, ids, frame_size, k_hashes, 3) == (
+            _outcome(oracle_search_masks, ids, frame_size, k_hashes, 3)
+        )
