@@ -465,15 +465,15 @@ class JobManager:
                 ),
                 events=EventLog(maxlen=self.event_retention),
             )
-            with self._cond:
-                self._jobs[job.id] = job
-                self._push(job)
-                self._cond.notify()
             self._persist(job)
             job.events.append(
                 "job", state="queued", job_id=job.id, recovered=True,
                 trace_id=job.trace_id,
             )
+            with self._cond:
+                self._jobs[job.id] = job
+                self._push(job)
+                self._cond.notify()
             recovered.append(job.id)
         return recovered
 
@@ -520,14 +520,17 @@ class JobManager:
                 raise QueueFull(
                     f"job queue is full ({queued}/{self.max_queue} waiting)"
                 )
+            # record and announce the job before the worker can see it:
+            # otherwise a fast job's "running"/"done" events and record
+            # can land before (or be overwritten by) the "queued" ones
+            self._persist(job)
+            job.events.append(
+                "job", state="queued", job_id=job.id, priority=spec.priority,
+                trace_id=job.trace_id,
+            )
             self._jobs[job.id] = job
             self._push(job)
             self._cond.notify()
-        self._persist(job)
-        job.events.append(
-            "job", state="queued", job_id=job.id, priority=spec.priority,
-            trace_id=job.trace_id,
-        )
         return job
 
     @staticmethod

@@ -225,6 +225,32 @@ class TestJobManager:
         assert record["result"] == job.result
         manager.drain()
 
+    def test_queued_event_precedes_a_fast_worker(self, tmp_path, monkeypatch):
+        # a slow submit-side write gives the worker time to finish the
+        # whole job; the "queued" event and record must still come first
+        manager = JobManager(ResultStore(tmp_path))
+        persist = manager._persist
+        submitter = threading.get_ident()
+
+        def slow_persist(job):
+            if threading.get_ident() == submitter:
+                time.sleep(0.5)
+            persist(job)
+
+        monkeypatch.setattr(manager, "_persist", slow_persist)
+        manager.start()
+        job = manager.submit(JobSpec.from_json(tiny_spec()))
+        deadline = time.monotonic() + 30
+        while job.state not in ("done", "failed"):
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        manager.drain()
+        events = job.events.since(0)
+        states = [e["data"]["state"] for e in events if e["kind"] == "job"]
+        assert states == ["queued", "running", "done"]
+        assert [e["kind"] for e in events].count("trial") == 5
+        assert job_record(manager.jobs_dir, job.id)["state"] == "done"
+
     def test_legacy_json_job_record_recovers_only_after_migrate(
         self, tmp_path
     ):
