@@ -64,7 +64,6 @@ from repro.protocols import (
     trp_frame_size,
 )
 from repro.obs import (
-    EventBus,
     MetricsRegistry,
     RunManifest,
     metrics_to_ndjson,
@@ -132,7 +131,6 @@ __all__ = [
     "run_cicp",
     "run_sicp",
     "trp_frame_size",
-    "EventBus",
     "MetricsRegistry",
     "RunManifest",
     "metrics_to_ndjson",

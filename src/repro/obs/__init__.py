@@ -11,9 +11,10 @@ execution path threads through:
 * :class:`Span` (:mod:`repro.obs.spans`) — nesting wall-clock timers
   (session → round → data_frame / indicator / propagate / checking /
   transpose_popcount) with a self/cumulative profile renderer.
-* :class:`EventBus` and exporters (:mod:`repro.obs.export`) — the
-  protocol event stream :class:`~repro.sim.trace.SessionTracer` consumes,
-  plus NDJSON and Prometheus-text metric dumps.
+* :class:`EventLog` and exporters (:mod:`repro.obs.export`) — the one
+  sequence-numbered event store (behind the session tracer, the
+  scenario journal and a served job's ``/events`` stream), plus NDJSON
+  and Prometheus-text metric dumps.
 * :class:`RunManifest` (:mod:`repro.obs.manifest`) — the provenance
   record (seed, config, engine, git rev, host, versions, elapsed, peak
   RSS) written beside every results artifact.
@@ -32,7 +33,6 @@ manifest schema and the NDJSON formats.
 """
 
 from repro.obs.export import (
-    EventBus,
     EventLog,
     metrics_to_ndjson,
     render_prometheus,
@@ -96,7 +96,6 @@ __all__ = [
     "new_span_id",
     "new_trace_id",
     "write_chrome_trace",
-    "EventBus",
     "EventLog",
     "metrics_to_ndjson",
     "render_prometheus",

@@ -1,17 +1,14 @@
-"""Event bus and exporters: NDJSON streams and Prometheus text.
+"""The event log and the metric exporters: NDJSON and Prometheus text.
 
-Four output shapes, all zero-dependency:
+Three output shapes, all zero-dependency:
 
-* :class:`EventBus` — a tiny synchronous publish/subscribe fan-out for
-  protocol events.  The session engines publish through
-  :class:`~repro.sim.trace.SessionTracer` (whose ``emit`` is now a thin
-  ``publish``); any number of extra consumers — metric recorders, live
-  NDJSON writers — can subscribe to the same stream without the engines
-  knowing.
-* :class:`EventLog` — the bus→NDJSON bridge: a subscriber that
-  normalizes every published event into a sequence-numbered JSON-able
-  record and retains it for replay.  ``repro serve`` streams job
-  progress by replaying an EventLog and following its live tail.
+* :class:`EventLog` — the one event store: a thread-safe,
+  sequence-numbered list of ``{"seq", "kind", "round", "data"}``
+  records with optional bounded retention.  ``repro serve`` streams a
+  job's progress by replaying its EventLog and following the live tail;
+  :class:`~repro.sim.trace.SessionTracer` and the scenario
+  :class:`~repro.scenario.events.EventJournal` are views over one, each
+  adding only its queries and its NDJSON renderer.
 * :func:`metrics_to_ndjson` — one JSON object per line, one line per
   metric (``{"type": "counter", "name": ..., "value": ...}``; histograms
   carry buckets/counts/sum/count; spans carry path/count/seconds).
@@ -27,97 +24,77 @@ from __future__ import annotations
 import json
 import pathlib
 import threading
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.obs.metrics import MetricsRegistry
 
 PathLike = Union[str, pathlib.Path]
 
-#: Subscriber signature: ``(kind, round_index, data)``; ``data`` is the
-#: event payload dict (shared, not copied — treat as read-only).
-EventFn = Callable[[str, int, Dict[str, Any]], None]
-
 __all__ = [
-    "EventBus",
-    "EventFn",
     "EventLog",
     "metrics_to_ndjson",
     "render_prometheus",
 ]
 
 
-class EventBus:
-    """Synchronous fan-out of ``(kind, round_index, payload)`` events.
-
-    Subscribers are called in subscription order, in the publisher's
-    thread; a subscriber exception propagates to the publisher (protocol
-    code treats event consumers as part of the run, not best-effort).
-    """
-
-    def __init__(self) -> None:
-        self._subscribers: List[EventFn] = []
-
-    def subscribe(self, fn: EventFn) -> EventFn:
-        """Register ``fn``; returns it so the call can be inline."""
-        self._subscribers.append(fn)
-        return fn
-
-    def unsubscribe(self, fn: EventFn) -> None:
-        self._subscribers.remove(fn)
-
-    def publish(self, kind: str, round_index: int, **data: Any) -> None:
-        for fn in tuple(self._subscribers):
-            fn(kind, round_index, data)
-
-    def __len__(self) -> int:
-        return len(self._subscribers)
-
-
 class EventLog:
-    """A thread-safe, sequence-numbered record of bus events.
+    """A thread-safe, sequence-numbered record of events.
 
-    Subscribe the log's :meth:`record` to an :class:`EventBus` (or call
-    :meth:`append` directly) and every event becomes a JSON-able dict
-    ``{"seq": n, "kind": ..., "round": ..., "data": {...}}``.  Readers
-    replay from any sequence number with :meth:`since` and block on the
-    live tail with :meth:`wait`, which is how ``repro serve`` turns a
-    campaign's progress into a streamed NDJSON response: replay what
-    already happened, then follow until :meth:`close`.
+    :meth:`append` turns every event into a JSON-able dict
+    ``{"seq": n, "kind": ..., "round": ..., "data": {...}}``; ``seq``
+    counts from 0 in append order.  Readers replay from any sequence
+    number with :meth:`window` and block on the live tail with
+    :meth:`wait`, which is how ``repro serve`` turns a campaign's
+    progress into a streamed NDJSON response: replay what already
+    happened, then follow until :meth:`close`.
 
     ``maxlen`` bounds memory: when set, the oldest records are dropped
     once the log exceeds it (sequence numbers keep counting, so readers
-    can detect the gap).
+    can detect the gap).  Retained seqs are always contiguous, so reads
+    slice by offset instead of scanning.
+
+    The log pickles: the lock is dropped and rebuilt, the records and
+    the closed flag travel.
     """
 
     def __init__(self, maxlen: Optional[int] = None) -> None:
         self._records: List[Dict[str, Any]] = []
         self._next_seq = 0
-        self._dropped = 0
         self._closed = False
         self._maxlen = maxlen
         self._cond = threading.Condition()
 
-    def record(self, kind: str, round_index: int, data: Dict[str, Any]) -> None:
-        """EventBus-compatible subscriber (``EventFn`` signature)."""
-        self.append(kind, round_index, **data)
+    def __getstate__(self) -> Dict[str, Any]:
+        with self._cond:
+            state = dict(self.__dict__, _records=list(self._records))
+        del state["_cond"]
+        return state
 
-    def append(self, kind: str, round_index: int = 0, **data: Any) -> Dict[str, Any]:
-        record = {
-            "seq": 0,  # assigned under the lock below
-            "kind": str(kind),
-            "round": int(round_index),
-            "data": dict(data),
-        }
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._cond = threading.Condition()
+
+    def append(
+        self, kind: str, round_index: int = 0, /, **data: Any
+    ) -> Dict[str, Any]:
+        """Record one event; returns the stored record.
+
+        ``kind`` and ``round_index`` are positional-only, so every
+        keyword — ``kind`` and ``round_index`` included — is payload.
+        """
         with self._cond:
             if self._closed:
                 raise RuntimeError("EventLog is closed")
-            record["seq"] = self._next_seq
+            record = {
+                "seq": self._next_seq,
+                "kind": str(kind),
+                "round": int(round_index),
+                "data": data,
+            }
             self._next_seq += 1
             self._records.append(record)
             if self._maxlen is not None and len(self._records) > self._maxlen:
-                overflow = len(self._records) - self._maxlen
-                del self._records[:overflow]
-                self._dropped += overflow
+                del self._records[: len(self._records) - self._maxlen]
             self._cond.notify_all()
         return record
 
@@ -132,11 +109,6 @@ class EventLog:
         with self._cond:
             return self._closed
 
-    def since(self, seq: int = 0) -> List[Dict[str, Any]]:
-        """All retained records with ``record["seq"] >= seq``."""
-        with self._cond:
-            return [r for r in self._records if r["seq"] >= seq]
-
     @property
     def first_seq(self) -> int:
         """Sequence number of the oldest *retained* record.
@@ -149,12 +121,20 @@ class EventLog:
 
     @property
     def dropped(self) -> int:
-        """How many records retention has discarded so far."""
-        with self._cond:
-            return self._dropped
+        """How many records retention has discarded so far.
 
-    def window(self, seq: int = 0) -> "tuple[List[Dict[str, Any]], bool]":
-        """Like :meth:`since`, plus whether ``seq`` predates retention.
+        Seqs start at 0 and only the oldest are dropped, so this is
+        :attr:`first_seq`.
+        """
+        return self.first_seq
+
+    def _tail(self, seq: int) -> List[Dict[str, Any]]:
+        """Retained records with ``record["seq"] >= seq`` (lock held)."""
+        first = self._next_seq - len(self._records)
+        return self._records[max(seq - first, 0):]
+
+    def window(self, seq: int = 0) -> Tuple[List[Dict[str, Any]], bool]:
+        """Retained records at/after ``seq``, and whether any are missing.
 
         Returns ``(records, truncated)``; ``truncated`` is ``True`` when
         records the caller asked for (at/after ``seq``) have already been
@@ -164,8 +144,7 @@ class EventLog:
         """
         with self._cond:
             first = self._next_seq - len(self._records)
-            truncated = self._dropped > 0 and seq < first
-            return [r for r in self._records if r["seq"] >= seq], truncated
+            return self._tail(seq), 0 < first and seq < first
 
     def wait(
         self, seq: int, timeout_s: Optional[float] = None
@@ -180,7 +159,7 @@ class EventLog:
                 lambda: self._closed or self._next_seq > seq,
                 timeout=timeout_s,
             )
-            return [r for r in self._records if r["seq"] >= seq]
+            return self._tail(seq)
 
     def __len__(self) -> int:
         with self._cond:

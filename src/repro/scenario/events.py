@@ -8,10 +8,11 @@ popped in time order with the monotonically assigned ``seq`` breaking
 ties, so two runs that push the same events pop them in the same order —
 no dict-ordering or hash-seed dependence anywhere.
 
-:class:`EventJournal` is the audit trail: every event the scenario
-executes is appended as one canonical-JSON record, so "same seed ⇒
-byte-identical journal" is a testable property (``to_ndjson()`` of two
-runs compares with ``==`` on bytes).
+:class:`EventJournal` is the audit trail, a view over a
+:class:`repro.obs.export.EventLog`: every event the scenario executes is
+appended to the log and rendered as one canonical-JSON line, so "same
+seed ⇒ byte-identical journal" is a testable property (``to_ndjson()``
+of two runs compares with ``==`` on bytes).
 
 The scenario draw-order contract
 --------------------------------
@@ -42,9 +43,12 @@ construction.
 from __future__ import annotations
 
 import heapq
+import math
+import pathlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from repro.obs.export import EventLog
 from repro.store.canonical import canonical_json
 
 __all__ = [
@@ -56,6 +60,9 @@ __all__ = [
 
 #: Version tag of the scenario RNG draw-order contract (see module docs).
 SCENARIO_RNG_CONTRACT = "repro-scenario-rng-v1"
+
+#: Journal fields flattened into each NDJSON line; not allowed in payloads.
+_ENVELOPE = ("t", "seq", "kind")
 
 
 @dataclass(frozen=True)
@@ -86,8 +93,10 @@ class EventScheduler:
 
     def push(self, time_s: float, kind: str, **payload: Any) -> Event:
         """Schedule ``kind`` at ``time_s``; returns the queued event."""
-        if time_s < 0:
-            raise ValueError("event time must be non-negative")
+        if not (math.isfinite(time_s) and time_s >= 0):
+            raise ValueError(
+                f"event time must be finite and non-negative, got {time_s!r}"
+            )
         event = Event(time_s=float(time_s), seq=self._seq, kind=kind, payload=payload)
         heapq.heappush(self._heap, (event.time_s, event.seq, event))
         self._seq += 1
@@ -116,41 +125,36 @@ class EventScheduler:
 
 
 class EventJournal:
-    """Append-only log of executed scenario events.
+    """The scenario's audit trail: a view over an :class:`EventLog`.
 
-    Records are plain dicts with stable keys (``t``, ``seq``, ``kind``,
-    plus the event payload); :meth:`to_ndjson` serializes each through
+    :meth:`record` appends one ``kind`` record whose ``data`` is the
+    event time ``t`` plus the payload; :meth:`to_ndjson` flattens each
+    to ``{"t", "seq", "kind", **payload}`` through
     :func:`repro.store.canonical.canonical_json`, so equal runs produce
     byte-equal journals — the determinism tests compare these directly.
     """
 
     def __init__(self) -> None:
-        self.records: List[Dict[str, Any]] = []
-        self._seq = 0
+        self.log = EventLog()
 
-    def record(self, time_s: float, kind: str, **payload: Any) -> None:
+    def record(self, time_s: float, kind: str, /, **payload: Any) -> None:
         """Append one executed event (journal seq assigned in call order)."""
-        entry: Dict[str, Any] = {
-            "t": float(time_s),
-            "seq": self._seq,
-            "kind": kind,
-        }
-        for key, value in payload.items():
-            if key in entry:
+        for key in _ENVELOPE:
+            if key in payload:
                 raise ValueError(f"payload key {key!r} shadows a journal field")
-            entry[key] = value
-        self.records.append(entry)
-        self._seq += 1
+        self.log.append(kind, t=float(time_s), **payload)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.log)
 
     def to_ndjson(self) -> str:
         """One canonical-JSON line per record (byte-deterministic)."""
-        return "".join(canonical_json(rec) + "\n" for rec in self.records)
+        return "".join(
+            canonical_json({"seq": r["seq"], "kind": r["kind"], **r["data"]})
+            + "\n"
+            for r in self.log.window()[0]
+        )
 
     def write(self, path: "str | Any") -> None:
         """Write the NDJSON journal to ``path``."""
-        import pathlib
-
         pathlib.Path(path).write_text(self.to_ndjson(), encoding="utf-8")

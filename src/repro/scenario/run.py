@@ -19,6 +19,7 @@ interleaved at their absolute times.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
@@ -159,8 +160,10 @@ def run_scenario(
         raise ValueError("n_operations must be positive")
     if not 0.0 <= participation <= 1.0:
         raise ValueError("participation must be in [0, 1]")
-    if op_gap_s < 0:
-        raise ValueError("op_gap_s must be non-negative")
+    if not (math.isfinite(op_gap_s) and op_gap_s >= 0):
+        raise ValueError(
+            f"op_gap_s must be finite and non-negative, got {op_gap_s!r}"
+        )
 
     obs = obs_metrics.OBS
     dep = deployment or PaperDeployment(n_tags=n_tags)

@@ -216,7 +216,7 @@ class ServiceApp:
             for record in records:
                 seq = record["seq"] + 1
                 yield (json.dumps(record, sort_keys=True) + "\n").encode()
-            if job.events.closed and not job.events.since(seq):
+            if job.events.closed and not job.events.window(seq)[0]:
                 return
 
     # -- lifecycle -------------------------------------------------------------

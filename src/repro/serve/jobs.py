@@ -569,18 +569,19 @@ class JobManager:
         transitioned = False
         with self._cond:
             if job.state in ("queued", "interrupted"):
-                job.state = "cancelled"
+                # the record is complete before its state turns terminal
                 job.finished_utc = _utcnow()
+                job.events.append(
+                    "job", state="cancelled", job_id=job.id,
+                    trace_id=job.trace_id,
+                )
+                job.state = "cancelled"
                 transitioned = True
             elif job.state == "running":
                 job.cancel_requested.set()
                 # the worker transitions the state at the trial boundary
         if transitioned:
             self._persist(job)
-            job.events.append(
-                "job", state="cancelled", job_id=job.id,
-                trace_id=job.trace_id,
-            )
             job.events.close()
         return job
 
@@ -633,32 +634,39 @@ class JobManager:
         previous = obs_metrics.set_registry(sink)
         try:
             with sink.span("job"):
-                self._run_job(job)
+                state = self._run_job(job)
         except JobInterrupted:
-            job.state = "interrupted"
+            state = "interrupted"
         except JobCancelled:
-            job.state = "cancelled"
+            state = "cancelled"
         except Exception as exc:  # noqa: BLE001 - job isolation is the point
-            job.state = "failed"
+            state = "failed"
             job.error = f"{type(exc).__name__}: {exc}"
         finally:
             obs_metrics.set_registry(previous)
+        # A reader that sees the terminal state must also see the
+        # telemetry, finish time and terminal event; the event stream
+        # ends (close) only after the record on disk is terminal too.
         job.telemetry = job_registry.to_dict()
         job.finished_utc = _utcnow()
-        self._persist(job)
         job.events.append(
             "job",
-            state=job.state,
+            state=state,
             job_id=job.id,
             trials_done=job.trials_done,
             cache_hits=job.cache_hits,
             error=job.error,
             trace_id=job.trace_id,
         )
+        job.state = state
+        self._persist(job)
         job.events.close()
 
-    def _run_job(self, job: Job) -> None:
-        """Run the job's campaign or sweep; raises propagate to _execute."""
+    def _run_job(self, job: Job) -> str:
+        """Run the job's campaign or sweep; returns its terminal state.
+
+        Raises propagate to :meth:`_execute`, which owns the state.
+        """
         spec = job.spec
         plan = RunPlan.from_json(
             spec.plan if spec.plan is not None else {"schema": PLAN_SCHEMA},
@@ -700,23 +708,23 @@ class JobManager:
                 plan=plan,
             )
             job.result = sweep_to_dict(result)
-            job.state = "done"
-        else:
-            campaign = Campaign(
-                spec.build_trial(),
-                spec.n_trials,
-                spec.base_seed,
-                plan=plan,
-                on_trial_done=on_trial_done,
+            return "done"
+        campaign = Campaign(
+            spec.build_trial(),
+            spec.n_trials,
+            spec.base_seed,
+            plan=plan,
+            on_trial_done=on_trial_done,
+        )
+        outcome = campaign.run()
+        job.result = _campaign_to_dict(outcome)
+        if not outcome.ok:
+            job.error = (
+                f"{len(outcome.failures)} trial(s) failed: "
+                f"{outcome.failures[0]}"
             )
-            outcome = campaign.run()
-            job.result = _campaign_to_dict(outcome)
-            job.state = "done" if outcome.ok else "failed"
-            if not outcome.ok:
-                job.error = (
-                    f"{len(outcome.failures)} trial(s) failed: "
-                    f"{outcome.failures[0]}"
-                )
+            return "failed"
+        return "done"
 
     # -- persistence -----------------------------------------------------------
 

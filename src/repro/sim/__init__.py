@@ -44,7 +44,7 @@ from repro.sim.runner import (
     sweep,
     trial_seed,
 )
-from repro.sim.trace import SessionTracer, TraceEvent
+from repro.sim.trace import SessionTracer
 
 __all__ = [
     "TagHasher",
@@ -77,5 +77,4 @@ __all__ = [
     "sweep_to_csv",
     "sweep_to_dict",
     "SessionTracer",
-    "TraceEvent",
 ]

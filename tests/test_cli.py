@@ -237,3 +237,12 @@ class TestScenarioCommand:
     def test_rejects_unknown_trajectory(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["scenario", "run", "--trajectory", "orbit"])
+
+    def test_rejects_non_finite_gap(self, tmp_path):
+        journal = tmp_path / "journal.ndjson"
+        with pytest.raises(ValueError, match="op_gap_s must be finite"):
+            main([
+                "scenario", "run", "--n-tags", "50", "--operations", "2",
+                "--gap", "nan", "--journal", str(journal),
+            ])
+        assert not journal.exists()

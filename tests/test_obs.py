@@ -7,7 +7,6 @@ import pytest
 
 from repro.core.session import CCMConfig, run_session
 from repro.obs import (
-    EventBus,
     MetricsRegistry,
     RunManifest,
     manifest_path_for,
@@ -151,27 +150,6 @@ class TestSpans:
         assert "root" in text and "leaf" in text
         assert "coverage:" in text
         assert render_profile(MetricsRegistry()) == "(no spans recorded)"
-
-
-class TestEventBus:
-    def test_publish_fans_out_in_order(self):
-        bus = EventBus()
-        seen = []
-        bus.subscribe(lambda k, r, d: seen.append(("a", k, r, dict(d))))
-        bus.subscribe(lambda k, r, d: seen.append(("b", k, r, dict(d))))
-        bus.publish("frame", 2, transmitters=5)
-        assert seen == [
-            ("a", "frame", 2, {"transmitters": 5}),
-            ("b", "frame", 2, {"transmitters": 5}),
-        ]
-
-    def test_unsubscribe(self):
-        bus = EventBus()
-        seen = []
-        fn = bus.subscribe(lambda k, r, d: seen.append(k))
-        bus.unsubscribe(fn)
-        bus.publish("frame", 1)
-        assert seen == [] and len(bus) == 0
 
 
 class TestExporters:

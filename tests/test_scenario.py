@@ -2,6 +2,7 @@
 engine's static-equivalence pin, and run_scenario determinism."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -58,6 +59,14 @@ class TestEventScheduler:
         sched.push(2.0, "x")
         assert sched and sched.peek_time() == 2.0
 
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, -math.inf])
+    def test_rejects_negative_and_non_finite_times(self, bad):
+        sched = EventScheduler()
+        sched.push(1.0, "ok")
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            sched.push(bad, "bad")
+        assert len(sched) == 1 and sched.pop().kind == "ok"
+
 
 class TestEventJournal:
     def test_records_are_sequenced(self):
@@ -80,6 +89,24 @@ class TestEventJournal:
         path = tmp_path / "journal.ndjson"
         j.write(path)
         assert path.read_text(encoding="utf-8") == j.to_ndjson()
+
+    def test_lines_flatten_the_log_records(self):
+        j = EventJournal()
+        j.record(0.0, "a")
+        j.record(1.5, "round", round=3, relinked=False)
+        assert len(j) == 2
+        assert j.to_ndjson() == (
+            '{"kind":"a","seq":0,"t":0.0}\n'
+            '{"kind":"round","relinked":false,"round":3,"seq":1,"t":1.5}\n'
+        )
+        assert [r["seq"] for r in j.log.window()[0]] == [0, 1]
+
+    @pytest.mark.parametrize("key", ["t", "seq", "kind"])
+    def test_every_envelope_key_rejected(self, key):
+        j = EventJournal()
+        with pytest.raises(ValueError, match=f"{key!r} shadows"):
+            j.record(0.0, "a", **{key: 1})
+        assert len(j) == 0
 
 
 class TestTrajectories:
@@ -434,6 +461,23 @@ class TestRunScenarioDeterminism:
             run_scenario(participation=1.5)
         with pytest.raises(ValueError):
             run_scenario(op_gap_s=-1.0)
+
+    @pytest.mark.parametrize("gap", [math.nan, math.inf])
+    def test_non_finite_gap_rejected(self, gap):
+        with pytest.raises(ValueError, match="op_gap_s must be finite"):
+            run_scenario(n_tags=50, n_operations=2, op_gap_s=gap)
+
+    def test_result_pickles(self):
+        result = run_scenario(
+            n_tags=200, frame_size=65, n_operations=2, trajectory="uav",
+            speed_mps=6.0, power_threshold_dbm=-22.0, max_step_m=1.0,
+            seed=4,
+        )
+        back = pickle.loads(pickle.dumps(result))
+        assert back.journal.to_ndjson() == result.journal.to_ndjson() != ""
+        assert back.metrics() == result.metrics()
+        back.journal.record(back.duration_s, "extra")
+        assert len(back.journal) == len(result.journal) + 1
 
     def test_fingerprint_covers_scenario_contract(self):
         from repro.store.fingerprint import code_fingerprint

@@ -245,11 +245,44 @@ class TestJobManager:
             assert time.monotonic() < deadline
             time.sleep(0.01)
         manager.drain()
-        events = job.events.since(0)
+        events, _ = job.events.window(0)
         states = [e["data"]["state"] for e in events if e["kind"] == "job"]
         assert states == ["queued", "running", "done"]
         assert [e["kind"] for e in events].count("trial") == 5
         assert job_record(manager.jobs_dir, job.id)["state"] == "done"
+
+    def test_terminal_state_comes_with_a_complete_record(
+        self, tmp_path, monkeypatch
+    ):
+        # a slow telemetry snapshot gives a poller time to look between
+        # the steps that finish a job; once the state reads terminal the
+        # record and the event log must already be complete
+        from repro.obs.metrics import MetricsRegistry
+
+        to_dict = MetricsRegistry.to_dict
+
+        def slow_to_dict(registry):
+            time.sleep(0.5)
+            return to_dict(registry)
+
+        monkeypatch.setattr(MetricsRegistry, "to_dict", slow_to_dict)
+        manager = JobManager(ResultStore(tmp_path))
+        manager.start()
+        job = manager.submit(JobSpec.from_json(tiny_spec()))
+        deadline = time.monotonic() + 30
+        while job.state not in ("done", "failed"):
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        record = job.to_dict()
+        events, _ = job.events.window(0)
+        manager.drain()
+        assert record["state"] == "done"
+        assert record["telemetry"] is not None
+        assert record["finished_utc"] is not None
+        assert events[-1]["kind"] == "job"
+        assert events[-1]["data"]["state"] == "done"
+        assert job.events.closed
+        assert job_record(manager.jobs_dir, job.id) == job.to_dict()
 
     def test_legacy_json_job_record_recovers_only_after_migrate(
         self, tmp_path

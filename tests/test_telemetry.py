@@ -17,12 +17,14 @@ import io
 import json
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
 import textwrap
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.obs import (
     SNAPSHOT_SCHEMA,
@@ -312,6 +314,49 @@ class TestEventRetention:
         records, truncated = log.window(0)
         assert truncated is False
         assert len(records) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        maxlen=st.one_of(st.none(), st.integers(1, 12)),
+        appends=st.integers(0, 30),
+        seq=st.integers(-3, 35),
+    )
+    def test_window_equals_the_filter(self, maxlen, appends, seq):
+        # the offset slice must agree with scanning every retained record
+        log = EventLog(maxlen=maxlen)
+        every = [log.append("trial", i, index=i) for i in range(appends)]
+        retained = every if maxlen is None else every[-maxlen:]
+        expected = [r for r in retained if r["seq"] >= seq]
+        dropped = appends - len(retained)
+        records, truncated = log.window(seq)
+        assert records == expected
+        assert truncated == (dropped > 0 and seq < log.first_seq)
+        assert log.dropped == dropped
+        assert log.first_seq == appends - len(retained)
+        assert log.wait(seq, timeout_s=0) == expected
+
+    def test_payload_may_use_the_argument_names(self):
+        log = EventLog()
+        record = log.append("job", 2, kind="payload", round_index=7)
+        assert record == {
+            "seq": 0, "kind": "job", "round": 2,
+            "data": {"kind": "payload", "round_index": 7},
+        }
+
+    def test_pickle_rebuilds_the_lock(self):
+        log = EventLog(maxlen=2)
+        for i in range(3):
+            log.append("trial", i)
+        log.close()
+        back = pickle.loads(pickle.dumps(log))
+        assert back.window(0) == log.window(0)
+        assert (back.first_seq, back.dropped, back.closed) == (1, 1, True)
+        with pytest.raises(RuntimeError, match="closed"):
+            back.append("trial")
+        live = pickle.loads(pickle.dumps(EventLog(maxlen=2)))
+        for i in range(3):
+            live.append("trial", i)
+        assert [r["seq"] for r in live.window(0)[0]] == [1, 2]
 
 
 # -- bench trajectory history --------------------------------------------------

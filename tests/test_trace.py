@@ -1,11 +1,13 @@
 """Tests for repro.sim.trace — session event tracing."""
 
+import json
+import pickle
 
 import pytest
 
 from repro.core.session import CCMConfig, run_session
 from repro.protocols.transport import frame_picks
-from repro.sim.trace import SessionTracer, TraceEvent
+from repro.sim.trace import SessionTracer
 
 
 class TestTracerBasics:
@@ -15,7 +17,7 @@ class TestTracerBasics:
         tracer.emit("frame", 2, transmitters=3)
         tracer.emit("checking", 2, reader_heard=False)
         assert len(tracer.of_kind("frame")) == 2
-        assert tracer.of_kind("checking")[0].data["reader_heard"] is False
+        assert tracer.of_kind("checking")[0]["data"]["reader_heard"] is False
 
     def test_rounds(self):
         tracer = SessionTracer()
@@ -36,29 +38,34 @@ class TestTracerBasics:
         assert tracer.first_delivery_round() is None
 
     def test_event_json(self):
-        event = TraceEvent("frame", 3, {"transmitters": 7})
-        assert '"kind": "frame"' in event.to_json()
-        assert '"round": 3' in event.to_json()
+        tracer = SessionTracer()
+        tracer.emit("frame", 3, transmitters=7)
+        line = tracer.to_ndjson().rstrip("\n")
+        assert json.loads(line) == {
+            "kind": "frame", "round": 3, "transmitters": 7,
+        }
+        assert '"kind": "frame"' in line
+        assert '"round": 3' in line
 
     def test_reserved_payload_keys_rejected(self):
-        with pytest.raises(ValueError, match="envelope"):
-            TraceEvent("frame", 1, {"kind": "smuggled"})
-        with pytest.raises(ValueError, match="envelope"):
-            TraceEvent("frame", 1, {"round": 9})
         tracer = SessionTracer()
         with pytest.raises(ValueError, match="envelope"):
+            tracer.emit("frame", 1, kind="smuggled")
+        with pytest.raises(ValueError, match="envelope"):
             tracer.emit("frame", 1, round=9)
+        assert tracer.events == []
 
-    def test_shared_bus_fans_out(self):
-        from repro.obs import EventBus
-
-        bus = EventBus()
-        seen = []
-        bus.subscribe(lambda kind, r, data: seen.append((kind, r)))
-        tracer = SessionTracer(bus=bus)
+    def test_events_are_log_records(self):
+        tracer = SessionTracer()
         tracer.emit("frame", 2, transmitters=1)
-        assert seen == [("frame", 2)]
-        assert tracer.of_kind("frame")[0].round_index == 2
+        tracer.emit("checking", 2, reader_heard=True)
+        assert tracer.events == [
+            {"seq": 0, "kind": "frame", "round": 2,
+             "data": {"transmitters": 1}},
+            {"seq": 1, "kind": "checking", "round": 2,
+             "data": {"reader_heard": True}},
+        ]
+        assert tracer.events == tracer.log.window(0)[0]
 
 
 class TestNdjsonRoundtrip:
@@ -69,10 +76,22 @@ class TestNdjsonRoundtrip:
         text = tracer.to_ndjson()
         back = SessionTracer.from_ndjson(text)
         assert len(back.events) == 2
-        assert back.of_kind("frame")[0].data["transmitters"] == 2
+        assert back.of_kind("frame")[0]["data"]["transmitters"] == 2
 
     def test_empty_tracer(self):
         assert SessionTracer().to_ndjson() == ""
+
+    def test_pickle_round_trip(self, star_network):
+        tracer = SessionTracer()
+        run_session(
+            star_network, [0, 1, 2, 3, 4], config=CCMConfig(frame_size=8),
+            tracer=tracer,
+        )
+        back = pickle.loads(pickle.dumps(tracer))
+        assert back.to_ndjson() == tracer.to_ndjson() != ""
+        assert back.summary() == tracer.summary()
+        back.emit("session_end", 9, rounds=9, clean=True, busy_slots=0)
+        assert back.events[-1]["seq"] == len(tracer.events)
 
     def test_file_export(self, tmp_path):
         tracer = SessionTracer()
@@ -93,8 +112,8 @@ class TestSessionIntegration:
         # The lone bit arrives in round 5.
         assert tracer.first_delivery_round() == 5
         ends = tracer.of_kind("session_end")
-        assert ends[-1].data["clean"] is True
-        assert ends[-1].data["busy_slots"] == 1
+        assert ends[-1]["data"]["clean"] is True
+        assert ends[-1]["data"]["busy_slots"] == 1
 
     def test_summary_renders(self, star_network):
         tracer = SessionTracer()
@@ -126,7 +145,7 @@ class TestSessionIntegration:
             tracer=tracer,
         )
         silenced = [
-            e.data["silenced_total"] for e in tracer.of_kind("indicator")
+            e["data"]["silenced_total"] for e in tracer.of_kind("indicator")
         ]
         assert silenced == sorted(silenced)  # monotone accumulation
         assert silenced[-1] == 5
