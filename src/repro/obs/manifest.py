@@ -41,6 +41,7 @@ order or float formatting history.
 from __future__ import annotations
 
 import datetime
+import functools
 import json
 import pathlib
 import platform as _platform
@@ -68,11 +69,27 @@ __all__ = [
 
 
 def git_revision(cwd: Optional[PathLike] = None) -> Optional[str]:
-    """The current git commit hash, or ``None`` outside a checkout."""
+    """The current git commit hash, or ``None`` outside a checkout.
+
+    Without ``cwd`` the answer is looked up once per process: the code a
+    live process runs does not change under it.  ``cwd=`` asks git anew
+    on every call.
+    """
+    if cwd is None:
+        return _process_revision()
+    return _rev_parse(str(cwd))
+
+
+@functools.lru_cache(maxsize=None)
+def _process_revision() -> Optional[str]:
+    return _rev_parse(None)
+
+
+def _rev_parse(cwd: Optional[str]) -> Optional[str]:
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],
-            cwd=str(cwd) if cwd is not None else None,
+            cwd=cwd,
             capture_output=True,
             text=True,
             timeout=5,

@@ -28,14 +28,16 @@ Mechanics:
 * **Checkpoint namespaces.**  Every job journals under
   ``campaigns/jobs/<job-id>/``, so two concurrent submissions of the
   *identical* campaign never interleave in one journal file.
-* **Crash-safe records.**  Every state transition rewrites
-  ``<store>/serve/jobs/<id>.bin`` atomically — a ``repro-job-record-v1``
+* **Crash-safe records.**  A job's record is written at submit and
+  rewritten at its terminal state, each time atomically, to
+  ``<store>/serve/jobs/<id>.bin`` — a ``repro-job-record-v1``
   document inside a ``repro-record-bin-v1`` container (a legacy
   ``.json`` record from an older server makes recovery raise
   :class:`~repro.store.cache.LegacyStoreError` until ``repro-ccm cache
   migrate`` converts it);
   :meth:`JobManager.recover` re-enqueues every job a previous process
-  left queued, running or interrupted, with ``resume=True`` — re-run
+  left unfinished (its record still reads ``queued``, or
+  ``interrupted``), with ``resume=True`` — re-run
   trials hit the store, so a drained-and-restarted job reproduces its
   aggregates bit-identically.
 """
@@ -46,7 +48,6 @@ import datetime
 import heapq
 import importlib
 import json
-import os
 import pathlib
 import threading
 import uuid
@@ -63,10 +64,15 @@ from repro.sim.runner import TrialFn, sweep
 from repro.store.binary import (
     RECORD_TYPE_JOB,
     BinaryFormatError,
+    encode_record,
     read_record_path,
-    write_record,
 )
-from repro.store.cache import LegacyStoreError, ResultStore
+from repro.store.cache import (
+    TEMP_PREFIX,
+    LegacyStoreError,
+    ResultStore,
+    atomic_write,
+)
 
 __all__ = [
     "JOB_SCHEMA",
@@ -397,6 +403,7 @@ class JobManager:
         self._jobs: Dict[str, Job] = {}
         self._heap: List[Tuple[int, int, str]] = []  # (-priority, seq, id)
         self._seq = 0
+        self._queued = 0  # jobs in state "queued"; moves under _cond
         self._cond = threading.Condition()
         self._draining = False
         self._stopped = False
@@ -421,7 +428,8 @@ class JobManager:
         """Re-enqueue every job a previous process left unfinished.
 
         Scans the on-disk records; jobs persisted as ``queued``,
-        ``running`` or ``interrupted`` are re-submitted with
+        ``running`` (a record from an older server) or ``interrupted``
+        are re-submitted with
         ``resume=True`` so their campaigns continue from the store and
         their namespaced checkpoint journals.  Returns the recovered ids
         (call before :meth:`start` to preserve priority order).
@@ -433,6 +441,8 @@ class JobManager:
             raise LegacyStoreError(legacy, self.store.root)
         records = []
         for path in sorted(self.jobs_dir.glob("*.bin")):
+            if path.name.startswith(TEMP_PREFIX):
+                continue  # a writer killed before its rename
             try:
                 record, _ = read_record_path(path)
             except (OSError, BinaryFormatError):
@@ -513,12 +523,10 @@ class JobManager:
         with self._cond:
             if self._draining:
                 raise QueueFull("service is draining; not accepting jobs")
-            queued = sum(
-                1 for j in self._jobs.values() if j.state == "queued"
-            )
-            if queued >= self.max_queue:
+            if self._queued >= self.max_queue:
                 raise QueueFull(
-                    f"job queue is full ({queued}/{self.max_queue} waiting)"
+                    f"job queue is full ({self._queued}/{self.max_queue} "
+                    "waiting)"
                 )
             # record and announce the job before the worker can see it:
             # otherwise a fast job's "running"/"done" events and record
@@ -569,6 +577,8 @@ class JobManager:
         transitioned = False
         with self._cond:
             if job.state in ("queued", "interrupted"):
+                if job.state == "queued":
+                    self._queued -= 1
                 # the record is complete before its state turns terminal
                 job.finished_utc = _utcnow()
                 job.events.append(
@@ -588,6 +598,7 @@ class JobManager:
     # -- execution -------------------------------------------------------------
 
     def _push(self, job: Job) -> None:
+        self._queued += 1
         self._seq += 1
         heapq.heappush(self._heap, (-job.spec.priority, self._seq, job.id))
 
@@ -599,6 +610,7 @@ class JobManager:
                     _, _, job_id = heapq.heappop(self._heap)
                     job = self._jobs.get(job_id)
                     if job is not None and job.state == "queued":
+                        self._queued -= 1
                         job.state = "running"
                         job.started_utc = _utcnow()
                         return job
@@ -611,7 +623,8 @@ class JobManager:
             job = self._next_job()
             if job is None:
                 return
-            self._persist(job)
+            # the record on disk stays "queued" while the job runs:
+            # recover() resumes that exactly as it would a "running" one
             job.events.append(
                 "job", state="running", job_id=job.id, resumed=job.resume,
                 trace_id=job.trace_id,
@@ -730,16 +743,12 @@ class JobManager:
 
     def _persist(self, job: Job) -> None:
         """Atomically rewrite the job's on-disk record."""
-        self.jobs_dir.mkdir(parents=True, exist_ok=True)
-        path = self.jobs_dir / f"{job.id}.bin"
-        # pid+tid: submit (server thread) and the worker may persist the
-        # same job concurrently; each write needs its own scratch file.
-        tmp = path.with_suffix(f".tmp-{os.getpid()}-{threading.get_ident()}")
-        with open(tmp, "wb") as fh:
-            # allow_nan: job telemetry aggregates may legitimately carry
-            # non-finite floats; this record is never content-addressed.
-            write_record(fh, job.to_dict(), RECORD_TYPE_JOB, allow_nan=True)
-        os.replace(tmp, path)
+        # allow_nan: job telemetry aggregates may legitimately carry
+        # non-finite floats; this record is never content-addressed.
+        atomic_write(
+            self.jobs_dir / f"{job.id}.bin",
+            encode_record(job.to_dict(), RECORD_TYPE_JOB, allow_nan=True),
+        )
 
 
 def _campaign_to_dict(result) -> Dict[str, Any]:

@@ -14,8 +14,9 @@ that function on disk:
 * **Value** — the trial's metric dict plus a RunManifest-style
   provenance record (when/where/what revision computed it), one
   ``repro-record-bin-v1`` container per trial under
-  ``<root>/objects/<k[:2]>/<k>.bin``, written atomically (temp file +
-  rename) so a SIGKILL never leaves a torn entry.  Stores written before
+  ``<root>/objects/<k[:2]>/<k>.bin``, written atomically
+  (:func:`atomic_write`: temp file + rename) so a SIGKILL never leaves a
+  torn entry.  Stores written before
   the binary format are converted once by :meth:`ResultStore.migrate`;
   until then every read path raises :class:`LegacyStoreError`.
 * **Root** — ``~/.cache/repro`` by default; override with the
@@ -51,10 +52,11 @@ import json
 import os
 import pathlib
 import random
-import tempfile
+import re
+import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, BinaryIO, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.store.binary import (
     RECORD_TYPE_JOB,
@@ -84,6 +86,7 @@ __all__ = [
     "StoreLock",
     "StoreStats",
     "VerifyOutcome",
+    "atomic_write",
     "default_cache_dir",
     "trial_config_of",
     "trial_key",
@@ -95,6 +98,16 @@ RESULT_FORMAT = "repro-trial-result-v1"
 #: Schema tag mixed into every key so future key layout changes never
 #: collide with old entries.
 KEY_SCHEMA = "repro-trial-key-v1"
+
+#: Name prefix of :func:`atomic_write`'s temp files.
+TEMP_PREFIX = ".tmp-"
+
+#: A temp file younger than this may belong to a live writer, so ``gc``
+#: never removes it (a write takes milliseconds).
+TEMP_GRACE_S = 60.0
+
+#: The file name of a stored record: its SHA-256 key.
+_KEY_NAME = re.compile(r"[0-9a-f]{64}\.bin")
 
 
 class LegacyStoreError(RuntimeError):
@@ -391,7 +404,7 @@ class ResultStore:
             "metrics": dict(metrics),
             "provenance": dict(provenance or {}),
         }
-        _atomic_write(path, encode_record(record, RECORD_TYPE_TRIAL))
+        atomic_write(path, encode_record(record, RECORD_TYPE_TRIAL))
         return path
 
     @staticmethod
@@ -423,19 +436,26 @@ class ResultStore:
     # -- enumeration ---------------------------------------------------------
 
     def entries(self) -> Iterator[CacheEntry]:
-        """All parseable records, in key order."""
-        if not self.objects_dir.is_dir():
-            return
-        for path in sorted(
-            self.objects_dir.glob("*/*.bin"), key=lambda p: p.stem
-        ):
+        """All parseable records, in key order.
+
+        Only key-named files count: a writer's temp file (or any copy
+        under another name) is never a second entry.
+        """
+        for path in self._record_paths():
             try:
                 data = path.read_bytes()
             except OSError:
                 continue
             entry = self._parse_binary(path, data)
-            if entry is not None:
+            if entry is not None and entry.key == path.stem:
                 yield entry
+
+    def _record_paths(self) -> List[pathlib.Path]:
+        """The key-named ``objects/*/<key>.bin`` files, in key order."""
+        return [
+            path for path in _sorted_glob(self.objects_dir, "*/*.bin")
+            if _KEY_NAME.fullmatch(path.name)
+        ]
 
     def journals(self) -> List[Tuple[Optional[str], str]]:
         """Every campaign checkpoint journal as ``(namespace, key)``.
@@ -460,43 +480,18 @@ class ResultStore:
             record, record_type = decode_record(data)
         except BinaryFormatError:
             return None
-        if (
-            record_type != RECORD_TYPE_TRIAL
-            or not isinstance(record, dict)
-            or record.get("format") != RESULT_FORMAT
-            or record.get("key") != digest(record.get("key_fields"))
-        ):
+        if record_type != RECORD_TYPE_TRIAL:
             return None
-        return CacheEntry(
-            key=record["key"],
-            path=path,
-            key_fields=record["key_fields"],
-            metrics=record.get("metrics") or {},
-            provenance=record.get("provenance") or {},
-            size_bytes=len(data),
-        )
+        return _entry(path, record, len(data))
 
     @staticmethod
-    def _parse(path: pathlib.Path, raw: str) -> Optional[CacheEntry]:
+    def _parse(path: pathlib.Path, raw: bytes) -> Optional[CacheEntry]:
         """A legacy ``.json`` object parsed (``migrate`` only), or None."""
         try:
-            record = json.loads(raw)
+            record = json.loads(raw.decode("utf-8", "replace"))
         except ValueError:
             return None
-        if (
-            not isinstance(record, dict)
-            or record.get("format") != RESULT_FORMAT
-            or record.get("key") != digest(record.get("key_fields"))
-        ):
-            return None
-        return CacheEntry(
-            key=record["key"],
-            path=path,
-            key_fields=record["key_fields"],
-            metrics=record.get("metrics") or {},
-            provenance=record.get("provenance") or {},
-            size_bytes=len(raw.encode("utf-8")),
-        )
+        return _entry(path, record, len(raw))
 
     # -- maintenance ---------------------------------------------------------
 
@@ -531,6 +526,12 @@ class ResultStore:
         oldest surviving records until the object payload fits.  Returns
         ``{"removed": n, "freed_bytes": b, "kept": m}``.
 
+        ``older_than_s`` also removes the temp files a killed writer
+        left under ``objects/`` and ``serve/jobs/`` (counted in
+        ``removed`` and ``freed_bytes``), but never one younger than
+        :data:`TEMP_GRACE_S`: that may be a live writer's, whose rename
+        would then fail.
+
         Holds the store's exclusive maintenance lock for the duration,
         so two concurrent ``gc`` runs (or a ``gc`` racing a ``verify``)
         serialize instead of double-counting removals or yanking files
@@ -547,13 +548,12 @@ class ResultStore:
     ) -> Dict[str, int]:
         now = time.time() if now is None else now
         records: List = []  # (mtime, size, path)
-        if self.objects_dir.is_dir():
-            for path in self.objects_dir.glob("*/*.bin"):
-                try:
-                    st = path.stat()
-                except OSError:
-                    continue
-                records.append((st.st_mtime, st.st_size, path))
+        for path in self._record_paths():
+            try:
+                st = path.stat()
+            except OSError:
+                continue
+            records.append((st.st_mtime, st.st_size, path))
         records.sort()
         removed = 0
         freed = 0
@@ -567,6 +567,18 @@ class ResultStore:
                 return
             removed += 1
             freed += size
+
+        if older_than_s is not None:
+            stale_s = max(older_than_s, TEMP_GRACE_S)
+            for path in _sorted_glob(
+                self.objects_dir, f"*/{TEMP_PREFIX}*"
+            ) + _sorted_glob(self.jobs_dir, f"{TEMP_PREFIX}*"):
+                try:
+                    st = path.stat()
+                except OSError:
+                    continue
+                if now - st.st_mtime > stale_s:
+                    drop((st.st_mtime, st.st_size, path))
 
         survivors = []
         for item in records:
@@ -633,7 +645,7 @@ class ResultStore:
             )
             if not dry_run:
                 if payload is not None:
-                    _atomic_write(target, payload)
+                    atomic_write(target, payload)
                 legacy.unlink()
 
         def quarantine(legacy):
@@ -643,7 +655,7 @@ class ResultStore:
 
         for legacy in _sorted_glob(self.objects_dir, "*/*.json"):
             raw = legacy.read_bytes()
-            entry = self._parse(legacy, raw.decode("utf-8", "replace"))
+            entry = self._parse(legacy, raw)
             if entry is None or entry.key != legacy.stem:
                 quarantine(legacy)
                 continue
@@ -751,20 +763,55 @@ class ResultStore:
         return VerifyOutcome(entry.key, True)
 
 
-def _atomic_write(path: pathlib.Path, data: bytes) -> None:
-    """Write ``data`` to ``path`` via a temp file + rename."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(
-        dir=str(path.parent), prefix=".tmp-", suffix=path.suffix
+def atomic_write(path: pathlib.Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` via a temp file + ``os.replace``.
+
+    The temp file, ``.tmp-<pid>-<tid><suffix>`` beside ``path``, is
+    private to the writing thread, so concurrent writers of one path
+    never share it; readers see the old file or the new one, never a
+    torn one.  The parent directory is created only when missing, and
+    the temp file is removed on any failure.
+    """
+    tmp = path.with_name(
+        f"{TEMP_PREFIX}{os.getpid()}-{threading.get_ident()}{path.suffix}"
     )
     try:
-        with os.fdopen(fd, "wb") as fh:
+        with open_for_write(tmp) as fh:
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
+
+
+def open_for_write(path: pathlib.Path) -> BinaryIO:
+    """``open(path, "wb")``, making the parent directory only when the
+    open fails for lack of it (a store's directories mostly exist)."""
+    try:
+        return open(path, "wb")
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return open(path, "wb")
+
+
+def _entry(path: pathlib.Path, record: Any, size: int) -> Optional[CacheEntry]:
+    """A decoded trial record as an entry; ``None`` unless its stored key
+    is the digest of its stored key fields."""
+    if (
+        not isinstance(record, dict)
+        or record.get("format") != RESULT_FORMAT
+        or record.get("key") != digest(record.get("key_fields"))
+    ):
+        return None
+    return CacheEntry(
+        key=record["key"],
+        path=path,
+        key_fields=record["key_fields"],
+        metrics=record.get("metrics") or {},
+        provenance=record.get("provenance") or {},
+        size_bytes=size,
+    )
 
 
 def _sorted_glob(base: pathlib.Path, pattern: str) -> List[pathlib.Path]:

@@ -45,7 +45,7 @@ from repro.store.binary import (
     load_journal,
     write_journal_header,
 )
-from repro.store.cache import LegacyStoreError
+from repro.store.cache import LegacyStoreError, open_for_write
 from repro.store.canonical import digest
 
 __all__ = [
@@ -186,14 +186,13 @@ class CampaignCheckpoint:
         self._refuse_legacy()
         events, valid = load_journal(self.path) if resume else ([], 0)
         prior = self._replay(events)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         if valid > 0:
             # Cut off any torn tail frame, then append after it.
             with open(self.path, "rb+") as fh:
                 fh.truncate(valid)
             self._fh = open(self.path, "ab")
         else:
-            self._fh = open(self.path, "wb")
+            self._fh = open_for_write(self.path)
             write_journal_header(self._fh)
         self._emit(
             {

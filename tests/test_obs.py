@@ -233,6 +233,66 @@ class TestRunManifest:
         assert manifest.git_rev is None or len(manifest.git_rev) == 40
 
 
+class TestGitRevisionLookup:
+    """``git_revision()`` asks git once per process; ``cwd=`` every call."""
+
+    @pytest.fixture
+    def git_calls(self, monkeypatch):
+        import subprocess
+
+        from repro.obs import manifest
+
+        calls = []
+        run = subprocess.run
+
+        def fake_run(argv, *args, cwd=None, **kwargs):
+            if argv[0] != "git":  # e.g. platform's `uname -p`
+                return run(argv, *args, cwd=cwd, **kwargs)
+            calls.append(cwd)
+            return subprocess.CompletedProcess(
+                argv, 0, stdout=f"{'a' if cwd is None else 'b'}" * 40 + "\n"
+            )
+
+        monkeypatch.setattr(manifest.subprocess, "run", fake_run)
+        manifest._process_revision.cache_clear()
+        yield calls
+        manifest._process_revision.cache_clear()
+
+    def test_default_provenance_runs_git_once_per_process(self, git_calls):
+        from repro.store import ResultStore
+
+        for engine in ("packed", "batch", None):
+            record = ResultStore.default_provenance(engine=engine)
+            assert record["git_rev"] == "a" * 40
+        assert RunManifest.capture().git_rev == "a" * 40
+        assert git_calls == [None]
+
+    def test_cwd_asks_git_every_call(self, git_calls, tmp_path):
+        from repro.obs import git_revision
+
+        assert git_revision(cwd=tmp_path) == "b" * 40
+        assert git_revision(cwd=tmp_path) == "b" * 40
+        assert git_calls == [str(tmp_path), str(tmp_path)]
+
+    def test_cwd_outside_a_checkout_is_none(self, tmp_path):
+        from repro.obs import git_revision
+
+        if git_revision(cwd=tmp_path.anchor) is not None:
+            pytest.skip("the filesystem root is inside a git checkout")
+        assert git_revision(cwd=tmp_path) is None
+
+    def test_provenance_keeps_its_fields(self):
+        from repro.store import ResultStore
+
+        record = ResultStore.default_provenance(
+            engine="packed", elapsed_s=0.5, extra={"note": 1}
+        )
+        assert set(record) == {
+            "created_utc", "git_rev", "host", "python_version", "engine",
+            "elapsed_s", "note",
+        }
+
+
 class TestInstrumentedSession:
     @pytest.mark.parametrize("engine", ["bigint", "packed", "batch"])
     def test_session_records_phases_and_counters(self, small_network, engine):

@@ -177,6 +177,105 @@ class TestJobManager:
         with pytest.raises(QueueFull):
             manager.submit(JobSpec.from_json(tiny_spec(base_seed=5)))
 
+    def test_queue_bound_is_exact_after_many_finished_jobs(self, tmp_path):
+        manager = JobManager(ResultStore(tmp_path), max_queue=3)
+        # never started: run each job on this thread, as the worker would
+        for seed in range(10):
+            manager.submit(JobSpec.from_json(tiny_spec(base_seed=seed)))
+            job = manager._next_job()
+            manager._execute(job)
+            assert job.state == "done"
+        waiting = [
+            manager.submit(JobSpec.from_json(tiny_spec(base_seed=20 + i)))
+            for i in range(3)
+        ]
+        with pytest.raises(QueueFull, match=r"3/3"):
+            manager.submit(JobSpec.from_json(tiny_spec(base_seed=30)))
+        # a cancelled queued job frees exactly one slot
+        manager.cancel(waiting[1].id)
+        manager.submit(JobSpec.from_json(tiny_spec(base_seed=31)))
+        with pytest.raises(QueueFull):
+            manager.submit(JobSpec.from_json(tiny_spec(base_seed=32)))
+        # so does a job the worker takes; a second cancel frees nothing
+        manager.cancel(waiting[1].id)
+        assert manager._next_job().id == waiting[0].id
+        manager.submit(JobSpec.from_json(tiny_spec(base_seed=33)))
+        with pytest.raises(QueueFull):
+            manager.submit(JobSpec.from_json(tiny_spec(base_seed=34)))
+        assert manager._queued == sum(
+            1 for j in manager.list() if j.state == "queued"
+        ) == 3
+
+    def test_queue_depth_survives_concurrent_submit_and_cancel(self, tmp_path):
+        manager = JobManager(ResultStore(tmp_path), max_queue=1000)
+        manager.start()
+        errors = []
+
+        def client(offset):
+            try:
+                for i in range(10):
+                    job = manager.submit(
+                        JobSpec.from_json(tiny_spec(n_trials=1, base_seed=offset + i))
+                    )
+                    if i % 2:
+                        manager.cancel(job.id)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=client, args=(100 * t,)) for t in range(6)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        deadline = time.monotonic() + 60
+        while any(j.state in ("queued", "running") for j in manager.list()):
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        manager.drain()
+        assert len(manager.list()) == 60
+        assert manager._queued == 0
+
+    def test_record_is_written_at_submit_and_terminal_state(
+        self, tmp_path, monkeypatch
+    ):
+        manager = JobManager(ResultStore(tmp_path))
+        written = []
+        persist = manager._persist
+
+        def spy(job):
+            written.append(job.state)
+            persist(job)
+
+        monkeypatch.setattr(manager, "_persist", spy)
+        manager.start()
+        job = manager.submit(JobSpec.from_json(tiny_spec()))
+        deadline = time.monotonic() + 30
+        while not job.events.closed:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        manager.drain()
+        assert written == ["queued", "done"]
+        assert job_record(manager.jobs_dir, job.id) == job.to_dict()
+        temps = [p.name for p in manager.jobs_dir.iterdir() if p.name.startswith(".")]
+        assert temps == []
+
+    def test_recover_skips_a_writers_temp_file(self, tmp_path):
+        store = ResultStore(tmp_path)
+        job = JobManager(store).submit(JobSpec.from_json(tiny_spec()))
+        record = store.jobs_dir / f"{job.id}.bin"
+        # a second writer killed between its write and its rename
+        (store.jobs_dir / ".tmp-123-456.bin").write_bytes(record.read_bytes())
+        assert JobManager(store).recover() == [job.id]
+
     def test_priority_order(self, tmp_path):
         manager = JobManager(ResultStore(tmp_path), max_queue=10)
         low = manager.submit(JobSpec.from_json(tiny_spec(priority=0)))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -392,6 +393,173 @@ class TestResultStore:
         store = ResultStore(tmp_path)
         _put_one(store)
         assert store.gc() == {"removed": 0, "freed_bytes": 0, "kept": 1}
+
+
+def _temp_copy(store, key, name=".tmp-123-456.bin"):
+    """A complete record under a writer's temp name, as a writer killed
+    between its write and its rename leaves it."""
+    path = store.path_for(key)
+    temp = path.with_name(name)
+    temp.write_bytes(path.read_bytes())
+    return temp
+
+
+class TestTempFiles:
+    """Writers' temp files are never entries, and gc only removes stale ones."""
+
+    def test_enumeration_skips_temp_files(self, tmp_path):
+        store = ResultStore(tmp_path)
+        key = _put_one(store)
+        _temp_copy(store, key)
+        assert [e.key for e in store.entries()] == [key]
+        assert store.stats().n_entries == 1
+        assert [o.key for o in store.verify()] == [key]
+
+    def test_a_record_under_another_key_name_is_not_an_entry(self, tmp_path):
+        store = ResultStore(tmp_path)
+        key = _put_one(store)
+        _temp_copy(store, key, name="f" * 64 + ".bin")
+        assert [e.key for e in store.entries()] == [key]
+
+    def test_gc_leaves_a_fresh_temp_file_alone(self, tmp_path):
+        store = ResultStore(tmp_path)
+        key = _put_one(store)
+        temp = _temp_copy(store, key)
+        outcome = store.gc(older_than_s=0.0, max_size_bytes=0)
+        assert outcome == {
+            "removed": 1,
+            "freed_bytes": temp.stat().st_size,
+            "kept": 0,
+        }
+        assert temp.exists()  # a live writer's rename would still succeed
+
+    def test_gc_removes_stale_temp_files(self, tmp_path):
+        store = ResultStore(tmp_path)
+        key = _put_one(store)
+        temp = _temp_copy(store, key)
+        store.jobs_dir.mkdir(parents=True)
+        job_temp = store.jobs_dir / ".tmp-123-456.bin"
+        job_temp.write_bytes(b"torn")
+        stale = temp.stat().st_mtime - 10_000
+        for path in (temp, job_temp):
+            os.utime(path, (stale, stale))
+        size = temp.stat().st_size + 4
+        assert store.gc(older_than_s=5_000) == {
+            "removed": 2, "freed_bytes": size, "kept": 1,
+        }
+        assert not temp.exists() and not job_temp.exists()
+        assert store.get(key) is not None
+
+    def test_gc_by_size_ignores_temp_files(self, tmp_path):
+        store = ResultStore(tmp_path)
+        key = _put_one(store)
+        temp = _temp_copy(store, key)
+        stale = temp.stat().st_mtime - 10_000
+        os.utime(temp, (stale, stale))
+        size = store.path_for(key).stat().st_size
+        assert store.gc(max_size_bytes=size)["removed"] == 0
+        assert temp.exists()
+
+
+class TestAtomicWrite:
+    def _temps(self, root):
+        return [p for p in pathlib.Path(root).rglob("*") if p.name.startswith(".tmp-")]
+
+    def test_writes_and_leaves_no_temp_file(self, tmp_path):
+        from repro.store.cache import atomic_write
+
+        target = tmp_path / "a" / "b" / "rec.bin"  # parents made on demand
+        atomic_write(target, b"one")
+        atomic_write(target, b"two")
+        assert target.read_bytes() == b"two"
+        assert self._temps(tmp_path) == []
+
+    def test_write_error_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        from repro.store.cache import atomic_write
+
+        target = tmp_path / "rec.bin"
+        atomic_write(target, b"old")
+        with pytest.raises(TypeError):
+            atomic_write(target, object())  # fails inside the write
+        assert self._temps(tmp_path) == []
+
+        def full_disk(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", full_disk)
+        with pytest.raises(OSError, match="No space"):
+            atomic_write(target, b"new")
+        assert self._temps(tmp_path) == []
+        assert target.read_bytes() == b"old"
+
+    def test_temp_name_names_the_writer(self, tmp_path, monkeypatch):
+        import threading
+
+        from repro.store.cache import atomic_write
+
+        seen = []
+        replace = os.replace
+
+        def spy(src, dst):
+            seen.append(pathlib.Path(src).name)
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", spy)
+        atomic_write(tmp_path / "rec.bin", b"x")
+        assert seen == [f".tmp-{os.getpid()}-{threading.get_ident()}.bin"]
+
+    def test_concurrent_puts_of_one_key(self, tmp_path):
+        import threading
+
+        store = ResultStore(tmp_path)
+        key = _put_one(store)
+        path = store.path_for(key)
+        record = path.read_bytes()
+        path.unlink()
+        entry_fields = {
+            "schema": "repro-trial-key-v1",
+            "trial": trial_config_of(PaperTrial(4.0, 60)),
+            "trial_index": 0,
+            "seed": 11,
+            "engine": "auto",
+            "code_fingerprint": code_fingerprint(),
+        }
+        barrier = threading.Barrier(8)
+        errors = []
+
+        def writer():
+            try:
+                for _ in range(20):
+                    barrier.wait(5)
+                    store.put(
+                        key, entry_fields, {"x": 0.1, "y": 2.0},
+                        {"created_utc": "2026-01-01T00:00:00Z"},
+                    )
+                    barrier.wait(5)
+                    with contextlib.suppress(FileNotFoundError):
+                        path.unlink()  # every thread writes again next round
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=writer) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        store.put(
+            key, entry_fields, {"x": 0.1, "y": 2.0},
+            {"created_utc": "2026-01-01T00:00:00Z"},
+        )
+        assert path.read_bytes() == record
+        assert store.get(key) == {"x": 0.1, "y": 2.0}
+        assert self._temps(tmp_path) == []
 
 
 class TestVerify:
