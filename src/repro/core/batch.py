@@ -18,7 +18,9 @@ motion) and its powered-tag mask; the kernel applies the mask itself.
 Routing: the exact perfect channel (and ``LossyChannel(loss=0.0)``,
 which draws nothing) runs slot-major while the neighbour-bitset table
 fits under :data:`SLOT_MAJOR_MAX_ADJ_BYTES`; every other packed-capable
-channel, larger networks and hooked runs go tag-major.
+channel, larger networks and hooked runs go tag-major.  In both loops a
+perfect channel's propagation is an OR over those neighbour bitsets; the
+channel's packed interface serves only lossy and oversized runs.
 
 The slot-major kernel never transposes the transmit matrix: because
 every (tag, slot) bit is transmitted at most once per session, per-tag
@@ -67,19 +69,14 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.bitmap import Bitmap
-from repro.core.engine import (
-    _word_counts,
-    masks_to_words,
-    register_engine,
-    words_to_int,
-)
+from repro.core.engine import _word_counts, register_engine, words_to_int
 from repro.core.session import (
     CCMConfig,
     RoundStats,
     SessionResult,
     default_checking_frame_length,
 )
-from repro.net.channel import Channel, PerfectChannel, or_reduce_segments
+from repro.net.channel import Channel, PerfectChannel, _set_bits, or_reduce_segments
 from repro.net.energy import EnergyLedger
 from repro.net.timing import SlotCount, indicator_vector_slots
 from repro.net.topology import Network
@@ -393,6 +390,23 @@ def _extract_pairs(
     return surv_b[r_idx], surv_s[r_idx], r_tag
 
 
+def _bit_words(
+    shape: Tuple[int, int, int], b: np.ndarray, row: np.ndarray,
+    bit: np.ndarray,
+) -> np.ndarray:
+    """A ``(B, rows, W)`` uint64 array with bit ``bit[i]`` of row
+    ``row[i]`` set in trial ``b[i]`` for every i, and nothing else."""
+    _, rows, w = shape
+    out = np.zeros(shape, dtype=np.uint64)
+    if b.size:
+        np.bitwise_or.at(
+            out.reshape(-1),
+            (b.astype(np.int64) * rows + row) * w + (bit >> 6),
+            np.left_shift(np.uint64(1), (bit & 63).astype(np.uint64)),
+        )
+    return out
+
+
 def _run_starts(keys: np.ndarray) -> np.ndarray:
     """Where each run of equal values in sorted, non-empty ``keys`` starts."""
     edge = np.empty(keys.size, dtype=bool)
@@ -431,6 +445,37 @@ def _or_runs(
             )
         r0 = r1
     return out
+
+
+def _bitsets_fit(n: int) -> bool:
+    """Whether n tags' bitsets fit :data:`SLOT_MAJOR_MAX_ADJ_BYTES`."""
+    return n * max(1, (n + 63) // 64) * 8 <= SLOT_MAJOR_MAX_ADJ_BYTES
+
+
+def _heard_from_bitsets(
+    adjacency: np.ndarray, transmit: np.ndarray
+) -> np.ndarray:
+    """:meth:`~repro.net.channel.PerfectChannel.propagate_packed` of
+    one ``(n, W)`` frame from neighbour bitsets: each slot's audience is
+    the OR of its transmitters' adjacency rows, shifted to the slot's bit
+    and ORed into its word column.  Costs O(set bits), not O(edges)."""
+    heard = np.zeros_like(transmit)
+    tags, slots = _set_bits(transmit)
+    if not tags.size:
+        return heard
+    order = np.argsort(slots, kind="stable")
+    tags, slots = tags[order], slots[order]
+    starts = _run_starts(slots)
+    slots = slots[starts]
+    audience = _unpack_rows(_or_runs(adjacency, tags, starts), len(heard))
+    words = slots >> 6
+    shifts = (slots & 63).astype(np.uint64)[:, None]
+    bounds = np.append(_run_starts(words), words.size).tolist()
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        heard[:, words[lo]] = np.bitwise_or.reduce(
+            audience[lo:hi].astype(np.uint64) << shifts[lo:hi], axis=0
+        )
+    return heard
 
 
 def _batch_slot_major(
@@ -494,13 +539,7 @@ def _batch_slot_major(
         pb = pb.astype(np.int32)
         ps = ps.astype(np.int32)
         pt = pt.astype(np.int32)
-        known = np.zeros((B, f, wn), dtype=np.uint64)
-        if pb.size:
-            np.bitwise_or.at(
-                known.reshape(B * f * wn),
-                (pb.astype(np.int64) * f + ps) * wn + (pt >> 6),
-                np.left_shift(np.uint64(1), (pt & 63).astype(np.uint64)),
-            )
+        known = _bit_words((B, f, wn), pb, ps, pt)
         bitmap = np.zeros((B, f), dtype=bool)
         dcount = np.zeros((B, n), dtype=np.int64)
         overlap = np.zeros((B, n), dtype=np.int64)
@@ -681,7 +720,8 @@ def _batch_tag_major(
     tags transmit, hear, learn and respond nothing and accrue no energy;
     a sleeping tag's pending data is *retained* until it wakes — data
     parks on a sleeping tag, it does not vanish.  Termination is judged
-    on the last round's network.
+    on the last round's network.  A hook may move readers, not tags
+    (another tag graph raises :class:`ValueError`).
     """
     obs = obs_metrics.OBS
     B = len(masks_batch) if masks_batch is not None else len(picks_batch)
@@ -696,24 +736,18 @@ def _batch_tag_major(
     with obs.span("setup"):
         wf = max(1, (f + 63) // 64)
         iv_slots = indicator_vector_slots(f)
-        if picks_batch is not None:
-            pending = np.zeros((B, n, wf), dtype=np.uint64)
-            pk = np.stack(
-                [np.asarray(p, dtype=np.int64) for p in picks_batch]
-            )
-            b_idx, t_idx = np.nonzero(pk >= 0)
-            if b_idx.size:
-                s_idx = pk[b_idx, t_idx]
-                np.bitwise_or.at(
-                    pending.reshape(B * n * wf),
-                    (b_idx * n + t_idx) * wf + (s_idx >> 6),
-                    np.left_shift(
-                        np.uint64(1), (s_idx & 63).astype(np.uint64)
-                    ),
-                )
-        else:
-            pending = np.stack([masks_to_words(m, f) for m in masks_batch])
+        pb, ps, pt = _initial_pairs(masks_batch, picks_batch, n, f)
+        pending = _bit_words((B, n, wf), pb, pt, ps)
         known = pending.copy()
+        # Hooks keep the tag graph (checked per round).  A perfect channel
+        # draws nothing: while the bitsets fit, it propagates over them.
+        indptr, indices = network.indptr, network.indices
+        propagate = channel.propagate_packed
+        if channel.is_perfect and _bitsets_fit(n):
+            adjacency = network.packed_adjacency()
+
+            def propagate(rows, *_):  # the CSR arrays and rng go unused
+                return _heard_from_bitsets(adjacency, rows)
         done = np.zeros((B, n, wf), dtype=np.uint64)
         silenced = np.zeros((B, wf), dtype=np.uint64)
         reader_bitmap = np.zeros((B, wf), dtype=np.uint64)
@@ -751,8 +785,14 @@ def _batch_tag_major(
                 ),
             )
             asleep = None if powered is None else ~powered
+            if not all(
+                x is y or np.array_equal(x, y)
+                for x, y in ((net.indptr, indptr), (net.indices, indices))
+            ):
+                raise ValueError(
+                    f"round {round_index}: hooks may move readers, not tags"
+                )
         tier1 = net.tier1_mask
-        indptr, indices = net.indptr, net.indices
 
         # --- data frame -------------------------------------------------
         with obs.span("data_frame"):
@@ -771,9 +811,7 @@ def _batch_tag_major(
                     # contract's interleaving (each stream is unchanged by
                     # its neighbours).
                     rng_b = rngs[b] if rngs is not None else None
-                    heard[b] = channel.propagate_packed(
-                        transmit[b], indptr, indices, rng_b
-                    )
+                    heard[b] = propagate(transmit[b], indptr, indices, rng_b)
                     reader_busy[b] = channel.reader_senses_packed(
                         transmit[b], tier1, rng_b
                     )
@@ -883,12 +921,7 @@ def _run_kernel(
             "packed-word interface required by the batched kernel; use "
             "engine='bigint'"
         )
-    n = network.n_tags
-    if (
-        hook is None
-        and channel.is_perfect
-        and n * max(1, (n + 63) // 64) * 8 <= SLOT_MAJOR_MAX_ADJ_BYTES
-    ):
+    if hook is None and channel.is_perfect and _bitsets_fit(network.n_tags):
         return _batch_slot_major(
             network, masks_batch, config, picks_batch=picks_batch,
             tracer=tracer,

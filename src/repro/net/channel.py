@@ -287,17 +287,17 @@ def _set_bits(words: np.ndarray):
     column ``64 * w + b`` is bit ``b`` of word ``w``).
 
     Scans the words first and unpacks only the non-zero ones, so a sparse
-    frame costs O(non-zero words), not O(rows × bits).
+    frame costs O(non-zero words), not O(rows × bits).  Both scans run
+    over boolean arrays, numpy's fast nonzero path.
     """
-    w_row, w_col = np.nonzero(words)
-    width = words.dtype.itemsize
+    width = 8 * words.dtype.itemsize
+    cells = np.flatnonzero(words != 0)
     bits = np.unpackbits(
-        words[w_row, w_col].view(np.uint8).reshape(-1, width),
-        axis=1,
-        bitorder="little",
-    )
-    hit, bit = np.nonzero(bits)
-    return w_row[hit], w_col[hit] * (8 * width) + bit
+        words.reshape(-1)[cells].view(np.uint8), bitorder="little"
+    ).view(bool)
+    hit = np.flatnonzero(bits)
+    row, col = np.divmod(cells[hit // width], words.shape[1])
+    return row, col * width + hit % width
 
 
 #: Per-chunk bound on the number of Bernoulli draws the packed lossy path

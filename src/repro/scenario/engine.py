@@ -40,7 +40,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.batch import _into_ledger, _run_kernel
+from repro.core.batch import _into_ledger, _normalize_picks, _run_kernel
 from repro.core.engine import register_engine
 from repro.core.session import CCMConfig, SessionResult
 from repro.net.channel import Channel
@@ -122,7 +122,14 @@ class ScenarioSessionEngine:
         rng: Optional[np.random.Generator] = None,
         ledger: Optional[EnergyLedger] = None,
         tracer: Optional[SessionTracer] = None,
+        picks: Optional[Sequence[int]] = None,
     ) -> SessionResult:
+        """``picks`` (per-tag slots, −1 = silent) may replace ``masks``
+        (pass ``masks=None``); the kernel takes them as an array."""
+        if (masks is None) == (picks is None):
+            raise ValueError("pass exactly one of masks and picks")
+        if picks is not None:
+            picks = _normalize_picks([picks], network.n_tags, config.frame_size)
         obs = obs_metrics.OBS
         scenario = self.scenario
         timing = scenario.timing or default_slot_timing()
@@ -186,8 +193,9 @@ class ScenarioSessionEngine:
 
         result = _run_kernel(
             network,
-            [masks],
+            None if masks is None else [masks],
             config,
+            picks_batch=picks,
             channel=channel,
             rngs=None if rng is None else [rng],
             tracer=tracer,

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from repro.core.session import CCMConfig, SessionResult, _picks_to_masks
+from repro.core.session import CCMConfig, SessionResult
 from repro.net.channel import Channel, LossyChannel, PerfectChannel
 from repro.net.energy import EnergyLedger, TransceiverProfile
 from repro.net.mobility import displace, relocate_fraction
@@ -222,12 +222,9 @@ def run_scenario(
             if event.kind == "op_start":
                 k = event.payload["op"]
                 picks = frame_picks(
-                    net.tag_ids.tolist(),
-                    frame_size,
-                    participation,
+                    net.tag_ids, frame_size, participation,
                     derive_seed(seed, _PICKS_STREAM, k),
                 )
-                masks = _picks_to_masks(picks, frame_size)
                 participants = sum(1 for p in picks if p >= 0)
                 journal.record(
                     event.time_s, "op_start", op=k, participants=participants
@@ -243,8 +240,8 @@ def run_scenario(
                 engine.journal = journal
                 with obs.span("scenario_op"):
                     result = engine.run(
-                        net, masks, config, channel=channel, rng=gen,
-                        ledger=ledger,
+                        net, None, config, picks=picks, channel=channel,
+                        rng=gen, ledger=ledger,
                     )
                 obs.inc("scenario_operations_total")
                 info = engine.last_run_info

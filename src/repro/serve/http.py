@@ -95,7 +95,9 @@ class Response:
         if self.body is None:
             return b"", self.content_type or "text/plain; charset=utf-8"
         if isinstance(self.body, (dict, list)):
-            payload = json.dumps(self.body, indent=2, sort_keys=True) + "\n"
+            # Compact: indenting runs json's slow pure-Python encoder.
+            payload = json.dumps(self.body, sort_keys=True, separators=(",", ":"))
+            payload += "\n"
             return (
                 payload.encode("utf-8"),
                 self.content_type or "application/json",

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.core.batch as batch_mod
 from repro.core.batch import (
@@ -22,9 +23,11 @@ from repro.core.batch import (
     batch_trial_rngs,
     run_session_batch,
 )
-from repro.core.engine import available_engines
+from repro.core.engine import available_engines, words_to_int
 from repro.core.session import CCMConfig, run_session
-from repro.net.channel import LossyChannel
+from repro.net.channel import LossyChannel, PerfectChannel, or_reduce_segments
+from repro.net.geometry import Point
+from repro.net.topology import Network, Reader
 from repro.sim.parallel import Campaign, ExecutorConfig
 from repro.sim.plan import RunPlan
 from repro.sim.runner import trial_seed
@@ -183,6 +186,69 @@ class TestOrRuns:
                 got[j],
                 np.bitwise_or.reduce(adjacency[tags[s : s + k]], axis=0),
             )
+
+
+def isolated_tail_network(n, seed=0):
+    """~3 neighbours per tag on average; the last tag (when n > 1) is far
+    from the rest, so degree-0 tags are always present."""
+    rng = np.random.default_rng(seed)
+    positions = rng.random((n, 2)) * max(1.0, np.sqrt(n))
+    if n > 1:
+        positions[-1] = (1e3, 1e3)
+    reader = Reader(
+        position=Point(0.0, 0.0),
+        reader_to_tag_range=5.0,
+        tag_to_reader_range=2.0,
+    )
+    return Network.build(positions, [reader], tag_range=1.0)
+
+
+def transmit_matrix(kind, n, f, rng):
+    """An (n, ceil(f/64)) transmit frame with bits only inside the frame."""
+    if kind == "zero":
+        bits = np.zeros((n, f), dtype=bool)
+    elif kind == "ones":
+        bits = np.ones((n, f), dtype=bool)
+    else:
+        bits = rng.random((n, f)) < (0.02 if kind == "sparse" else 0.6)
+    return batch_mod._pack_rows(bits, max(1, (f + 63) // 64))
+
+
+class TestHeardFromBitsets:
+    """The tag-major kernel's perfect-channel propagation equals the CSR
+    segment OR and the bigint channel, word for word."""
+
+    @staticmethod
+    def check(net, transmit):
+        got = batch_mod._heard_from_bitsets(net.packed_adjacency(), transmit)
+        csr = or_reduce_segments(transmit, net.indptr, net.indices)
+        np.testing.assert_array_equal(got, csr)
+        ints = [words_to_int(row) for row in transmit]
+        want = PerfectChannel().propagate(ints, net.indptr, net.indices)
+        assert [words_to_int(row) for row in got] == want
+        assert got.dtype == np.uint64 and got.shape == transmit.shape
+
+    @pytest.mark.parametrize("n", (1, 63, 64, 65, 129))
+    @pytest.mark.parametrize("f", (1, 63, 64, 65, 129))
+    def test_grid(self, n, f):
+        net = isolated_tail_network(n, seed=n * 1000 + f)
+        assert (np.diff(net.indptr) == 0).any()
+        rng = np.random.default_rng(f)
+        for kind in ("zero", "sparse", "dense", "ones"):
+            self.check(net, transmit_matrix(kind, n, f, rng))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from((1, 63, 64, 65, 129)),
+        f=st.sampled_from((1, 63, 64, 65, 129)),
+        density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_frames(self, n, f, density, seed):
+        rng = np.random.default_rng(seed)
+        net = isolated_tail_network(n, seed=seed)
+        bits = rng.random((n, f)) < density
+        self.check(net, batch_mod._pack_rows(bits, (f + 63) // 64))
 
 
 class TestValidation:

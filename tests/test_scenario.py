@@ -610,3 +610,122 @@ class TestHooksOnGolden:
         assert self._digest(trajectory, loss) == self.GOLDEN[
             (trajectory, loss)
         ]
+
+
+class CSRPerfectChannel(PerfectChannel):
+    """The perfect channel under another type: ``is_perfect`` is False, so
+    the kernel propagates through the channel's CSR pass instead of the
+    neighbour bitsets — the oracle for the bitset path."""
+
+
+class TestBitsetPropagationOracle:
+    """Hooked perfect-channel sessions propagate over the network's
+    neighbour bitsets; the channel's CSR pass must give the same bits."""
+
+    @pytest.mark.parametrize("max_step_m", [0.0, 1.0])
+    @pytest.mark.parametrize("trajectory", ["uav", "aisle"])
+    def test_bitsets_equal_channel_csr(self, trajectory, max_step_m):
+        def run(channel):
+            return run_scenario(
+                n_tags=600, frame_size=129, n_operations=2,
+                trajectory=trajectory, speed_mps=20.0,
+                power_threshold_dbm=-22.0, max_step_m=max_step_m,
+                seed=13, channel=channel,
+            )
+
+        ours, oracle = run(PerfectChannel()), run(CSRPerfectChannel())
+        assert ours.metrics()["relinks_total"] > 0
+        assert ours.metrics() == oracle.metrics()
+        assert ours.journal.to_ndjson() == oracle.journal.to_ndjson()
+        for a, b in zip(ours.session_results, oracle.session_results):
+            assert a.bitmap == b.bitmap
+            assert a.round_stats == b.round_stats
+        assert (
+            ours.ledger.bits_received.tobytes()
+            == oracle.ledger.bits_received.tobytes()
+        )
+
+    def test_picks_equal_masks(self):
+        from repro.core.session import _picks_to_masks
+
+        net = small_network(n=300)
+        f = 97
+        picks = picks_for(net, f)
+        picks[::7] = [-1] * len(picks[::7])
+
+        def run(**inputs):
+            engine = ScenarioSessionEngine(
+                ScenarioConfig(
+                    trajectory=make_trajectory(
+                        "uav", field_radius=30.0, speed_mps=20.0
+                    ),
+                    link_budget=LinkBudget(threshold_dbm=-22.0),
+                )
+            )
+            engine.journal = EventJournal()
+            result = engine.run(net, config=CCMConfig(frame_size=f), **inputs)
+            return result, engine.journal.to_ndjson()
+
+        (a, ja), (b, jb) = (
+            run(masks=None, picks=np.asarray(picks)),
+            run(masks=_picks_to_masks(picks, f)),
+        )
+        assert a.bitmap == b.bitmap
+        assert a.round_stats == b.round_stats
+        assert a.ledger.bits_sent.tobytes() == b.ledger.bits_sent.tobytes()
+        assert ja == jb
+
+    def test_picks_and_masks_are_exclusive(self):
+        net = small_network(n=50)
+        engine = ScenarioSessionEngine()
+        config = CCMConfig(frame_size=8)
+        with pytest.raises(ValueError, match="exactly one"):
+            engine.run(net, None, config)
+        with pytest.raises(ValueError, match="exactly one"):
+            engine.run(net, [0] * 50, config, picks=[-1] * 50)
+        with pytest.raises(ValueError, match="out of range"):
+            engine.run(net, None, config, picks=[8] * 50)
+
+
+class TestStaleGraphGuard:
+    """A hook may move readers, not tags: the kernel reads the tag graph
+    once per session and refuses a round network with another one."""
+
+    @staticmethod
+    def run_with(rebuild):
+        from repro.core.batch import _run_kernel
+        from repro.net.topology import Network
+
+        net = small_network(n=200)
+        f = 65
+        masks = [1 << p for p in picks_for(net, f)]
+
+        def hook(round_index, slots):
+            return rebuild(net, Network), None
+
+        return _run_kernel(net, [masks], CCMConfig(frame_size=f), hook=hook)
+
+    def test_moved_tags_rejected(self):
+        from repro.net.mobility import displace
+
+        def moved(net, Network):
+            positions = displace(
+                net.positions, 3.0, 30.0, rng=np.random.default_rng(1)
+            )
+            out = Network.build(positions, net.readers, net.tag_range)
+            assert out.indices.size != net.indices.size
+            return out
+
+        with pytest.raises(ValueError, match="may move readers, not tags"):
+            self.run_with(moved)
+
+    def test_equal_graph_copy_accepted(self):
+        def copy(net, Network):
+            return Network.build(
+                net.positions.copy(), net.readers, net.tag_range
+            )
+
+        [result] = self.run_with(copy)
+        [plain] = self.run_with(lambda net, Network: net)
+        assert result.bitmap == plain.bitmap
+        assert result.round_stats == plain.round_stats

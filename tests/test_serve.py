@@ -483,6 +483,33 @@ class TestService:
         assert final["state"] == "done"
         assert final["result"]["aggregates"]["value"]["count"] == 5
 
+    def test_json_bodies_are_compact(self, service):
+        """JSON responses are sorted-key compact JSON plus a newline (the
+        indented form costs ~5x the encode time on the event loop)."""
+        import http.client
+
+        job = service.client.submit(tiny_spec())
+        record = service.client.wait(job["id"], timeout_s=30)
+        conn = http.client.HTTPConnection("127.0.0.1", service.port, timeout=10)
+        try:
+            conn.request("GET", f"/v1/jobs/{job['id']}")
+            resp = conn.getresponse()
+            body = resp.read().decode("utf-8")
+        finally:
+            conn.close()
+        assert resp.status == 200
+        assert resp.getheader("Content-Type") == "application/json"
+        assert body == (
+            json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+        )
+
+    def test_response_encode_compact(self):
+        from repro.serve.http import Response
+
+        payload, ctype = Response(body={"b": [1, 2], "a": {"y": 1.5}}).encode()
+        assert payload == b'{"a":{"y":1.5},"b":[1,2]}\n'
+        assert ctype == "application/json"
+
     def test_event_replay_from_seq(self, service):
         job = service.client.submit(tiny_spec())
         service.client.wait(job["id"], timeout_s=30)
