@@ -75,6 +75,7 @@ from repro.core.session import (
     RoundStats,
     SessionResult,
     default_checking_frame_length,
+    slot_matrix,
 )
 from repro.net.channel import Channel, PerfectChannel, _set_bits, or_reduce_segments
 from repro.net.energy import EnergyLedger
@@ -327,38 +328,12 @@ def _trace_end(
 
 
 def _initial_pairs(
-    masks_batch: Optional[Sequence[Sequence[int]]],
-    picks_batch: Optional[Sequence[np.ndarray]],
-    n: int,
-    f: int,
+    slots: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The initial (trial, slot, tag) transmit pairs, sorted by (trial, slot).
-
-    ``picks_batch`` (one slot index per tag, −1 silent) is the fast path:
-    the pairs fall out of two vectorized nonzero/ gather steps.  The
-    general ``masks_batch`` path decomposes each mask's set bits.
-    """
-    if picks_batch is not None:
-        pk = np.stack(
-            [np.asarray(p, dtype=np.int64) for p in picks_batch]
-        )  # (B, n)
-        b_idx, t_idx = np.nonzero(pk >= 0)
-        s_idx = pk[b_idx, t_idx]
-    else:
-        pb_l: List[int] = []
-        ps_l: List[int] = []
-        pt_l: List[int] = []
-        for b, ms in enumerate(masks_batch):
-            for t, m in enumerate(ms):
-                while m:
-                    low = m & -m
-                    pb_l.append(b)
-                    ps_l.append(low.bit_length() - 1)
-                    pt_l.append(t)
-                    m ^= low
-        b_idx = np.asarray(pb_l, dtype=np.int64)
-        s_idx = np.asarray(ps_l, dtype=np.int64)
-        t_idx = np.asarray(pt_l, dtype=np.int64)
+    """The initial (trial, slot, tag) transmit pairs of a ``(B, n, k)``
+    stack of slot matrices, sorted by (trial, slot, tag)."""
+    b_idx, t_idx, col = np.nonzero(slots >= 0)
+    s_idx = slots[b_idx, t_idx, col]
     order = np.lexsort((t_idx, s_idx, b_idx))
     return b_idx[order], s_idx[order], t_idx[order]
 
@@ -480,9 +455,8 @@ def _heard_from_bitsets(
 
 def _batch_slot_major(
     network: Network,
-    masks_batch: Optional[Sequence[Sequence[int]]],
+    slots: np.ndarray,
     config: CCMConfig,
-    picks_batch: Optional[Sequence[np.ndarray]] = None,
     tracer: Optional[SessionTracer] = None,
 ) -> List[SessionResult]:
     """The perfect-channel kernel: per-slot tag bitsets, no channel calls.
@@ -518,7 +492,7 @@ def _batch_slot_major(
     below 2**31).
     """
     obs = obs_metrics.OBS
-    B = len(masks_batch) if masks_batch is not None else len(picks_batch)
+    B = len(slots)
     n = network.n_tags
     f = config.frame_size
     l_c = config.checking_frame_length or default_checking_frame_length(
@@ -535,7 +509,7 @@ def _batch_slot_major(
         reachable = network.reachable_mask
         iv_slots = indicator_vector_slots(f)
 
-        pb, ps, pt = _initial_pairs(masks_batch, picks_batch, n, f)
+        pb, ps, pt = _initial_pairs(slots)
         pb = pb.astype(np.int32)
         ps = ps.astype(np.int32)
         pt = pt.astype(np.int32)
@@ -700,12 +674,11 @@ def _batch_slot_major(
 
 def _batch_tag_major(
     network: Network,
-    masks_batch: Optional[Sequence[Sequence[int]]],
+    slots: np.ndarray,
     config: CCMConfig,
     *,
     channel: Channel,
     rngs: Optional[Sequence[np.random.Generator]],
-    picks_batch: Optional[Sequence[np.ndarray]] = None,
     tracer: Optional[SessionTracer] = None,
     hook: Optional[RoundHook] = None,
 ) -> List[SessionResult]:
@@ -724,7 +697,7 @@ def _batch_tag_major(
     (another tag graph raises :class:`ValueError`).
     """
     obs = obs_metrics.OBS
-    B = len(masks_batch) if masks_batch is not None else len(picks_batch)
+    B = len(slots)
     n = network.n_tags
     f = config.frame_size
     l_c = config.checking_frame_length or default_checking_frame_length(
@@ -736,7 +709,7 @@ def _batch_tag_major(
     with obs.span("setup"):
         wf = max(1, (f + 63) // 64)
         iv_slots = indicator_vector_slots(f)
-        pb, ps, pt = _initial_pairs(masks_batch, picks_batch, n, f)
+        pb, ps, pt = _initial_pairs(slots)
         pending = _bit_words((B, n, wf), pb, pt, ps)
         known = pending.copy()
         # Hooks keep the tag graph (checked per round).  A perfect channel
@@ -797,7 +770,7 @@ def _batch_tag_major(
         # --- data frame -------------------------------------------------
         with obs.span("data_frame"):
             # pending bits are within the frame by construction (validated
-            # initial masks; learned bits come from transmissions), so no
+            # initial slots; learned bits come from transmissions), so no
             # frame-mask clip is needed.
             transmit = pending & ~silenced[:, None, :]
             if asleep is not None:
@@ -904,16 +877,16 @@ def _batch_tag_major(
 
 def _run_kernel(
     network: Network,
-    masks_batch: Optional[Sequence[Sequence[int]]],
+    slots: np.ndarray,
     config: CCMConfig,
     *,
-    picks_batch: Optional[Sequence[np.ndarray]] = None,
     channel: Optional[Channel] = None,
     rngs: Optional[Sequence[np.random.Generator]] = None,
     tracer: Optional[SessionTracer] = None,
     hook: Optional[RoundHook] = None,
 ) -> List[SessionResult]:
-    """Route validated inputs to the slot-major or tag-major kernel."""
+    """Route a validated ``(B, n, k)`` slot-matrix stack to the
+    slot-major or tag-major kernel."""
     channel = channel or PerfectChannel()
     if not getattr(channel, "supports_packed", False):
         raise ValueError(
@@ -922,59 +895,16 @@ def _run_kernel(
             "engine='bigint'"
         )
     if hook is None and channel.is_perfect and _bitsets_fit(network.n_tags):
-        return _batch_slot_major(
-            network, masks_batch, config, picks_batch=picks_batch,
-            tracer=tracer,
-        )
+        return _batch_slot_major(network, slots, config, tracer=tracer)
     return _batch_tag_major(
         network,
-        masks_batch,
+        slots,
         config,
         channel=channel,
         rngs=rngs,
-        picks_batch=picks_batch,
         tracer=tracer,
         hook=hook,
     )
-
-
-def _normalize_masks(
-    masks_batch: Sequence[Sequence[int]], n: int, frame_size: int
-) -> List[List[int]]:
-    norm: List[List[int]] = []
-    for b, masks in enumerate(masks_batch):
-        if len(masks) != n:
-            raise ValueError(
-                f"trial {b}: masks has {len(masks)} entries for {n} tags"
-            )
-        ms = [int(m) for m in masks]
-        bad = [m for m in ms if m < 0 or m >> frame_size]
-        if bad:
-            raise ValueError(
-                f"trial {b}: initial mask {bad[0]:#x} has bits outside "
-                f"the {frame_size}-slot frame"
-            )
-        norm.append(ms)
-    return norm
-
-
-def _normalize_picks(
-    picks_batch: Sequence[Sequence[int]], n: int, frame_size: int
-) -> List[np.ndarray]:
-    norm: List[np.ndarray] = []
-    for b, picks in enumerate(picks_batch):
-        arr = np.asarray(picks, dtype=np.int64)
-        if arr.shape != (n,):
-            raise ValueError(
-                f"trial {b}: picks has {arr.shape} entries for {n} tags"
-            )
-        if arr.max(initial=-1) >= frame_size:
-            bad = int(arr[arr >= frame_size][0])
-            raise ValueError(
-                f"trial {b}: pick {bad} out of range for frame {frame_size}"
-            )
-        norm.append(arr)
-    return norm
 
 
 def run_session_batch(
@@ -992,7 +922,8 @@ def run_session_batch(
     ``masks=`` form of :func:`~repro.core.session.run_session`);
     ``picks_batch[b]`` is the equivalent per-tag slot-pick array (−1 =
     not participating, the ``picks`` form) — pass exactly one of the
-    two; picks vectorize initial-state construction for large batches.
+    two.  Each trial is validated and converted by
+    :func:`~repro.core.session.slot_matrix`, as in ``run_session``.
     ``rngs`` supplies each trial's private generator per the
     ``repro-batch-rng-v1`` contract (required only when the channel
     draws randomness — see :func:`batch_trial_rngs`).
@@ -1006,24 +937,27 @@ def run_session_batch(
         raise ValueError(
             "pass exactly one of masks_batch and picks_batch"
         )
-    B = len(masks_batch) if masks_batch is not None else len(picks_batch)
+    inputs = masks_batch if masks_batch is not None else picks_batch
+    B = len(inputs)
     if B == 0:
         raise ValueError("masks_batch must contain at least one trial")
     if rngs is not None and len(rngs) != B:
         raise ValueError(
             f"rngs has {len(rngs)} generators for {B} trials"
         )
-    n = network.n_tags
-    norm_masks = norm_picks = None
-    if masks_batch is not None:
-        norm_masks = _normalize_masks(masks_batch, n, config.frame_size)
-    else:
-        norm_picks = _normalize_picks(picks_batch, n, config.frame_size)
+    n, f = network.n_tags, config.frame_size
+    form = "masks" if masks_batch is not None else "picks"
+    mats = [
+        slot_matrix(n, f, **{form: trial_input}, trial=b)
+        for b, trial_input in enumerate(inputs)
+    ]
+    slots = np.full((B, n, max(m.shape[1] for m in mats)), -1, np.int64)
+    for b, mat in enumerate(mats):
+        slots[b, :, : mat.shape[1]] = mat
     obs = obs_metrics.OBS
     with obs.span("session_batch"):
         results = _run_kernel(
-            network, norm_masks, config, picks_batch=norm_picks,
-            channel=channel, rngs=rngs,
+            network, slots, config, channel=channel, rngs=rngs
         )
         if obs.enabled:
             obs.inc("ccm_batch_sessions_total", B)
@@ -1037,7 +971,7 @@ class BatchSessionEngine:
     Registered as ``"batch"`` and as ``"packed"`` (what ``"auto"``
     resolves to for the built-in channels), so every vectorized session
     — one trial or a batch of them — runs the same code.  ``run_session``
-    has already validated the masks.
+    has already built and validated the slot matrix.
     """
 
     def __init__(self, name: str = "batch") -> None:
@@ -1046,7 +980,7 @@ class BatchSessionEngine:
     def run(
         self,
         network: Network,
-        masks: Sequence[int],
+        slots: np.ndarray,
         config: CCMConfig,
         *,
         channel: Optional[Channel] = None,
@@ -1056,7 +990,7 @@ class BatchSessionEngine:
     ) -> SessionResult:
         result = _run_kernel(
             network,
-            [masks],
+            slots[None],
             config,
             channel=channel,
             rngs=None if rng is None else [rng],

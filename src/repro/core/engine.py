@@ -76,9 +76,11 @@ AUTO_ENGINE = "auto"
 class SessionEngine(Protocol):
     """One implementation of Algorithm 1 over pre-validated inputs.
 
-    ``masks`` is the per-tag list of f-bit integers (slots each tag
-    initially sets busy); :func:`repro.core.session.run_session` has
-    already validated lengths and bit ranges before dispatching here.
+    ``slots`` is the ``(n, k)`` int64 slot matrix of
+    :func:`repro.core.session.slot_matrix`: row i lists the distinct
+    slots tag i initially sets busy, padded with -1.
+    :func:`~repro.core.session.run_session` builds and validates it
+    before dispatching here.
     """
 
     name: str
@@ -86,7 +88,7 @@ class SessionEngine(Protocol):
     def run(
         self,
         network: Network,
-        masks: Sequence[int],
+        slots: np.ndarray,
         config: CCMConfig,
         *,
         channel: Optional[Channel] = None,
@@ -266,7 +268,7 @@ class BigintSessionEngine:
     def run(
         self,
         network: Network,
-        masks: Sequence[int],
+        slots: np.ndarray,
         config: CCMConfig,
         *,
         channel: Optional[Channel] = None,
@@ -295,7 +297,10 @@ class BigintSessionEngine:
 
             # Per-tag session state (exists only for the session; tags stay
             # state-free across sessions).
-            pending = list(masks)  # to transmit next data frame
+            pending = [0] * n  # to transmit next data frame
+            tags, cols = np.nonzero(slots >= 0)
+            for t, slot in zip(tags.tolist(), slots[tags, cols].tolist()):
+                pending[t] |= 1 << slot
             known = list(pending)  # ever picked/heard/transmitted
             n_words = max(1, (f + 63) // 64)
             # transmitted already -> sleep in those slots; kept bit-packed

@@ -80,7 +80,7 @@ def run_multireader_session(
     combined_bits = 0
     per_reader: List[SessionResult] = []
     covered_any = np.zeros(n, dtype=bool)
-    picks_arr = np.asarray(list(picks), dtype=np.int64)
+    picks_arr = np.asarray(picks, dtype=np.int64)
 
     for reader in readers:
         sub_net = Network.build(positions, [reader], tag_range, tag_ids=ids)
@@ -103,10 +103,9 @@ def run_multireader_session(
             tag_range,
             tag_ids=ids[window_idx],
         )
-        window_picks = picks_arr[window_idx]
         result = run_session(
             window_net,
-            window_picks.tolist(),
+            picks_arr[window_idx],
             config=config,
             channel=channel,
             rng=rng,

@@ -27,7 +27,9 @@ check directly.
 Implementation notes
 --------------------
 This module is the *API*: parameter objects, result objects, validation,
-and the single entry point :func:`run_session`.  The per-round mechanics
+and the single entry point :func:`run_session`.  Validation turns the
+caller's picks or masks into one *slot matrix* (:func:`slot_matrix`),
+the only initial-state form the engines take.  The per-round mechanics
 live in interchangeable :class:`~repro.core.engine.SessionEngine`
 implementations (``"bigint"`` big-int masks, ``"packed"`` the
 bit-packed uint64 kernel of :mod:`repro.core.batch`) selected by the
@@ -49,7 +51,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.core.bitmap import Bitmap
-from repro.net.channel import Channel
+from repro.net.channel import Channel, _set_bits
 from repro.net.energy import EnergyLedger
 from repro.net.timing import SlotCount
 from repro.net.topology import Network
@@ -149,19 +151,59 @@ class SessionResult:
         return self.slots.total_slots
 
 
-def _picks_to_masks(picks: Sequence[int], frame_size: int) -> List[int]:
-    """Convert per-tag slot picks (-1 = not participating) to bit masks."""
-    masks = []
-    for slot in picks:
-        if slot < 0:
-            masks.append(0)
-        elif slot < frame_size:
-            masks.append(1 << int(slot))
-        else:
+def slot_matrix(
+    n: int,
+    frame_size: int,
+    *,
+    picks: Optional[Sequence[int]] = None,
+    masks: Optional[Sequence[int]] = None,
+    trial: Optional[int] = None,
+) -> np.ndarray:
+    """Validate one trial's initial slots and return them as the engines'
+    slot matrix.
+
+    The matrix is an ``(n, k)`` int64 array: row i lists the slots tag i
+    initially sets busy, ascending, padded with -1 ("no slot").  ``picks``
+    (one slot per tag, negative = silent) is the k = 1 case and is used
+    as is; ``masks`` (f-bit integers) become their set bits.  ``trial``
+    prefixes error messages for batched calls.
+    """
+    where = "" if trial is None else f"trial {trial}: "
+    if picks is not None:
+        try:
+            arr = np.asarray(picks, dtype=np.int64)
+        except OverflowError:
             raise ValueError(
-                f"pick {slot} out of range for frame {frame_size}"
+                f"{where}pick out of range for frame {frame_size}"
+            ) from None
+        if arr.shape != (n,):
+            size = arr.shape[0] if arr.ndim == 1 else arr.shape
+            raise ValueError(f"{where}picks has {size} entries for {n} tags")
+        if arr.max(initial=-1) >= frame_size:
+            bad = int(arr[arr >= frame_size][0])
+            raise ValueError(
+                f"{where}pick {bad} out of range for frame {frame_size}"
             )
-    return masks
+        return arr.reshape(n, 1)
+    if len(masks) != n:
+        raise ValueError(f"{where}masks has {len(masks)} entries for {n} tags")
+    # Python ints: numpy integers cannot carry an f-bit mask for f > 63.
+    ints = [int(m) for m in masks]
+    bad = [m for m in ints if m < 0 or m >> frame_size]
+    if bad:
+        raise ValueError(
+            f"{where}initial mask {bad[0]:#x} has bits outside the "
+            f"{frame_size}-slot frame"
+        )
+    from repro.core.engine import masks_to_words
+
+    # row-major: each tag's slots come out ascending
+    tags, slots = _set_bits(masks_to_words(ints, frame_size))
+    counts = np.bincount(tags, minlength=n)
+    out = np.full((n, max(1, int(counts.max(initial=0)))), -1, dtype=np.int64)
+    column = np.arange(tags.size) - np.repeat(counts.cumsum() - counts, counts)
+    out[tags, column] = slots
+    return out
 
 
 def run_session(
@@ -179,7 +221,9 @@ def run_session(
     """Execute one CCM session (Algorithm 1) and account time and energy.
 
     Exactly one of ``picks`` and ``masks`` describes the tags' initial
-    slots; everything else is keyword-only.
+    slots; everything else is keyword-only.  Either is validated and
+    converted once, by :func:`slot_matrix`, into the one form every
+    engine receives.
 
     Parameters
     ----------
@@ -222,38 +266,18 @@ def run_session(
     # resolution, the run, metric recording), so its cumulative time is
     # the session wall time a caller measures around this call.
     with obs.span("session"):
-        n = network.n_tags
         if (picks is None) == (masks is None):
             raise ValueError(
                 "run_session takes exactly one of picks= and masks="
             )
-        if picks is not None:
-            if len(picks) != n:
-                raise ValueError(
-                    f"picks has {len(picks)} entries for {n} tags"
-                )
-            masks = _picks_to_masks(picks, config.frame_size)
-        else:
-            if len(masks) != n:
-                raise ValueError(
-                    f"masks has {len(masks)} entries for {n} tags"
-                )
-            # Normalise to Python ints: callers may hand numpy integers,
-            # whose fixed width cannot carry an f-bit mask for f > 63.
-            masks = [int(m) for m in masks]
-            out_of_range = [
-                m for m in masks if m < 0 or m >> config.frame_size
-            ]
-            if out_of_range:
-                raise ValueError(
-                    f"initial mask {out_of_range[0]:#x} has bits outside the "
-                    f"{config.frame_size}-slot frame"
-                )
+        slots = slot_matrix(
+            network.n_tags, config.frame_size, picks=picks, masks=masks
+        )
         impl = _engine_mod.resolve_engine(engine, channel)
         started = time.perf_counter()
         result = impl.run(
             network,
-            masks,
+            slots,
             config,
             channel=channel,
             rng=rng,

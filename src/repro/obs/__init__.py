@@ -52,7 +52,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     NullRegistry,
-    TeeRegistry,
     TimelineEvent,
     get_registry,
     set_registry,
@@ -81,7 +80,6 @@ __all__ = [
     "NullRegistry",
     "NULL_REGISTRY",
     "SNAPSHOT_SCHEMA",
-    "TeeRegistry",
     "TimelineEvent",
     "get_registry",
     "set_registry",

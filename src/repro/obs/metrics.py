@@ -66,7 +66,6 @@ __all__ = [
     "OBS",
     "DEFAULT_SECONDS_BUCKETS",
     "SNAPSHOT_SCHEMA",
-    "TeeRegistry",
     "TimelineEvent",
     "get_registry",
     "set_registry",
@@ -505,63 +504,6 @@ class MetricsRegistry:
                         )
                     )
                 self._timeline_dropped += int(doc.get("timeline_dropped", 0))
-
-
-class TeeRegistry(MetricsRegistry):
-    """Forward every *recording* call to several underlying registries.
-
-    Used by the job service to attribute telemetry both to the per-job
-    registry (persisted with the job record) and to the server-wide
-    registry behind ``/metrics``.  Reads (``snapshot`` etc.) reflect only
-    what was recorded through this tee, which is nothing — read from the
-    sinks instead.
-    """
-
-    def __init__(self, *registries: MetricsRegistry) -> None:
-        super().__init__()
-        self._sinks: Tuple[MetricsRegistry, ...] = tuple(registries)
-
-    @property
-    def sinks(self) -> Tuple[MetricsRegistry, ...]:
-        return self._sinks
-
-    @property
-    def timeline_enabled(self) -> bool:
-        return any(sink.timeline_enabled for sink in self._sinks)
-
-    def inc(self, name: str, amount: float = 1.0) -> None:
-        for sink in self._sinks:
-            sink.inc(name, amount)
-
-    def set_gauge(self, name: str, value: float) -> None:
-        for sink in self._sinks:
-            sink.set_gauge(name, value)
-
-    def observe(
-        self, name: str, value: float,
-        buckets: Optional[Sequence[float]] = None,
-    ) -> None:
-        for sink in self._sinks:
-            sink.observe(name, value, buckets)
-
-    def record_span(
-        self,
-        path: Tuple[str, ...],
-        elapsed_s: float,
-        started_s: Optional[float] = None,
-    ) -> None:
-        for sink in self._sinks:
-            sink.record_span(path, elapsed_s, started_s)
-
-    def merge(
-        self,
-        other: Union[MetricsRegistry, Mapping],
-        *,
-        prefix: Tuple[str, ...] = (),
-    ) -> None:
-        doc = other.to_dict() if isinstance(other, MetricsRegistry) else other
-        for sink in self._sinks:
-            sink.merge(doc, prefix=prefix)
 
 
 class _NullSpan:

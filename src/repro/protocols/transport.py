@@ -48,28 +48,30 @@ class FrameOutcome:
 
 def frame_picks(
     tag_ids: Sequence[int], frame_size: int, probability: float, seed: int
-) -> List[int]:
-    """Per-tag slot picks for a request (f, p, seed).
+) -> np.ndarray:
+    """Per-tag slot picks for a request (f, p, seed), as an int64 array.
 
     A tag participates with probability ``p`` and, if so, pseudo-randomly
     selects one slot — both decisions are deterministic functions of
     (tag ID, seed), evaluated identically by tags and by a predicting
     reader.  Non-participants get -1.  Evaluated over the whole ID array
     at once; the values are those of :meth:`TagHasher.participates` and
-    :meth:`TagHasher.slot_of` per tag.
+    :meth:`TagHasher.slot_of` per tag.  (Frames beyond 2**63 slots, whose
+    picks may not fit int64, get an object array of Python ints.)
     """
     hasher = TagHasher(seed)
     ids = as_uint64(tag_ids)
-    if not ids.size:
-        return []
-    if probability >= 1.0:
-        return hasher.slot_of_array(ids, frame_size).tolist()
-    joins = hasher.participates_array(ids, probability)
     # object dtype only when a slot may not fit in int64
     picks = np.full(ids.size, -1, dtype=np.int64 if frame_size <= 2**63 else object)
+    if not ids.size:
+        return picks
+    if probability >= 1.0:
+        picks[:] = hasher.slot_of_array(ids, frame_size)
+        return picks
+    joins = hasher.participates_array(ids, probability)
     if joins.any():
         picks[joins] = hasher.slot_of_array(ids[joins], frame_size)
-    return picks.tolist()
+    return picks
 
 
 def search_masks(
@@ -175,12 +177,8 @@ class TraditionalTransport(FrameTransport):
     def run_frame(
         self, frame_size: int, probability: float, seed: int
     ) -> FrameOutcome:
-        picks = frame_picks(self._tag_ids, frame_size, probability, seed)
-        bitmap = Bitmap.from_indices(frame_size, (s for s in picks if s >= 0))
-        sent = np.array([1.0 if s >= 0 else 0.0 for s in picks])
-        self._ledger.add_sent_bulk(sent)
-        return self._record(
-            FrameOutcome(bitmap=bitmap, slots=SlotCount(short_slots=frame_size))
+        return self.run_pick_frame(
+            frame_size, frame_picks(self._tag_ids, frame_size, probability, seed)
         )
 
     def run_search_frame(
@@ -205,9 +203,9 @@ class TraditionalTransport(FrameTransport):
     ) -> FrameOutcome:
         if len(picks) != len(self._tag_ids):
             raise ValueError("picks must have one entry per tag")
-        bitmap = Bitmap.from_indices(frame_size, (s for s in picks if s >= 0))
-        sent = np.array([1.0 if s >= 0 else 0.0 for s in picks])
-        self._ledger.add_sent_bulk(sent)
+        picks = np.asarray(picks)
+        bitmap = _union_bitmap(frame_size, picks)
+        self._ledger.add_sent_bulk((picks >= 0).astype(np.float64))
         return self._record(
             FrameOutcome(bitmap=bitmap, slots=SlotCount(short_slots=frame_size))
         )
@@ -304,7 +302,7 @@ class CCMTransport(FrameTransport):
         )
         result = run_session(
             self.network,
-            list(picks),
+            picks,
             config=config,
             channel=self.channel,
             rng=self.rng,
@@ -386,5 +384,13 @@ def ideal_bitmap(
 ) -> Bitmap:
     """The bitmap a perfect observer of all tags would record — used by
     Theorem-1 tests and by TRP's reader-side prediction."""
-    picks = frame_picks(tag_ids, frame_size, probability, seed)
-    return Bitmap.from_indices(frame_size, (s for s in picks if s >= 0))
+    return _union_bitmap(
+        frame_size, frame_picks(tag_ids, frame_size, probability, seed)
+    )
+
+
+def _union_bitmap(frame_size: int, picks: np.ndarray) -> Bitmap:
+    """The busy slots of a single-hop frame: the union of the picks."""
+    return Bitmap.from_indices(
+        frame_size, np.unique(picks[picks >= 0]).tolist()
+    )

@@ -36,11 +36,11 @@ the motion experiment measures.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
-from repro.core.batch import _into_ledger, _normalize_picks, _run_kernel
+from repro.core.batch import _into_ledger, _run_kernel
 from repro.core.engine import register_engine
 from repro.core.session import CCMConfig, SessionResult
 from repro.net.channel import Channel
@@ -115,21 +115,14 @@ class ScenarioSessionEngine:
     def run(
         self,
         network: Network,
-        masks: Sequence[int],
+        slots: np.ndarray,
         config: CCMConfig,
         *,
         channel: Optional[Channel] = None,
         rng: Optional[np.random.Generator] = None,
         ledger: Optional[EnergyLedger] = None,
         tracer: Optional[SessionTracer] = None,
-        picks: Optional[Sequence[int]] = None,
     ) -> SessionResult:
-        """``picks`` (per-tag slots, −1 = silent) may replace ``masks``
-        (pass ``masks=None``); the kernel takes them as an array."""
-        if (masks is None) == (picks is None):
-            raise ValueError("pass exactly one of masks and picks")
-        if picks is not None:
-            picks = _normalize_picks([picks], network.n_tags, config.frame_size)
         obs = obs_metrics.OBS
         scenario = self.scenario
         timing = scenario.timing or default_slot_timing()
@@ -193,9 +186,8 @@ class ScenarioSessionEngine:
 
         result = _run_kernel(
             network,
-            None if masks is None else [masks],
+            slots[None],
             config,
-            picks_batch=picks,
             channel=channel,
             rngs=None if rng is None else [rng],
             tracer=tracer,

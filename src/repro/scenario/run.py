@@ -225,7 +225,7 @@ def run_scenario(
                     net.tag_ids, frame_size, participation,
                     derive_seed(seed, _PICKS_STREAM, k),
                 )
-                participants = sum(1 for p in picks if p >= 0)
+                participants = int(np.count_nonzero(picks >= 0))
                 journal.record(
                     event.time_s, "op_start", op=k, participants=participants
                 )
@@ -240,7 +240,7 @@ def run_scenario(
                 engine.journal = journal
                 with obs.span("scenario_op"):
                     result = engine.run(
-                        net, None, config, picks=picks, channel=channel,
+                        net, picks[:, None], config, channel=channel,
                         rng=gen, ledger=ledger,
                     )
                 obs.inc("scenario_operations_total")

@@ -83,9 +83,9 @@ class ServiceApp:
         self.server = HTTPServer(self.handle, host=host, port=port)
         self._shutdown = asyncio.Event()
         #: The server-wide registry behind ``/metrics``.  Held explicitly
-        #: because the *installed* registry is a write-only tee while a
-        #: job runs (per-job attribution); rendering ``get_registry()``
-        #: would show an empty page mid-job.
+        #: because the *installed* registry is the job's own while a job
+        #: runs (its snapshot merges in when it ends); rendering
+        #: ``get_registry()`` would show only that job mid-run.
         self.registry = MetricsRegistry()
 
     @property

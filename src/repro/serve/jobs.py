@@ -367,12 +367,13 @@ class JobManager:
     trade per-job latency for cross-job interleaving).
 
     Telemetry: each job runs under its own
-    :class:`~repro.obs.metrics.MetricsRegistry` (tee'd into whatever
-    registry the server installed, so ``/metrics`` totals keep
-    accumulating) and the job's snapshot is persisted as ``telemetry``
-    on its terminal record — that is what ``repro jobs show <id>
-    --trace`` renders.  The registry install is process-global, so
-    per-job attribution is exact at the default ``workers=1``; with
+    :class:`~repro.obs.metrics.MetricsRegistry`; its snapshot is merged
+    once, at the terminal state, into the registry installed when
+    :meth:`start` ran (so ``/metrics`` totals keep accumulating) and
+    persisted as ``telemetry`` on its terminal record — that is what
+    ``repro jobs show <id> --trace`` renders.  The registry install is
+    process-global, so per-job attribution is exact at the default
+    ``workers=1``; with
     more job workers concurrent jobs may attribute each other's spans
     (server-wide totals stay correct either way).  ``event_retention``
     bounds each job's in-memory event log; clients that fall more than
@@ -415,12 +416,17 @@ class JobManager:
             for i in range(workers)
         ]
         self._started = False
+        #: where finished jobs' telemetry goes: the registry installed
+        #: when :meth:`start` ran (``serve_forever`` installs the
+        #: server's first)
+        self._registry: obs_metrics.MetricsRegistry = obs_metrics.NULL_REGISTRY
 
     # -- lifecycle -------------------------------------------------------------
 
     def start(self) -> None:
         if not self._started:
             self._started = True
+            self._registry = obs_metrics.get_registry()
             for thread in self._workers:
                 thread.start()
 
@@ -632,21 +638,15 @@ class JobManager:
             self._execute(job)
 
     def _execute(self, job: Job) -> None:
-        # Per-job registry, tee'd into whatever the server installed so
-        # server-wide /metrics keeps accumulating while the job's own
-        # snapshot stays attributable.  The snapshot carries the trace
-        # and lands on the terminal record as ``telemetry``.
-        base = obs_metrics.get_registry()
+        # The job records into its own registry; its snapshot carries the
+        # trace, lands on the terminal record as ``telemetry`` and is
+        # merged once into the server's registry.  Restoring that
+        # registry (not whatever was installed before) keeps every span
+        # in exactly one registry when job workers overlap.
         job_registry = obs_metrics.MetricsRegistry(trace=job.trace)
-        if base.enabled:
-            sink: obs_metrics.MetricsRegistry = obs_metrics.TeeRegistry(
-                job_registry, base
-            )
-        else:
-            sink = job_registry
-        previous = obs_metrics.set_registry(sink)
+        obs_metrics.set_registry(job_registry)
         try:
-            with sink.span("job"):
+            with job_registry.span("job"):
                 state = self._run_job(job)
         except JobInterrupted:
             state = "interrupted"
@@ -656,11 +656,12 @@ class JobManager:
             state = "failed"
             job.error = f"{type(exc).__name__}: {exc}"
         finally:
-            obs_metrics.set_registry(previous)
+            obs_metrics.set_registry(self._registry)
         # A reader that sees the terminal state must also see the
         # telemetry, finish time and terminal event; the event stream
         # ends (close) only after the record on disk is terminal too.
         job.telemetry = job_registry.to_dict()
+        self._registry.merge(job.telemetry)
         job.finished_utc = _utcnow()
         job.events.append(
             "job",

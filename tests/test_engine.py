@@ -15,8 +15,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core.batch import BatchSessionEngine
+import repro.scenario  # noqa: F401 - registers the "scenario" engine
+from repro.core.batch import BatchSessionEngine, run_session_batch
 from repro.core.engine import (
     AUTO_ENGINE,
     BigintSessionEngine,
@@ -459,3 +461,88 @@ class TestMultiReaderCheckingLength:
         assert default_checking_frame_length(net) == 14
         net_shallow_only = Network.build(positions, [shallow], tag_range=3.0)
         assert default_checking_frame_length(net_shallow_only) == 2
+
+
+# -- one initial-state form ----------------------------------------------------
+
+_SLOT_FRAMES = (1, 63, 64, 65, 129)
+_SLOT_NET = _build_network("disk", n_tags=40, seed=5)
+
+
+@st.composite
+def _initial_masks(draw):
+    """A frame size and per-tag masks: silent tags, single picks, random
+    multi-bit sets and tags holding every slot of the frame."""
+    f = draw(st.sampled_from(_SLOT_FRAMES))
+    full = (1 << f) - 1
+    if draw(st.integers(0, 3)) == 0:  # nobody participates
+        return f, [0] * _SLOT_NET.n_tags
+    per_tag = st.one_of(
+        st.just(0),
+        st.just(full),
+        st.integers(0, f - 1).map(lambda s: 1 << s),
+        st.integers(0, full),
+    )
+    masks = draw(
+        st.lists(per_tag, min_size=_SLOT_NET.n_tags, max_size=_SLOT_NET.n_tags)
+    )
+    return f, masks
+
+
+class TestSlotMatrixInputs:
+    """``picks=`` and ``masks=`` are two spellings of one slot matrix:
+    every engine gives the same session for either, in Python or numpy
+    integers, and the boundary still rejects malformed input."""
+
+    ENGINES = ("bigint", "packed", "scenario")
+
+    @settings(max_examples=25, deadline=None)
+    @given(_initial_masks(), st.booleans())
+    def test_picks_and_masks_agree_on_every_engine(self, inputs, as_numpy):
+        f, masks = inputs
+        config = CCMConfig(frame_size=f)
+        forms = [{"masks": masks}]
+        if all(m < 2**63 for m in masks):
+            forms.append({"masks": np.array(masks, dtype=np.int64)})
+        if all(m & (m - 1) == 0 for m in masks):  # at most one slot per tag
+            picks = [m.bit_length() - 1 for m in masks]
+            forms.append({"picks": np.array(picks) if as_numpy else picks})
+        reference = run_session(_SLOT_NET, masks=masks, config=config)
+        for engine in self.ENGINES:
+            for form in forms:
+                result = run_session(
+                    _SLOT_NET, config=config, engine=engine, **form
+                )
+                _assert_results_identical(reference, result)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.sampled_from(_SLOT_FRAMES),
+        st.sampled_from(
+            ["short", "2-D", "pick >= f", "negative mask", "mask bit >= f"]
+        ),
+        st.integers(0, _SLOT_NET.n_tags - 1),
+        st.integers(0, 200),
+    )
+    def test_malformed_inputs_raise(self, f, kind, tag, excess):
+        n = _SLOT_NET.n_tags
+        picks, masks = [-1] * n, [0] * n
+        if kind == "short":
+            picks = picks[: tag]
+        elif kind == "2-D":
+            picks = [[-1, -1]] * n
+        elif kind == "pick >= f":
+            picks[tag] = f + excess
+        elif kind == "negative mask":
+            masks[tag] = -1 - excess
+        else:
+            masks[tag] = 1 << (f + excess)
+        form = {"masks": masks} if "mask" in kind else {"picks": picks}
+        config = CCMConfig(frame_size=f)
+        with pytest.raises(ValueError):
+            run_session(_SLOT_NET, config=config, **form)
+        batch = {f"{key}_batch": [value] for key, value in form.items()}
+        with pytest.raises(ValueError):
+            run_session_batch(
+                _SLOT_NET, batch.pop("masks_batch", None), config, **batch
+            )

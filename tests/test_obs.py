@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from repro.core.session import CCMConfig, run_session
+from repro.core.session import CCMConfig, run_session, slot_matrix
 from repro.obs import (
     MetricsRegistry,
     RunManifest,
@@ -393,8 +393,9 @@ class TestInstrumentedSession:
 
         scenario = ScenarioSessionEngine(ScenarioConfig(link_budget=budget))
         tracers = {"scenario": SessionTracer(), "bigint": SessionTracer()}
+        slots = slot_matrix(small_network.n_tags, f, masks=masks)
         ours = scenario.run(
-            small_network, masks, CCMConfig(frame_size=f), channel=inner(),
+            small_network, slots, CCMConfig(frame_size=f), channel=inner(),
             rng=np.random.default_rng(5), tracer=tracers["scenario"],
         )
         assert scenario.last_run_info["powered_fraction_mean"] == 1.0

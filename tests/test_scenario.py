@@ -7,7 +7,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.core.session import CCMConfig, run_session
+from repro.core.session import CCMConfig, run_session, slot_matrix
 from repro.net.channel import LossyChannel, PerfectChannel
 from repro.net.energy import EnergyLedger
 from repro.net.geometry import Point
@@ -269,9 +269,7 @@ class TestStaticEquivalencePin:
                 link_budget=ALWAYS_POWERED,
             )
         )
-        from repro.core.session import _picks_to_masks
-
-        ours = engine.run(net, _picks_to_masks(picks, f), config)
+        ours = engine.run(net, slot_matrix(net.n_tags, f, picks=picks), config)
         theirs = run_session(net, picks, config=config, engine="packed")
         assert ours.bitmap == theirs.bitmap
         assert ours.rounds == theirs.rounds
@@ -294,8 +292,8 @@ class TestStaticEquivalencePin:
         engine = ScenarioSessionEngine()
         with pytest.raises(ValueError, match="packed"):
             engine.run(
-                net, [0] * net.n_tags, CCMConfig(frame_size=8),
-                channel=NoPacked(),
+                net, slot_matrix(net.n_tags, 8, masks=[0] * net.n_tags),
+                CCMConfig(frame_size=8), channel=NoPacked(),
             )
 
 
@@ -304,8 +302,6 @@ class TestScenarioEngineDynamics:
         net = small_network(n=250)
         f = 65
         picks = picks_for(net, f)
-        from repro.core.session import _picks_to_masks
-
         journal = EventJournal()
         engine = ScenarioSessionEngine(
             ScenarioConfig(
@@ -315,7 +311,9 @@ class TestScenarioEngineDynamics:
             )
         )
         engine.journal = journal
-        engine.run(net, _picks_to_masks(picks, f), CCMConfig(frame_size=f))
+        engine.run(
+            net, slot_matrix(net.n_tags, f, picks=picks), CCMConfig(frame_size=f)
+        )
         assert engine.last_run_info["relinks"] >= 1
         rounds = [
             line for line in journal.to_ndjson().splitlines()
@@ -327,13 +325,11 @@ class TestScenarioEngineDynamics:
         net = small_network(n=250)
         f = 65
         picks = picks_for(net, f)
-        from repro.core.session import _picks_to_masks
-
         budget = LinkBudget(threshold_dbm=-10.0)  # tiny powered radius
         radius = budget.powered_radius_m()
         engine = ScenarioSessionEngine(ScenarioConfig(link_budget=budget))
         result = engine.run(
-            net, _picks_to_masks(picks, f), CCMConfig(frame_size=f)
+            net, slot_matrix(net.n_tags, f, picks=picks), CCMConfig(frame_size=f)
         )
         asleep = net.reader_distance > radius
         assert asleep.any()
@@ -344,13 +340,11 @@ class TestScenarioEngineDynamics:
         net = small_network(n=250)
         f = 65
         picks = picks_for(net, f)
-        from repro.core.session import _picks_to_masks
-
         engine = ScenarioSessionEngine(
             ScenarioConfig(link_budget=LinkBudget(threshold_dbm=-5.0))
         )
         result = engine.run(
-            net, _picks_to_masks(picks, f), CCMConfig(frame_size=f)
+            net, slot_matrix(net.n_tags, f, picks=picks), CCMConfig(frame_size=f)
         )
         assert not result.terminated_cleanly
 
@@ -358,14 +352,12 @@ class TestScenarioEngineDynamics:
         net = small_network(n=150)
         f = 65
         picks = picks_for(net, f)
-        from repro.core.session import _picks_to_masks
-
         ledger = EnergyLedger(net.n_tags)
         engine = ScenarioSessionEngine(
             ScenarioConfig(link_budget=LinkBudget(threshold_dbm=-10.0))
         )
         engine.run(
-            net, _picks_to_masks(picks, f), CCMConfig(frame_size=f),
+            net, slot_matrix(net.n_tags, f, picks=picks), CCMConfig(frame_size=f),
             ledger=ledger,
         )
         # The ledger keeps no gating state: every tag still accrues.
@@ -555,12 +547,10 @@ class TestHooksOnGolden:
         import hashlib
         import json
 
-        from repro.core.session import _picks_to_masks
-
         n, f = 600, 129
         dep = PaperDeployment(n_tags=n)
         net = paper_network(6.0, n_tags=n, seed=13, deployment=dep)
-        masks = _picks_to_masks(picks_for(net, f), f)
+        slots = slot_matrix(n, f, picks=picks_for(net, f))
         engine = ScenarioSessionEngine(
             ScenarioConfig(
                 trajectory=make_trajectory(
@@ -579,7 +569,7 @@ class TestHooksOnGolden:
         ledger.bits_sent[:] = np.arange(n) * 0.5
         ledger.bits_received[:] = np.arange(n)[::-1] * 1.5
         result = engine.run(
-            net, masks, CCMConfig(frame_size=f), channel=channel,
+            net, slots, CCMConfig(frame_size=f), channel=channel,
             rng=np.random.default_rng(7), ledger=ledger,
         )
         assert result.ledger is ledger
@@ -646,8 +636,6 @@ class TestBitsetPropagationOracle:
         )
 
     def test_picks_equal_masks(self):
-        from repro.core.session import _picks_to_masks
-
         net = small_network(n=300)
         f = 97
         picks = picks_for(net, f)
@@ -667,24 +655,15 @@ class TestBitsetPropagationOracle:
             return result, engine.journal.to_ndjson()
 
         (a, ja), (b, jb) = (
-            run(masks=None, picks=np.asarray(picks)),
-            run(masks=_picks_to_masks(picks, f)),
+            run(slots=slot_matrix(net.n_tags, f, picks=np.asarray(picks))),
+            run(slots=slot_matrix(
+                net.n_tags, f, masks=[0 if p < 0 else 1 << p for p in picks]
+            )),
         )
         assert a.bitmap == b.bitmap
         assert a.round_stats == b.round_stats
         assert a.ledger.bits_sent.tobytes() == b.ledger.bits_sent.tobytes()
         assert ja == jb
-
-    def test_picks_and_masks_are_exclusive(self):
-        net = small_network(n=50)
-        engine = ScenarioSessionEngine()
-        config = CCMConfig(frame_size=8)
-        with pytest.raises(ValueError, match="exactly one"):
-            engine.run(net, None, config)
-        with pytest.raises(ValueError, match="exactly one"):
-            engine.run(net, [0] * 50, config, picks=[-1] * 50)
-        with pytest.raises(ValueError, match="out of range"):
-            engine.run(net, None, config, picks=[8] * 50)
 
 
 class TestStaleGraphGuard:
@@ -698,12 +677,14 @@ class TestStaleGraphGuard:
 
         net = small_network(n=200)
         f = 65
-        masks = [1 << p for p in picks_for(net, f)]
+        slots = slot_matrix(net.n_tags, f, picks=picks_for(net, f))
 
-        def hook(round_index, slots):
+        def hook(round_index, slot_count):
             return rebuild(net, Network), None
 
-        return _run_kernel(net, [masks], CCMConfig(frame_size=f), hook=hook)
+        return _run_kernel(
+            net, slots[None], CCMConfig(frame_size=f), hook=hook
+        )
 
     def test_moved_tags_rejected(self):
         from repro.net.mobility import displace

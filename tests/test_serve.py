@@ -244,6 +244,43 @@ class TestJobManager:
         assert len(manager.list()) == 60
         assert manager._queued == 0
 
+    def test_server_registry_gets_each_job_span_once(self, tmp_path, monkeypatch):
+        """A job records into its own registry; the installed server
+        registry (as ``serve_forever`` installs it) receives the job's
+        snapshot once, when the job ends: every span is recorded once."""
+        from repro.obs import MetricsRegistry, use_registry
+
+        recorded = []
+        record_span = MetricsRegistry.record_span
+
+        def spy(self, path, *args, **kwargs):
+            recorded.append(path)
+            record_span(self, path, *args, **kwargs)
+
+        monkeypatch.setattr(MetricsRegistry, "record_span", spy)
+        spec = tiny_spec(n_trials=2)
+        spec["trial"] = {
+            "type": "repro.experiments.common.SessionBatchTrial",
+            "params": {"tag_range": 6.0, "n_tags": 80, "frame_size": 32},
+        }
+        manager = JobManager(ResultStore(tmp_path))
+        with use_registry(MetricsRegistry()) as server:
+            manager.start()
+            job = manager.submit(JobSpec.from_json(spec))
+            deadline = time.monotonic() + 60
+            while job.state in ("queued", "running"):
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            manager.drain()
+        assert job.state == "done"
+        counters = {name: c.value for name, c in server.counters().items()}
+        assert counters == job.telemetry["counters"]
+        assert counters["ccm_sessions_total"] == 2
+        spans = {tuple(r["path"]): r["count"] for r in job.telemetry["spans"]}
+        assert {p: c for p, (c, _) in server.span_stats().items()} == spans
+        assert spans[("job",)] == 1
+        assert len(recorded) == sum(spans.values())
+
     def test_record_is_written_at_submit_and_terminal_state(
         self, tmp_path, monkeypatch
     ):

@@ -12,9 +12,9 @@ import pytest
 from repro.core.bitmap import Bitmap
 from repro.core.session import (
     CCMConfig,
-    _picks_to_masks,
     default_checking_frame_length,
     run_session,
+    slot_matrix,
 )
 from repro.net.channel import LossyChannel
 from repro.net.energy import EnergyLedger
@@ -44,13 +44,16 @@ class TestConfigValidation:
             run_session(line_network, [9, -1, -1, -1, -1], config=CCMConfig(frame_size=8))
 
 
-class TestPicksToMasks:
+class TestSlotMatrix:
     def test_conversion(self):
-        assert _picks_to_masks([0, 2, -1], 4) == [1, 4, 0]
+        assert slot_matrix(3, 4, picks=[0, 2, -1]).tolist() == [[0], [2], [-1]]
+        assert slot_matrix(3, 4, masks=[1, 0b1010, 0]).tolist() == [
+            [0, -1], [1, 3], [-1, -1]
+        ]
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            _picks_to_masks([4], 4)
+            slot_matrix(1, 4, picks=[4])
 
 
 class TestDefaultCheckingLength:

@@ -29,7 +29,6 @@ from hypothesis import given, settings, strategies as st
 from repro.obs import (
     SNAPSHOT_SCHEMA,
     MetricsRegistry,
-    TeeRegistry,
     TraceContext,
     chrome_trace,
     render_prometheus,
@@ -113,16 +112,6 @@ class TestSnapshot:
         b.observe("h", 0.5, buckets=(0.25, 2.0))
         with pytest.raises(ValueError):
             a.merge(b.to_dict())
-
-    def test_tee_fans_out_writes(self):
-        left, right = MetricsRegistry(), MetricsRegistry()
-        tee = TeeRegistry(left, right)
-        tee.inc("c")
-        with tee.span("s"):
-            pass
-        for sink in (left, right):
-            assert sink.counters()["c"].value == 1
-            assert ("s",) in sink.span_stats()
 
 
 # -- trace context and Chrome export -------------------------------------------
