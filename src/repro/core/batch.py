@@ -909,47 +909,37 @@ def _run_kernel(
 
 def run_session_batch(
     network: Network,
-    masks_batch: Optional[Sequence[Sequence[int]]],
+    picks_batch: Sequence,
     config: CCMConfig,
     *,
-    picks_batch: Optional[Sequence[Sequence[int]]] = None,
     channel: Optional[Channel] = None,
     rngs: Optional[Sequence[np.random.Generator]] = None,
 ) -> List[SessionResult]:
     """Run B independent CCM sessions over one topology in lockstep.
 
-    ``masks_batch[b]`` is trial b's per-tag initial slot-mask list (the
-    ``masks=`` form of :func:`~repro.core.session.run_session`);
-    ``picks_batch[b]`` is the equivalent per-tag slot-pick array (−1 =
-    not participating, the ``picks`` form) — pass exactly one of the
-    two.  Each trial is validated and converted by
-    :func:`~repro.core.session.slot_matrix`, as in ``run_session``.
-    ``rngs`` supplies each trial's private generator per the
+    ``picks_batch[b]`` is trial b's ``picks`` (the 1-D per-tag picks or
+    2-D pick matrix of :func:`~repro.core.session.run_session`), validated
+    and converted by :func:`~repro.core.session.slot_matrix`.  ``rngs``
+    supplies each trial's private generator per the
     ``repro-batch-rng-v1`` contract (required only when the channel
     draws randomness — see :func:`batch_trial_rngs`).
 
     Every returned :class:`~repro.core.session.SessionResult` is
     bit-identical to running that trial alone (B = 1, e.g.
-    ``run_session(..., engine="packed")``) with the same masks and
+    ``run_session(..., engine="packed")``) with the same picks and
     generator, and therefore to the ``bigint`` engine.
     """
-    if (masks_batch is None) == (picks_batch is None):
-        raise ValueError(
-            "pass exactly one of masks_batch and picks_batch"
-        )
-    inputs = masks_batch if masks_batch is not None else picks_batch
-    B = len(inputs)
+    B = len(picks_batch)
     if B == 0:
-        raise ValueError("masks_batch must contain at least one trial")
+        raise ValueError("picks_batch must contain at least one trial")
     if rngs is not None and len(rngs) != B:
         raise ValueError(
             f"rngs has {len(rngs)} generators for {B} trials"
         )
     n, f = network.n_tags, config.frame_size
-    form = "masks" if masks_batch is not None else "picks"
     mats = [
-        slot_matrix(n, f, **{form: trial_input}, trial=b)
-        for b, trial_input in enumerate(inputs)
+        slot_matrix(n, f, picks, trial=b)
+        for b, picks in enumerate(picks_batch)
     ]
     slots = np.full((B, n, max(m.shape[1] for m in mats)), -1, np.int64)
     for b, mat in enumerate(mats):

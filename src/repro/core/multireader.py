@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.core.bitmap import Bitmap
-from repro.core.session import CCMConfig, SessionResult, run_session
+from repro.core.session import CCMConfig, SessionResult, run_session, slot_matrix
 from repro.net.channel import Channel
 from repro.net.energy import EnergyLedger
 from repro.net.timing import SlotCount
@@ -49,7 +49,7 @@ def run_multireader_session(
     positions: np.ndarray,
     readers: Sequence[Reader],
     tag_range: float,
-    picks: Sequence[int],
+    picks: Sequence,
     config: CCMConfig,
     tag_ids: Optional[Sequence[int]] = None,
     channel: Optional[Channel] = None,
@@ -58,15 +58,16 @@ def run_multireader_session(
 ) -> MultiReaderResult:
     """Round-robin the readers, each collecting a bitmap via Algorithm 1.
 
-    ``picks`` and ``tag_ids`` are indexed by the global tag population; the
-    combined ledger is too, so energy per physical tag aggregates across
-    every window it participates in.  ``engine`` selects the per-window
+    ``picks`` (as for :func:`~repro.core.session.run_session`) and
+    ``tag_ids`` are indexed by the global tag population; ``picks`` is
+    validated over all of it, uncovered tags included.  The combined
+    ledger is too, so energy per physical tag aggregates across every
+    window it participates in.  ``engine`` selects the per-window
     session engine (see :mod:`repro.core.engine`).
     """
     positions = np.asarray(positions, dtype=np.float64)
     n = positions.shape[0]
-    if len(picks) != n:
-        raise ValueError(f"picks has {len(picks)} entries for {n} tags")
+    slots = slot_matrix(n, config.frame_size, picks)
     if not readers:
         raise ValueError("at least one reader is required")
     ids = (
@@ -80,7 +81,6 @@ def run_multireader_session(
     combined_bits = 0
     per_reader: List[SessionResult] = []
     covered_any = np.zeros(n, dtype=bool)
-    picks_arr = np.asarray(picks, dtype=np.int64)
 
     for reader in readers:
         sub_net = Network.build(positions, [reader], tag_range, tag_ids=ids)
@@ -105,7 +105,7 @@ def run_multireader_session(
         )
         result = run_session(
             window_net,
-            picks_arr[window_idx],
+            slots[window_idx],
             config=config,
             channel=channel,
             rng=rng,

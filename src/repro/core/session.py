@@ -28,8 +28,8 @@ Implementation notes
 --------------------
 This module is the *API*: parameter objects, result objects, validation,
 and the single entry point :func:`run_session`.  Validation turns the
-caller's picks or masks into one *slot matrix* (:func:`slot_matrix`),
-the only initial-state form the engines take.  The per-round mechanics
+caller's picks into one *slot matrix* (:func:`slot_matrix`), the only
+initial-state form the engines take.  The per-round mechanics
 live in interchangeable :class:`~repro.core.engine.SessionEngine`
 implementations (``"bigint"`` big-int masks, ``"packed"`` the
 bit-packed uint64 kernel of :mod:`repro.core.batch`) selected by the
@@ -51,7 +51,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.core.bitmap import Bitmap
-from repro.net.channel import Channel, _set_bits
+from repro.net.channel import Channel
 from repro.net.energy import EnergyLedger
 from repro.net.timing import SlotCount
 from repro.net.topology import Network
@@ -154,63 +154,51 @@ class SessionResult:
 def slot_matrix(
     n: int,
     frame_size: int,
+    picks: Sequence,
     *,
-    picks: Optional[Sequence[int]] = None,
-    masks: Optional[Sequence[int]] = None,
     trial: Optional[int] = None,
 ) -> np.ndarray:
     """Validate one trial's initial slots and return them as the engines'
     slot matrix.
 
-    The matrix is an ``(n, k)`` int64 array: row i lists the slots tag i
-    initially sets busy, ascending, padded with -1 ("no slot").  ``picks``
-    (one slot per tag, negative = silent) is the k = 1 case and is used
-    as is; ``masks`` (f-bit integers) become their set bits.  ``trial``
-    prefixes error messages for batched calls.
+    The matrix is an ``(n, k)`` int64 array: row i lists the distinct
+    slots tag i initially sets busy, ascending, padded with -1 ("no
+    slot").  A 1-D ``picks`` (one slot per tag, negative = silent) is the
+    k = 1 case and is used as is.  A 2-D ``(n, k)`` pick matrix (Sec.
+    III-B: "Each tag chooses one or multiple bits") may repeat a slot in
+    a row, list it in any order and hold any negative value for "no
+    slot".  ``trial`` prefixes error messages for batched calls.
     """
     where = "" if trial is None else f"trial {trial}: "
-    if picks is not None:
-        try:
-            arr = np.asarray(picks, dtype=np.int64)
-        except OverflowError:
-            raise ValueError(
-                f"{where}pick out of range for frame {frame_size}"
-            ) from None
-        if arr.shape != (n,):
-            size = arr.shape[0] if arr.ndim == 1 else arr.shape
-            raise ValueError(f"{where}picks has {size} entries for {n} tags")
-        if arr.max(initial=-1) >= frame_size:
-            bad = int(arr[arr >= frame_size][0])
-            raise ValueError(
-                f"{where}pick {bad} out of range for frame {frame_size}"
-            )
-        return arr.reshape(n, 1)
-    if len(masks) != n:
-        raise ValueError(f"{where}masks has {len(masks)} entries for {n} tags")
-    # Python ints: numpy integers cannot carry an f-bit mask for f > 63.
-    ints = [int(m) for m in masks]
-    bad = [m for m in ints if m < 0 or m >> frame_size]
-    if bad:
+    try:
+        arr = np.asarray(picks, dtype=np.int64)
+    except OverflowError:
         raise ValueError(
-            f"{where}initial mask {bad[0]:#x} has bits outside the "
-            f"{frame_size}-slot frame"
+            f"{where}pick out of range for frame {frame_size}"
+        ) from None
+    if arr.ndim not in (1, 2) or arr.shape[0] != n:
+        size = arr.shape[0] if arr.ndim == 1 else arr.shape
+        raise ValueError(f"{where}picks has {size} entries for {n} tags")
+    if arr.max(initial=-1) >= frame_size:
+        bad = int(arr[arr >= frame_size][0])
+        raise ValueError(
+            f"{where}pick {bad} out of range for frame {frame_size}"
         )
-    from repro.core.engine import masks_to_words
-
-    # row-major: each tag's slots come out ascending
-    tags, slots = _set_bits(masks_to_words(ints, frame_size))
-    counts = np.bincount(tags, minlength=n)
-    out = np.full((n, max(1, int(counts.max(initial=0)))), -1, dtype=np.int64)
-    column = np.arange(tags.size) - np.repeat(counts.cumsum() - counts, counts)
-    out[tags, column] = slots
-    return out
+    if arr.ndim == 1:
+        return arr.reshape(n, 1)
+    # Sort "no slot" past every slot, drop repeats, then trim the padding.
+    rows = np.sort(np.where(arr < 0, frame_size, arr), axis=1)
+    rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = frame_size
+    rows.sort(axis=1)
+    rows = rows[:, : int((rows < frame_size).sum(axis=1).max(initial=0))]
+    rows[rows == frame_size] = -1
+    return rows
 
 
 def run_session(
     network: Network,
-    picks: Optional[Sequence[int]] = None,
+    picks: Sequence,
     *,
-    masks: Optional[Sequence[int]] = None,
     config: CCMConfig,
     channel: Optional[Channel] = None,
     rng: Optional[np.random.Generator] = None,
@@ -220,10 +208,9 @@ def run_session(
 ) -> SessionResult:
     """Execute one CCM session (Algorithm 1) and account time and energy.
 
-    Exactly one of ``picks`` and ``masks`` describes the tags' initial
-    slots; everything else is keyword-only.  Either is validated and
-    converted once, by :func:`slot_matrix`, into the one form every
-    engine receives.
+    ``picks`` describes the tags' initial slots; everything else is
+    keyword-only.  It is validated and converted once, by
+    :func:`slot_matrix`, into the one form every engine receives.
 
     Parameters
     ----------
@@ -232,13 +219,12 @@ def run_session(
     picks:
         Per-tag initial slot choice: ``picks[i]`` is the frame slot tag i
         transmits in, or -1 if it does not participate (e.g. not sampled by
-        GMLE).  Applications derive these deterministically from
-        (tag ID, seed) via :class:`repro.sim.rng.TagHasher`.
-    masks:
-        Per-tag slot *sets* instead of single picks: ``masks[i]`` is the
-        f-bit integer of slots tag i sets to busy (Sec. III-B: "Each tag
-        chooses one or multiple bits and sets those bits to 1") — one bit
-        for estimation/detection, several for tag search.
+        GMLE).  A 2-D ``(n, k)`` pick matrix gives each tag a slot *set*
+        instead (Sec. III-B: "Each tag chooses one or multiple bits and
+        sets those bits to 1") — one slot for estimation/detection,
+        several for tag search.  Applications derive these
+        deterministically from (tag ID, seed) via
+        :class:`repro.sim.rng.TagHasher`.
     config:
         Session parameters.
     channel:
@@ -266,13 +252,7 @@ def run_session(
     # resolution, the run, metric recording), so its cumulative time is
     # the session wall time a caller measures around this call.
     with obs.span("session"):
-        if (picks is None) == (masks is None):
-            raise ValueError(
-                "run_session takes exactly one of picks= and masks="
-            )
-        slots = slot_matrix(
-            network.n_tags, config.frame_size, picks=picks, masks=masks
-        )
+        slots = slot_matrix(network.n_tags, config.frame_size, picks)
         impl = _engine_mod.resolve_engine(engine, channel)
         started = time.perf_counter()
         result = impl.run(

@@ -297,9 +297,8 @@ class SessionBatchTrial:
         lossy = self.loss > 0.0
         results = run_session_batch(
             network,
-            None,
+            picks_batch,
             self._config(),
-            picks_batch=picks_batch,
             channel=LossyChannel(loss=self.loss) if lossy else None,
             rngs=rngs if lossy else None,
         )

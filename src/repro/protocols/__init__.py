@@ -55,7 +55,7 @@ from repro.protocols.transport import (
     TraditionalTransport,
     frame_picks,
     ideal_bitmap,
-    search_masks,
+    search_slots,
 )
 from repro.protocols.trp import (
     TRPProtocol,
@@ -102,7 +102,7 @@ __all__ = [
     "TraditionalTransport",
     "frame_picks",
     "ideal_bitmap",
-    "search_masks",
+    "search_slots",
     "TRPProtocol",
     "TRPResult",
     "detection_probability",

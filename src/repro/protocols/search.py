@@ -27,10 +27,11 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Set
 
+import numpy as np
+
 from repro.core.bitmap import Bitmap
 from repro.net.timing import SlotCount
-from repro.protocols.transport import FrameTransport
-from repro.sim.rng import TagHasher
+from repro.protocols.transport import FrameTransport, search_slots
 
 
 def optimal_hash_count(frame_size: int, n_present: float) -> int:
@@ -159,12 +160,13 @@ class TagSearchProtocol:
             outcome = transport.run_search_frame(f, k, round_seed)
             bitmaps.append(outcome.bitmap)
             total_slots += outcome.slots
-            hasher = TagHasher(round_seed)
-            for wanted_id in list(candidates):
-                slots = hasher.slots_of(wanted_id, f, k)
-                if not all(outcome.bitmap.get(s) for s in slots):
-                    candidates.discard(wanted_id)
-                    absent.add(wanted_id)
+            bits = outcome.bitmap.bits.to_bytes(-(-f // 8), "little")
+            busy = np.unpackbits(np.frombuffer(bits, np.uint8), bitorder="little")
+            ids = sorted(candidates)
+            hit = busy[search_slots(ids, f, k, round_seed)].all(axis=1)
+            gone = {tid for tid, found in zip(ids, hit) if not found}
+            candidates -= gone
+            absent |= gone
             if not candidates:
                 break
         per_round = false_positive_probability(f, estimate, k)

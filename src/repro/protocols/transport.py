@@ -26,9 +26,9 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.bitmap import Bitmap, union
+from repro.core.bitmap import Bitmap
 from repro.core.multireader import run_multireader_session
-from repro.core.session import CCMConfig, SessionResult, run_session
+from repro.core.session import CCMConfig, SessionResult, run_session, slot_matrix
 from repro.net.channel import Channel
 from repro.net.energy import EnergyLedger
 from repro.net.timing import SlotCount
@@ -74,29 +74,21 @@ def frame_picks(
     return picks
 
 
-def search_masks(
+def search_slots(
     tag_ids: Sequence[int], frame_size: int, k_hashes: int, seed: int
-) -> List[int]:
-    """Per-tag multi-slot masks for a search request (f, k, seed):
-    every tag sets its ``k_hashes`` hashed slots (Sec. III-B).  The masks
-    are assembled as little-endian byte rows, one per tag."""
-    hasher = TagHasher(seed)
+) -> np.ndarray:
+    """Per-tag slots for a search request (f, k, seed), as an ``(n, k)``
+    pick matrix: row i holds tag i's ``k_hashes`` hashed slots (Sec.
+    III-B), in hash order, repeats included — the values of
+    :meth:`TagHasher.slots_of` per tag.  (Frames beyond 2**63 slots get
+    an object array of Python ints, as in :func:`frame_picks`.)
+    """
     ids = as_uint64(tag_ids)
+    dtype = np.int64 if frame_size <= 2**63 else object
     if not ids.size:
-        return []
-    slots = hasher.slots_of_array(ids, frame_size, k_hashes)
-    width = (frame_size + 7) // 8
-    rows = np.zeros((ids.size, width), dtype=np.uint8)
-    tags = np.arange(ids.size)
-    for slot in slots:
-        rows[tags, slot >> np.uint64(3)] |= np.left_shift(
-            1, slot & np.uint64(7)
-        ).astype(np.uint8)
-    data = rows.tobytes()
-    return [
-        int.from_bytes(data[i : i + width], "little")
-        for i in range(0, len(data), width)
-    ]
+        return np.empty((0, k_hashes), dtype=dtype)
+    slots = TagHasher(seed).slots_of_array(ids, frame_size, k_hashes)
+    return slots.T.astype(dtype)
 
 
 class FrameTransport(abc.ABC):
@@ -113,31 +105,30 @@ class FrameTransport(abc.ABC):
         """IDs of the tags this transport serves."""
 
     @abc.abstractmethod
+    def run_pick_frame(self, frame_size: int, picks: Sequence) -> FrameOutcome:
+        """Execute one frame with the given per-tag picks: 1-D (one slot
+        per tag, -1 = silent) or a 2-D pick matrix (a slot set per tag),
+        validated by :func:`~repro.core.session.slot_matrix`.  Protocols
+        whose slot distribution is not uniform (e.g. LoF's geometric
+        hashing) call this directly.  The picks must still be a
+        deterministic function of (tag ID, seed) computed by the caller,
+        or the transports stop being interchangeable."""
+
     def run_frame(
         self, frame_size: int, probability: float, seed: int
     ) -> FrameOutcome:
         """Execute one request (f, p, seed) and return the status bitmap."""
+        return self.run_pick_frame(
+            frame_size, frame_picks(self.tag_ids, frame_size, probability, seed)
+        )
 
     def run_search_frame(
         self, frame_size: int, k_hashes: int, seed: int
     ) -> FrameOutcome:
         """Execute one multi-bit search request (f, k, seed): every tag
-        sets its k hashed slots.  Optional — transports that can carry
-        multi-bit picks override this."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support search frames"
-        )
-
-    def run_pick_frame(
-        self, frame_size: int, picks: Sequence[int]
-    ) -> FrameOutcome:
-        """Execute one frame with externally supplied per-tag picks
-        (-1 = silent).  Used by protocols whose slot distribution is not
-        uniform — e.g. LoF's geometric hashing.  The picks must still be
-        a deterministic function of (tag ID, seed) computed by the caller,
-        or the transports stop being interchangeable."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support external picks"
+        sets its k hashed slots."""
+        return self.run_pick_frame(
+            frame_size, search_slots(self.tag_ids, frame_size, k_hashes, seed)
         )
 
     @property
@@ -161,8 +152,9 @@ class TraditionalTransport(FrameTransport):
 
     The status bitmap is simply the union of the participants' picks — a
     busy slot is a slot some tag transmitted in, collisions included.  Each
-    participant spends one transmitted bit per frame; there is no relaying
-    and no idle listening (traditional tags only talk to the reader).
+    tag spends one transmitted bit per distinct slot it sets; there is no
+    relaying and no idle listening (traditional tags only talk to the
+    reader).
     """
 
     def __init__(self, tag_ids: Sequence[int]):
@@ -174,40 +166,14 @@ class TraditionalTransport(FrameTransport):
     def tag_ids(self) -> np.ndarray:
         return self._tag_ids
 
-    def run_frame(
-        self, frame_size: int, probability: float, seed: int
-    ) -> FrameOutcome:
-        return self.run_pick_frame(
-            frame_size, frame_picks(self._tag_ids, frame_size, probability, seed)
-        )
-
-    def run_search_frame(
-        self, frame_size: int, k_hashes: int, seed: int
-    ) -> FrameOutcome:
-        masks = search_masks(self._tag_ids, frame_size, k_hashes, seed)
-        bits = 0
-        sent = np.zeros(len(masks))
-        for i, mask in enumerate(masks):
-            bits |= mask
-            sent[i] = mask.bit_count()
-        self._ledger.add_sent_bulk(sent)
+    def run_pick_frame(self, frame_size: int, picks: Sequence) -> FrameOutcome:
+        slots = slot_matrix(len(self._tag_ids), frame_size, picks)
+        self._ledger.add_sent_bulk((slots >= 0).sum(axis=1, dtype=np.float64))
         return self._record(
             FrameOutcome(
-                bitmap=Bitmap(frame_size, bits),
+                bitmap=_union_bitmap(frame_size, slots),
                 slots=SlotCount(short_slots=frame_size),
             )
-        )
-
-    def run_pick_frame(
-        self, frame_size: int, picks: Sequence[int]
-    ) -> FrameOutcome:
-        if len(picks) != len(self._tag_ids):
-            raise ValueError("picks must have one entry per tag")
-        picks = np.asarray(picks)
-        bitmap = _union_bitmap(frame_size, picks)
-        self._ledger.add_sent_bulk((picks >= 0).astype(np.float64))
-        return self._record(
-            FrameOutcome(bitmap=bitmap, slots=SlotCount(short_slots=frame_size))
         )
 
 
@@ -236,65 +202,7 @@ class CCMTransport(FrameTransport):
     def tag_ids(self) -> np.ndarray:
         return self.network.tag_ids
 
-    def run_frame(
-        self, frame_size: int, probability: float, seed: int
-    ) -> FrameOutcome:
-        picks = frame_picks(self.network.tag_ids, frame_size, probability, seed)
-        config = CCMConfig(
-            frame_size=frame_size,
-            checking_frame_length=self.checking_frame_length,
-            use_indicator_vector=self.use_indicator_vector,
-        )
-        result = run_session(
-            self.network,
-            picks,
-            config=config,
-            channel=self.channel,
-            rng=self.rng,
-            ledger=self._ledger,
-            engine=self.engine,
-        )
-        self.sessions.append(result)
-        return self._record(
-            FrameOutcome(
-                bitmap=result.bitmap,
-                slots=result.slots,
-                rounds=result.rounds,
-                terminated_cleanly=result.terminated_cleanly,
-            )
-        )
-
-    def run_search_frame(
-        self, frame_size: int, k_hashes: int, seed: int
-    ) -> FrameOutcome:
-        masks = search_masks(self.network.tag_ids, frame_size, k_hashes, seed)
-        config = CCMConfig(
-            frame_size=frame_size,
-            checking_frame_length=self.checking_frame_length,
-            use_indicator_vector=self.use_indicator_vector,
-        )
-        result = run_session(
-            self.network,
-            masks=masks,
-            config=config,
-            channel=self.channel,
-            rng=self.rng,
-            ledger=self._ledger,
-            engine=self.engine,
-        )
-        self.sessions.append(result)
-        return self._record(
-            FrameOutcome(
-                bitmap=result.bitmap,
-                slots=result.slots,
-                rounds=result.rounds,
-                terminated_cleanly=result.terminated_cleanly,
-            )
-        )
-
-    def run_pick_frame(
-        self, frame_size: int, picks: Sequence[int]
-    ) -> FrameOutcome:
+    def run_pick_frame(self, frame_size: int, picks: Sequence) -> FrameOutcome:
         config = CCMConfig(
             frame_size=frame_size,
             checking_frame_length=self.checking_frame_length,
@@ -354,20 +262,16 @@ class MultiReaderCCMTransport(FrameTransport):
     def tag_ids(self) -> np.ndarray:
         return self._tag_ids
 
-    def run_frame(
-        self, frame_size: int, probability: float, seed: int
-    ) -> FrameOutcome:
-        picks = frame_picks(self._tag_ids, frame_size, probability, seed)
-        config = CCMConfig(
-            frame_size=frame_size,
-            checking_frame_length=self.checking_frame_length,
-        )
+    def run_pick_frame(self, frame_size: int, picks: Sequence) -> FrameOutcome:
         result = run_multireader_session(
             self.positions,
             self.readers,
             self.tag_range,
             picks,
-            config,
+            CCMConfig(
+                frame_size=frame_size,
+                checking_frame_length=self.checking_frame_length,
+            ),
             tag_ids=self._tag_ids,
             channel=self.channel,
             rng=self.rng,
@@ -390,7 +294,8 @@ def ideal_bitmap(
 
 
 def _union_bitmap(frame_size: int, picks: np.ndarray) -> Bitmap:
-    """The busy slots of a single-hop frame: the union of the picks."""
+    """The busy slots of a single-hop frame: the union of the picks
+    (1-D picks or a slot matrix)."""
     return Bitmap.from_indices(
         frame_size, np.unique(picks[picks >= 0]).tolist()
     )

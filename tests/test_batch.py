@@ -38,40 +38,38 @@ B = 4
 BASE_SEED = 424242
 
 
-def draw_masks(rng, n, f, participation=0.8):
-    """The shared mask-draw: participation uniform + slot pick per tag."""
+def draw_picks(rng, n, f, participation=0.8):
+    """The shared pick-draw: participation uniform + slot pick per tag."""
     p = rng.random(n)
     s = rng.integers(0, f, size=n)
-    return [
-        int(1 << int(s[i])) if p[i] < participation else 0 for i in range(n)
-    ]
+    return np.where(p < participation, s, -1)
 
 
 def run_reference(network, f, loss, seed):
     """One trial alone through the kernel at B = 1 (the contract's
-    reference path), drawing masks and channel losses from one
+    reference path), drawing picks and channel losses from one
     generator exactly as the batched path must."""
     rng = np.random.default_rng(seed)
-    masks = draw_masks(rng, network.n_tags, f)
+    picks = draw_picks(rng, network.n_tags, f)
     config = CCMConfig(frame_size=f)
     if loss > 0.0:
         return run_session(
-            network, masks=masks, config=config,
+            network, picks, config=config,
             channel=LossyChannel(loss=loss), rng=rng, engine="packed",
         )
-    return run_session(network, masks=masks, config=config, engine="packed")
+    return run_session(network, picks, config=config, engine="packed")
 
 
 def run_batched(network, f, loss, seeds):
     rngs = [np.random.default_rng(s) for s in seeds]
-    masks_batch = [draw_masks(rng, network.n_tags, f) for rng in rngs]
+    picks_batch = [draw_picks(rng, network.n_tags, f) for rng in rngs]
     config = CCMConfig(frame_size=f)
     if loss > 0.0:
         return run_session_batch(
-            network, masks_batch, config,
+            network, picks_batch, config,
             channel=LossyChannel(loss=loss), rngs=rngs,
         )
-    return run_session_batch(network, masks_batch, config)
+    return run_session_batch(network, picks_batch, config)
 
 
 def assert_sessions_identical(ref, out):
@@ -152,17 +150,17 @@ class TestBatchEngineAdapter:
     @pytest.mark.parametrize("loss", (0.0, 0.2))
     def test_engine_batch_equals_packed(self, small_network, loss):
         rng_a = np.random.default_rng(11)
-        masks = draw_masks(rng_a, small_network.n_tags, 64)
+        picks = draw_picks(rng_a, small_network.n_tags, 64)
         rng_b = np.random.default_rng(11)
-        draw_masks(rng_b, small_network.n_tags, 64)  # same rng position
+        draw_picks(rng_b, small_network.n_tags, 64)  # same rng position
         config = CCMConfig(frame_size=64)
         channel = LossyChannel(loss=loss) if loss > 0.0 else None
         ref = run_session(
-            small_network, masks=masks, config=config, channel=channel,
+            small_network, picks, config=config, channel=channel,
             rng=rng_a if loss > 0.0 else None, engine="packed",
         )
         out = run_session(
-            small_network, masks=masks, config=config, channel=channel,
+            small_network, picks, config=config, channel=channel,
             rng=rng_b if loss > 0.0 else None, engine="batch",
         )
         assert_sessions_identical(ref, out)
@@ -259,20 +257,20 @@ class TestValidation:
             )
 
     def test_rng_count_mismatch_rejected(self, small_network):
-        masks = [[0] * small_network.n_tags] * 2
+        picks = [[-1] * small_network.n_tags] * 2
         with pytest.raises(ValueError, match="generators"):
             run_session_batch(
-                small_network, masks, CCMConfig(frame_size=16),
+                small_network, picks, CCMConfig(frame_size=16),
                 channel=LossyChannel(loss=0.1),
                 rngs=[np.random.default_rng(0)],
             )
 
     def test_out_of_range_mask_rejected(self, small_network):
-        masks = [[0] * small_network.n_tags]
-        masks[0][3] = 1 << 20
-        with pytest.raises(ValueError, match="outside"):
+        picks = [[-1] * small_network.n_tags]
+        picks[0][3] = 20
+        with pytest.raises(ValueError, match="out of range"):
             run_session_batch(
-                small_network, masks, CCMConfig(frame_size=16)
+                small_network, picks, CCMConfig(frame_size=16)
             )
 
 

@@ -1,7 +1,7 @@
 """Tests for repro.core.engine — the interchangeable session engines.
 
 The contract under test is the strongest one the redesign makes: for any
-network, initial masks and config, the vectorized kernel at B = 1
+network, initial slots and config, the vectorized kernel at B = 1
 (``engine="packed"``) must produce a *bit-identical*
 :class:`~repro.core.session.SessionResult` to the big-int oracle — same
 bitmap, rounds, slots, round-by-round stats, tracer NDJSON and per-tag
@@ -34,6 +34,7 @@ from repro.core.session import (
     CCMConfig,
     default_checking_frame_length,
     run_session,
+    slot_matrix,
 )
 from repro.net.channel import (
     Channel,
@@ -68,17 +69,17 @@ def _build_network(deployment: str, n_tags: int, seed: int) -> Network:
     return Network.build(positions, [reader], tag_range=6.0)
 
 
-def _masks_for(network: Network, frame_size: int, seed: int, multibit: bool):
-    """Deterministic per-tag initial masks (one or several slots each)."""
+def _picks_for(network: Network, frame_size: int, seed: int, multibit: bool):
+    """Deterministic per-tag initial slots: a pick matrix of one or two
+    (possibly equal) slots per tag."""
     hasher = TagHasher(seed=seed)
-    masks = []
-    for tid in network.tag_ids:
-        slot = hasher.slot_of(int(tid), frame_size)
-        mask = 1 << slot
-        if multibit:
-            mask |= 1 << hasher.slot_of(int(tid) ^ 0x5A5A, frame_size)
-        masks.append(mask)
-    return masks
+    return np.array(
+        [
+            [hasher.slot_of(int(tid), frame_size)]
+            + ([hasher.slot_of(int(tid) ^ 0x5A5A, frame_size)] if multibit else [])
+            for tid in network.tag_ids
+        ]
+    )
 
 
 def _assert_results_identical(a, b) -> None:
@@ -239,15 +240,15 @@ class TestCrossEngineEquivalence:
 
         seed = {"disk": 101, "annulus": 202, "clustered": 303}[deployment]
         network = _build_network(deployment, n_tags=300, seed=seed)
-        masks = _masks_for(network, frame_size, seed=11, multibit=multibit)
+        picks = _picks_for(network, frame_size, seed=11, multibit=multibit)
         config = CCMConfig(frame_size=frame_size)
         tracer_a, tracer_b = SessionTracer(), SessionTracer()
         a = run_session(
-            network, masks=masks, config=config, engine="bigint",
+            network, picks, config=config, engine="bigint",
             tracer=tracer_a,
         )
         b = run_session(
-            network, masks=masks, config=config, engine="packed",
+            network, picks, config=config, engine="packed",
             tracer=tracer_b,
         )
         _assert_results_identical(a, b)
@@ -258,10 +259,10 @@ class TestCrossEngineEquivalence:
 
     def test_no_indicator_vector_ablation(self):
         network = _build_network("disk", n_tags=250, seed=5)
-        masks = _masks_for(network, 96, seed=3, multibit=True)
+        picks = _picks_for(network, 96, seed=3, multibit=True)
         config = CCMConfig(frame_size=96, use_indicator_vector=False)
-        a = run_session(network, masks=masks, config=config, engine="bigint")
-        b = run_session(network, masks=masks, config=config, engine="packed")
+        a = run_session(network, picks, config=config, engine="bigint")
+        b = run_session(network, picks, config=config, engine="packed")
         _assert_results_identical(a, b)
 
     def test_max_rounds_truncation(self, line_network):
@@ -300,12 +301,12 @@ class TestCrossEngineEquivalence:
         """Lossy sensing is subtractive: no phantom bits, and loss=0
         degenerates to the perfect channel."""
         network = _build_network("disk", n_tags=200, seed=9)
-        masks = _masks_for(network, 64, seed=2, multibit=False)
+        picks = _picks_for(network, 64, seed=2, multibit=False)
         config = CCMConfig(frame_size=64)
-        truth = run_session(network, masks=masks, config=config)
+        truth = run_session(network, picks, config=config)
         lossy = run_session(
             network,
-            masks=masks,
+            picks,
             config=config,
             channel=LossyChannel(0.3),
             rng=np.random.default_rng(17),
@@ -314,7 +315,7 @@ class TestCrossEngineEquivalence:
         assert lossy.bitmap.difference(truth.bitmap).popcount() == 0
         lossless = run_session(
             network,
-            masks=masks,
+            picks,
             config=config,
             channel=LossyChannel(0.0),
             rng=np.random.default_rng(17),
@@ -326,7 +327,7 @@ class TestCrossEngineEquivalence:
 class TestLossyCrossEngineEquivalence:
     """packed ≡ bigint under LossyChannel: the repro-channel-rng-v1
     contract pins the Bernoulli draw order, so for the same seed the two
-    engines produce bit-identical sessions — masks, metrics, ledger
+    engines produce bit-identical sessions — bitmaps, metrics, ledger
     floats, and tracer NDJSON."""
 
     @pytest.mark.parametrize("loss", [0.2, 0.5, 0.8])
@@ -338,16 +339,16 @@ class TestLossyCrossEngineEquivalence:
         from repro.sim.trace import SessionTracer
 
         network = _build_network("disk", n_tags=300, seed=101)
-        masks = _masks_for(network, frame_size, seed=11, multibit=multibit)
+        picks = _picks_for(network, frame_size, seed=11, multibit=multibit)
         config = CCMConfig(frame_size=frame_size)
         tracer_a, tracer_b = SessionTracer(), SessionTracer()
         a = run_session(
-            network, masks=masks, config=config, engine="bigint",
+            network, picks, config=config, engine="bigint",
             channel=LossyChannel(loss), rng=np.random.default_rng(4242),
             tracer=tracer_a,
         )
         b = run_session(
-            network, masks=masks, config=config, engine="packed",
+            network, picks, config=config, engine="packed",
             channel=LossyChannel(loss), rng=np.random.default_rng(4242),
             tracer=tracer_b,
         )
@@ -358,28 +359,28 @@ class TestLossyCrossEngineEquivalence:
 
     def test_no_indicator_vector_ablation(self):
         network = _build_network("annulus", n_tags=250, seed=202)
-        masks = _masks_for(network, 96, seed=3, multibit=True)
+        picks = _picks_for(network, 96, seed=3, multibit=True)
         config = CCMConfig(frame_size=96, use_indicator_vector=False)
         a = run_session(
-            network, masks=masks, config=config, engine="bigint",
+            network, picks, config=config, engine="bigint",
             channel=LossyChannel(0.4), rng=np.random.default_rng(8),
         )
         b = run_session(
-            network, masks=masks, config=config, engine="packed",
+            network, picks, config=config, engine="packed",
             channel=LossyChannel(0.4), rng=np.random.default_rng(8),
         )
         _assert_results_identical(a, b)
 
     def test_auto_matches_explicit_engines(self):
         network = _build_network("disk", n_tags=200, seed=9)
-        masks = _masks_for(network, 64, seed=2, multibit=False)
+        picks = _picks_for(network, 64, seed=2, multibit=False)
         config = CCMConfig(frame_size=64)
         auto = run_session(
-            network, masks=masks, config=config,
+            network, picks, config=config,
             channel=LossyChannel(0.3), rng=np.random.default_rng(17),
         )
         explicit = run_session(
-            network, masks=masks, config=config, engine="bigint",
+            network, picks, config=config, engine="bigint",
             channel=LossyChannel(0.3), rng=np.random.default_rng(17),
         )
         _assert_results_identical(auto, explicit)
@@ -390,32 +391,25 @@ class TestLossyCrossEngineEquivalence:
         bigint/tag-major lossy paths raise without one, so succeeding
         here proves the dispatch."""
         network = _build_network("disk", n_tags=200, seed=9)
-        masks = _masks_for(network, 64, seed=2, multibit=False)
+        picks = _picks_for(network, 64, seed=2, multibit=False)
         config = CCMConfig(frame_size=64)
-        perfect = run_session(network, masks=masks, config=config)
+        perfect = run_session(network, picks, config=config)
         lossless = run_session(
-            network, masks=masks, config=config, channel=LossyChannel(0.0)
+            network, picks, config=config, channel=LossyChannel(0.0)
         )
         _assert_results_identical(perfect, lossless)
 
 
 class TestUnifiedAPI:
-    def test_exactly_one_of_picks_and_masks(self, star_network):
-        config = CCMConfig(frame_size=8)
-        with pytest.raises(ValueError, match="exactly one"):
-            run_session(star_network, config=config)
-        with pytest.raises(ValueError, match="exactly one"):
-            run_session(
-                star_network, [0] * 5, masks=[1] * 5, config=config
-            )
-
-    def test_numpy_masks_accepted(self, star_network):
-        """numpy integer masks must not overflow at large frame sizes."""
-        masks = np.array([1, 2, 4, 8, 16], dtype=np.int64)
-        result = run_session(
-            star_network, masks=masks, config=CCMConfig(frame_size=100)
+    def test_numpy_pick_matrix_accepted(self, star_network):
+        """An int64 pick matrix reaches slots past the first word."""
+        picks = np.array(
+            [[0, 99], [64, 64], [1, -1], [63, 65], [-2, 2]], dtype=np.int64
         )
-        assert result.bitmap.popcount() == 5
+        result = run_session(
+            star_network, picks, config=CCMConfig(frame_size=100)
+        )
+        assert list(result.bitmap.indices()) == [0, 1, 2, 63, 64, 65, 99]
 
     def test_run_session_masks_removed(self):
         """The deprecated alias completed its one-release grace period."""
@@ -470,79 +464,106 @@ _SLOT_NET = _build_network("disk", n_tags=40, seed=5)
 
 
 @st.composite
-def _initial_masks(draw):
-    """A frame size and per-tag masks: silent tags, single picks, random
-    multi-bit sets and tags holding every slot of the frame."""
+def _pick_matrices(draw):
+    """A frame size, a messy pick matrix and its canonical form.
+
+    The messy matrix repeats slots within a row, lists them in any order
+    and pads with negatives down to -2**63; it has all-silent rows and
+    rows holding every slot of the frame.  The canonical form lists each
+    row's distinct slots ascending, padded with -1.
+    """
     f = draw(st.sampled_from(_SLOT_FRAMES))
-    full = (1 << f) - 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = _SLOT_NET.n_tags
     if draw(st.integers(0, 3)) == 0:  # nobody participates
-        return f, [0] * _SLOT_NET.n_tags
-    per_tag = st.one_of(
-        st.just(0),
-        st.just(full),
-        st.integers(0, f - 1).map(lambda s: 1 << s),
-        st.integers(0, full),
-    )
-    masks = draw(
-        st.lists(per_tag, min_size=_SLOT_NET.n_tags, max_size=_SLOT_NET.n_tags)
-    )
-    return f, masks
+        sets = [[] for _ in range(n)]
+    else:
+        kinds = rng.integers(0, 4, size=n)
+        sets = [
+            [] if kind == 0
+            else list(range(f)) if kind == 1
+            else rng.integers(0, f, size=rng.integers(1, 7)).tolist()
+            for kind in kinds
+        ]
+    width = max(len(row) for row in sets) + draw(st.integers(0, 2))
+    messy = np.empty((n, width), dtype=np.int64)
+    for i, row in enumerate(sets):
+        pad = rng.integers(-(2**63), 0, size=width - len(row)).tolist()
+        messy[i] = rng.permutation(row + pad)
+    k = max(len(set(row)) for row in sets)
+    canonical = np.array(
+        [sorted(set(row)) + [-1] * (k - len(set(row))) for row in sets],
+        dtype=np.int64,
+    ).reshape(n, k)
+    return f, messy, canonical
 
 
 class TestSlotMatrixInputs:
-    """``picks=`` and ``masks=`` are two spellings of one slot matrix:
-    every engine gives the same session for either, in Python or numpy
-    integers, and the boundary still rejects malformed input."""
+    """A pick matrix in any spelling is one set of slots per tag: every
+    engine gives the same session for it as for its canonical form, a
+    one-column matrix is the 1-D picks, and the boundary still rejects
+    malformed input."""
 
     ENGINES = ("bigint", "packed", "scenario")
 
     @settings(max_examples=25, deadline=None)
-    @given(_initial_masks(), st.booleans())
-    def test_picks_and_masks_agree_on_every_engine(self, inputs, as_numpy):
-        f, masks = inputs
+    @given(_pick_matrices())
+    def test_pick_matrix_matches_canonical_form(self, inputs):
+        f, messy, canonical = inputs
+        assert slot_matrix(_SLOT_NET.n_tags, f, messy).tolist() == (
+            canonical.tolist()
+        )
         config = CCMConfig(frame_size=f)
-        forms = [{"masks": masks}]
-        if all(m < 2**63 for m in masks):
-            forms.append({"masks": np.array(masks, dtype=np.int64)})
-        if all(m & (m - 1) == 0 for m in masks):  # at most one slot per tag
-            picks = [m.bit_length() - 1 for m in masks]
-            forms.append({"picks": np.array(picks) if as_numpy else picks})
-        reference = run_session(_SLOT_NET, masks=masks, config=config)
+        reference = run_session(
+            _SLOT_NET, canonical, config=config, engine="bigint"
+        )
         for engine in self.ENGINES:
-            for form in forms:
+            for picks in (canonical, messy):
                 result = run_session(
-                    _SLOT_NET, config=config, engine=engine, **form
+                    _SLOT_NET, picks, config=config, engine=engine
                 )
                 _assert_results_identical(reference, result)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(_SLOT_FRAMES), st.data())
+    def test_single_column_matrix_equals_picks(self, f, data):
+        n = _SLOT_NET.n_tags
+        picks = data.draw(
+            st.lists(st.integers(-5, f - 1), min_size=n, max_size=n)
+        )
+        config = CCMConfig(frame_size=f)
+        column = np.array(picks)[:, None]
+        for engine in self.ENGINES:
+            _assert_results_identical(
+                run_session(_SLOT_NET, picks, config=config, engine=engine),
+                run_session(_SLOT_NET, column, config=config, engine=engine),
+            )
 
     @settings(max_examples=25, deadline=None)
     @given(
         st.sampled_from(_SLOT_FRAMES),
         st.sampled_from(
-            ["short", "2-D", "pick >= f", "negative mask", "mask bit >= f"]
+            ["short", "3-D", "short 2-D", "pick >= f", "matrix pick >= f"]
         ),
         st.integers(0, _SLOT_NET.n_tags - 1),
         st.integers(0, 200),
     )
     def test_malformed_inputs_raise(self, f, kind, tag, excess):
         n = _SLOT_NET.n_tags
-        picks, masks = [-1] * n, [0] * n
+        picks = [-1] * n
         if kind == "short":
-            picks = picks[: tag]
-        elif kind == "2-D":
-            picks = [[-1, -1]] * n
+            picks = picks[:tag]
+        elif kind == "3-D":
+            picks = [[[-1]]] * n
+        elif kind == "short 2-D":
+            picks = [[-1, -1]] * tag
         elif kind == "pick >= f":
             picks[tag] = f + excess
-        elif kind == "negative mask":
-            masks[tag] = -1 - excess
         else:
-            masks[tag] = 1 << (f + excess)
-        form = {"masks": masks} if "mask" in kind else {"picks": picks}
+            picks = [[0, -1]] * n
+            picks[tag] = [0, f + excess]
         config = CCMConfig(frame_size=f)
         with pytest.raises(ValueError):
-            run_session(_SLOT_NET, config=config, **form)
-        batch = {f"{key}_batch": [value] for key, value in form.items()}
+            run_session(_SLOT_NET, picks, config=config)
         with pytest.raises(ValueError):
-            run_session_batch(
-                _SLOT_NET, batch.pop("masks_batch", None), config, **batch
-            )
+            run_session_batch(_SLOT_NET, [picks], config)

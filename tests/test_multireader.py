@@ -30,6 +30,19 @@ class TestValidation:
             )
 
 
+    def test_out_of_range_pick_on_uncovered_tag(self):
+        """Picks are validated over the whole population, not per window:
+        tag 2 is outside the reader's range and still may not pick 999."""
+        positions = np.array([[1.0, 0.0], [50.0, 0.0]])
+        with pytest.raises(
+            ValueError, match="^pick 999 out of range for frame 8$"
+        ):
+            run_multireader_session(
+                positions, [_reader(0, 0)], 1.2, [0, 999],
+                CCMConfig(frame_size=8),
+            )
+
+
 class TestTwoReaderField:
     """Two separate clusters, one reader each; no single reader covers both."""
 

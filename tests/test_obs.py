@@ -384,7 +384,6 @@ class TestInstrumentedSession:
 
         f = 64
         picks = frame_picks(small_network.tag_ids, f, 1.0, seed=1)
-        masks = [0 if p < 0 else 1 << int(p) for p in picks]
         budget = LinkBudget(threshold_dbm=-200.0)
         assert budget.powered_mask(small_network.reader_distance).all()
 
@@ -393,14 +392,14 @@ class TestInstrumentedSession:
 
         scenario = ScenarioSessionEngine(ScenarioConfig(link_budget=budget))
         tracers = {"scenario": SessionTracer(), "bigint": SessionTracer()}
-        slots = slot_matrix(small_network.n_tags, f, masks=masks)
+        slots = slot_matrix(small_network.n_tags, f, picks[:, None])
         ours = scenario.run(
             small_network, slots, CCMConfig(frame_size=f), channel=inner(),
             rng=np.random.default_rng(5), tracer=tracers["scenario"],
         )
         assert scenario.last_run_info["powered_fraction_mean"] == 1.0
         theirs = run_session(
-            small_network, masks=masks, config=CCMConfig(frame_size=f),
+            small_network, picks[:, None], config=CCMConfig(frame_size=f),
             channel=inner(), rng=np.random.default_rng(5),
             tracer=tracers["bigint"], engine="bigint",
         )

@@ -1,6 +1,6 @@
 """Unit tests for repro.sim.rng — the deterministic tag-side hashing.
 
-The ``*_array`` hashes and the vectorized ``frame_picks``/``search_masks``
+The ``*_array`` hashes and the vectorized ``frame_picks``/``search_slots``
 are held to the scalar functions and the per-tag loops they replaced.
 """
 
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.protocols.transport import frame_picks, search_masks
+from repro.protocols.transport import frame_picks, search_slots
 from repro.sim.rng import (
     TagHasher,
     as_uint64,
@@ -38,6 +38,12 @@ def oracle_frame_picks(tag_ids, frame_size, probability, seed):
         else:
             picks.append(-1)
     return picks
+
+
+def search_masks(tag_ids, frame_size, k_hashes, seed):
+    """Each tag's ``search_slots`` row as an f-bit mask (its slot set)."""
+    rows = search_slots(tag_ids, frame_size, k_hashes, seed).tolist()
+    return [sum(1 << s for s in set(row)) for row in rows]
 
 
 def oracle_search_masks(tag_ids, frame_size, k_hashes, seed):
@@ -254,6 +260,23 @@ class TestVectorPicksMatchOracle:
         assert search_masks(ids, frame_size, k_hashes, seed) == (
             oracle_search_masks(ids, frame_size, k_hashes, seed)
         )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(wide_ints, max_size=30),
+        st.integers(1, 700),
+        st.integers(1, 5),
+        seeds,
+    )
+    def test_search_slots(self, ids, frame_size, k_hashes, seed):
+        """Row i is tag i's ``slots_of``, in hash order, repeats kept."""
+        hasher = TagHasher(seed)
+        got = search_slots(ids, frame_size, k_hashes, seed)
+        assert got.dtype == np.int64
+        assert got.shape == (len(ids), k_hashes)
+        assert got.tolist() == [
+            hasher.slots_of(int(tid), frame_size, k_hashes) for tid in ids
+        ]
 
     def test_probability_equal_to_a_tags_draw(self):
         # Participation is uniform < p, strictly: a tag whose draw equals p

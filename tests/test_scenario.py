@@ -292,7 +292,7 @@ class TestStaticEquivalencePin:
         engine = ScenarioSessionEngine()
         with pytest.raises(ValueError, match="packed"):
             engine.run(
-                net, slot_matrix(net.n_tags, 8, masks=[0] * net.n_tags),
+                net, slot_matrix(net.n_tags, 8, [-1] * net.n_tags),
                 CCMConfig(frame_size=8), channel=NoPacked(),
             )
 
@@ -656,9 +656,7 @@ class TestBitsetPropagationOracle:
 
         (a, ja), (b, jb) = (
             run(slots=slot_matrix(net.n_tags, f, picks=np.asarray(picks))),
-            run(slots=slot_matrix(
-                net.n_tags, f, masks=[0 if p < 0 else 1 << p for p in picks]
-            )),
+            run(slots=slot_matrix(net.n_tags, f, np.asarray(picks)[:, None])),
         )
         assert a.bitmap == b.bitmap
         assert a.round_stats == b.round_stats

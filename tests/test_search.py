@@ -12,7 +12,7 @@ from repro.protocols.search import (
 from repro.protocols.transport import (
     CCMTransport,
     TraditionalTransport,
-    search_masks,
+    search_slots,
 )
 from repro.sim.rng import TagHasher
 
@@ -41,13 +41,10 @@ class TestHashSlots:
 
 class TestSearchMasks:
     def test_mask_bits_match_slots(self):
-        masks = search_masks([7, 8], 64, 3, seed=2)
+        slots = search_slots([7, 8], 64, 3, seed=2)
         hasher = TagHasher(2)
-        for tid, mask in zip([7, 8], masks):
-            expected = 0
-            for s in hasher.slots_of(tid, 64, 3):
-                expected |= 1 << s
-            assert mask == expected
+        for tid, row in zip([7, 8], slots.tolist()):
+            assert row == hasher.slots_of(tid, 64, 3)
 
 
 class TestSizingMath:
@@ -161,15 +158,15 @@ class TestSearchOverCCM:
     def test_session_level_multibit_masks(self, star_network):
         """The engine relays multi-bit picks: a 2-slot outer-tag mask
         arrives intact."""
-        masks = [0, 0, 0, 0, 0b101]  # tier-2 tag sets slots 0 and 2
+        picks = [[-1, -1]] * 4 + [[0, 2]]  # tier-2 tag sets slots 0 and 2
         result = run_session(
-            star_network, masks=masks, config=CCMConfig(frame_size=8))
+            star_network, picks, config=CCMConfig(frame_size=8))
         assert list(result.bitmap.indices()) == [0, 2]
         assert result.rounds == 2
 
     def test_mask_validation(self, star_network):
         with pytest.raises(ValueError):
             run_session(
-                star_network, masks=[0, 0, 0, 0, 1 << 9], config=CCMConfig(frame_size=8))
+                star_network, [[-1]] * 4 + [[9]], config=CCMConfig(frame_size=8))
         with pytest.raises(ValueError):
-            run_session(star_network, masks=[0], config=CCMConfig(frame_size=8))
+            run_session(star_network, [[-1]], config=CCMConfig(frame_size=8))

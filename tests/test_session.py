@@ -47,7 +47,7 @@ class TestConfigValidation:
 class TestSlotMatrix:
     def test_conversion(self):
         assert slot_matrix(3, 4, picks=[0, 2, -1]).tolist() == [[0], [2], [-1]]
-        assert slot_matrix(3, 4, masks=[1, 0b1010, 0]).tolist() == [
+        assert slot_matrix(3, 4, [[0, 0], [3, 1], [-1, -7]]).tolist() == [
             [0, -1], [1, 3], [-1, -1]
         ]
 

@@ -4,15 +4,21 @@ import numpy as np
 import pytest
 
 from repro.net.geometry import Point
-from repro.net.topology import Reader
+from repro.net.topology import Network, Reader
 from repro.protocols.transport import (
     CCMTransport,
     MultiReaderCCMTransport,
     TraditionalTransport,
     frame_picks,
     ideal_bitmap,
-    search_masks,
+    search_slots,
 )
+
+
+def search_masks(tag_ids, frame_size, k_hashes, seed):
+    """Each tag's ``search_slots`` row as an f-bit mask (its slot set)."""
+    rows = search_slots(tag_ids, frame_size, k_hashes, seed).tolist()
+    return [sum(1 << s for s in set(row)) for row in rows]
 
 
 class TestFramePicks:
@@ -122,16 +128,59 @@ class TestMultiReaderTransport:
             transport.run_frame(8, 1.0, seed=0)
 
 
+# Reader A at the origin reaches tags 1-2; tag 3 is inside its range R but
+# out of hop range of them; reader B reaches tags 4-5; tag 6 is outside
+# every reader's range.
+_FIELD = np.array(
+    [[1.0, 0.0], [2.0, 0.0], [4.5, 0.0], [21.0, 0.0], [22.0, 0.0], [50.0, 0.0]]
+)
+_READERS = [Reader(Point(0, 0), 5.0, 1.5), Reader(Point(20, 0), 5.0, 1.5)]
+_FIELD_IDS = [1, 2, 3, 4, 5, 6]
+
+
+def _field_transports():
+    """The three transports over the same six tags."""
+    return [
+        TraditionalTransport(_FIELD_IDS),
+        CCMTransport(
+            Network.build(_FIELD, _READERS[:1], 1.2, tag_ids=_FIELD_IDS)
+        ),
+        MultiReaderCCMTransport(_FIELD, _READERS, tag_range=1.2),
+    ]
+
+
+class TestPickValidation:
+    """Every transport validates picks once, through ``slot_matrix``, and
+    rejects bad ones with the same ValueError."""
+
+    @pytest.mark.parametrize(
+        "picks, message",
+        [
+            ([0, 1, 2], r"picks has 3 entries for 6 tags"),
+            ([0, 1, 8, -1, -1, -1], r"pick 8 out of range for frame 8"),
+            (np.zeros((6, 1, 1)), r"picks has \(6, 1, 1\) entries for 6 tags"),
+            ([0, 1, 2, 3, 4, 999], r"pick 999 out of range for frame 8"),
+        ],
+        ids=["wrong length", "pick >= f", "3-D", "uncovered tag"],
+    )
+    def test_bad_picks_raise_alike(self, picks, message):
+        for transport in _field_transports():
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                transport.run_pick_frame(8, picks)
+            assert transport.frames_run == 0
+
+
 class TestOptionalTransportMethods:
-    def test_multireader_lacks_search_frames(self):
-        positions = np.array([[1.0, 0.0]])
-        transport = MultiReaderCCMTransport(
-            positions, [Reader(Point(0, 0), 5.0, 1.5)], tag_range=1.0
-        )
-        with pytest.raises(NotImplementedError):
-            transport.run_search_frame(16, 2, seed=0)
-        with pytest.raises(NotImplementedError):
-            transport.run_pick_frame(16, [0])
+    def test_multireader_search_frame_matches_traditional(self):
+        """Eq. 1 with Theorem 1: the OR of the reader windows' search
+        bitmaps is the single-hop search bitmap of the tags some reader
+        reaches (tags 1, 2, 4 and 5)."""
+        multi = MultiReaderCCMTransport(_FIELD, _READERS, tag_range=1.2)
+        reached = TraditionalTransport([1, 2, 4, 5])
+        for seed in range(5):
+            out = multi.run_search_frame(64, 3, seed)
+            assert out.bitmap == reached.run_search_frame(64, 3, seed).bitmap
+            assert out.bitmap.popcount() > 0
 
     def test_pick_frame_traditional(self):
         transport = TraditionalTransport([1, 2, 3])
@@ -166,7 +215,8 @@ class TestOptionalTransportMethods:
 
 
 class TestPicksGolden:
-    """``frame_picks`` and ``search_masks`` on a fixed ID list, pinned.
+    """``frame_picks`` and ``search_slots`` (as per-tag slot-set masks) on
+    a fixed ID list, pinned.
 
     The list mixes small IDs, int64 extremes, negative IDs and Python
     ints at and beyond 2**63 and 2**64 (hashed masked to 64 bits), so the
