@@ -39,7 +39,7 @@ from repro.store.binary import (
     decode_record,
     encode_record,
 )
-from repro.store.cache import RESULT_FORMAT
+from repro.store.cache import RESULT_FORMAT, _entry
 from repro.store.canonical import canonical_json
 
 BASE_SEED = 42
@@ -85,7 +85,8 @@ def _legacy_json_get(root: pathlib.Path, key: str):
         path.with_suffix(".bin").read_bytes()  # the binary tier came first
     except OSError:
         pass
-    return ResultStore._parse(path, path.read_text(encoding="utf-8"))
+    raw = path.read_bytes()
+    return _entry(path, json.loads(raw), len(raw))
 
 
 def _scalar_metrics(rng: random.Random) -> dict:

@@ -7,7 +7,6 @@ of evaluation work.  Shape checks: CCM saves >70 % received bits vs SICP
 at every range, decreases with r, and is load-balanced (max ≈ avg).
 """
 
-from repro.experiments import paperconfig as cfg
 from repro.experiments.common import format_table, paper_trial_metrics
 
 

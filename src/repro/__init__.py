@@ -33,7 +33,6 @@ from repro.core import (
     available_engines,
     default_checking_frame_length,
     get_engine,
-    register_engine,
     run_multireader_session,
     run_session,
     union,
@@ -106,7 +105,6 @@ __all__ = [
     "available_engines",
     "default_checking_frame_length",
     "get_engine",
-    "register_engine",
     "run_multireader_session",
     "run_session",
     "union",

@@ -17,7 +17,6 @@ random picks, Eq. 4).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List
 

@@ -15,7 +15,7 @@ This subpackage is the paper's primary contribution.  Typical use::
 Sessions run on an interchangeable engine (``engine="packed"`` or
 ``"batch"``, the vectorized kernel at B = 1; ``engine="bigint"``, the
 scalar big-int oracle; default ``"auto"``); see :mod:`repro.core.engine`
-for the registry and :mod:`repro.core.batch` for the kernel, which also
+for the engine table and :mod:`repro.core.batch` for the kernel, which also
 runs B whole sessions per numpy call.
 """
 
@@ -25,7 +25,6 @@ from repro.core.engine import (
     SessionEngine,
     available_engines,
     get_engine,
-    register_engine,
     resolve_engine,
 )
 from repro.core.multireader import MultiReaderResult, run_multireader_session
@@ -62,7 +61,6 @@ __all__ = [
     "BatchSessionEngine",
     "available_engines",
     "get_engine",
-    "register_engine",
     "resolve_engine",
     "RobustCollectResult",
     "robust_collect",

@@ -69,7 +69,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.bitmap import Bitmap
-from repro.core.engine import _word_counts, register_engine, words_to_int
+from repro.core.engine import _word_counts, words_to_int
 from repro.core.session import (
     CCMConfig,
     RoundStats,
@@ -958,7 +958,7 @@ def run_session_batch(
 class BatchSessionEngine:
     """The kernel as a single-session engine (the B = 1 adapter).
 
-    Registered as ``"batch"`` and as ``"packed"`` (what ``"auto"``
+    Listed as ``"batch"`` and as ``"packed"`` (what ``"auto"``
     resolves to for the built-in channels), so every vectorized session
     — one trial or a batch of them — runs the same code.  ``run_session``
     has already built and validated the slot matrix.
@@ -998,7 +998,3 @@ def _into_ledger(
         ledger.add_received_bulk(result.ledger.bits_received)
         result.ledger = ledger
     return result
-
-
-register_engine("batch", BatchSessionEngine)
-register_engine("packed", lambda: BatchSessionEngine("packed"))

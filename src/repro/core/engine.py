@@ -9,7 +9,7 @@ exist:
   f-bit Python integer, and propagation is one big-int OR per edge.
   Works with any :class:`~repro.net.channel.Channel` implementation, so it
   is also the executable reference for the channel contract.
-* the vectorized kernel of :mod:`repro.core.batch`, registered as
+* the vectorized kernel of :mod:`repro.core.batch`, listed as
   ``"packed"`` and ``"batch"`` (one session is its B = 1 case): frames
   are bit-packed uint64 arrays and every per-tag loop is a NumPy kernel,
   slot-major under the exact :class:`~repro.net.channel.PerfectChannel`
@@ -31,10 +31,10 @@ the silent slot-major path) and bigint for anything else — third-party
 channel subclasses may override propagation or not implement the
 packed-word interface at all.
 
-The registry is open: :func:`register_engine` accepts any object
-satisfying the :class:`SessionEngine` protocol, so experimental engines
-(GPU kernels, approximate models) can be selected by name through the
-same ``engine=`` keyword.
+A third name, ``"scenario"``, runs the kernel with per-round motion and
+power hooks (:mod:`repro.scenario.engine`).  The engine table is fixed:
+engine names go into every trial key, so the set of names is part of the
+store's addressing, not an extension point.
 """
 
 from __future__ import annotations
@@ -100,30 +100,39 @@ class SessionEngine(Protocol):
         ...  # pragma: no cover - protocol body
 
 
-_REGISTRY: Dict[str, Callable[[], SessionEngine]] = {}
+# The kernel and scenario modules import this one, so their engine
+# classes are imported when an engine is first built.
+def _kernel_engine(name: str) -> SessionEngine:
+    from repro.core.batch import BatchSessionEngine
+
+    return BatchSessionEngine(name)
 
 
-def register_engine(name: str, factory: Callable[[], SessionEngine]) -> None:
-    """Register (or replace) a session engine under ``name``.
+def _scenario_engine() -> SessionEngine:
+    from repro.scenario.engine import ScenarioSessionEngine
 
-    ``factory`` is called lazily, once per :func:`get_engine` call, so
-    registration stays import-cheap.
-    """
-    if not name or name == AUTO_ENGINE:
-        raise ValueError(f"invalid engine name {name!r}")
-    _REGISTRY[name] = factory
+    return ScenarioSessionEngine()
+
+
+#: Engine name -> factory, called once per :func:`get_engine` call.
+_ENGINES: Dict[str, Callable[[], SessionEngine]] = {
+    "batch": lambda: _kernel_engine("batch"),
+    "bigint": lambda: BigintSessionEngine(),
+    "packed": lambda: _kernel_engine("packed"),
+    "scenario": _scenario_engine,
+}
 
 
 def available_engines() -> Tuple[str, ...]:
-    """Registered engine names, sorted (``"auto"`` is a resolution rule,
-    not an engine, and is not listed)."""
-    return tuple(sorted(_REGISTRY))
+    """The engine names, sorted (``"auto"`` is a resolution rule, not an
+    engine, and is not listed)."""
+    return tuple(sorted(_ENGINES))
 
 
 def get_engine(name: str) -> SessionEngine:
-    """Instantiate the engine registered under ``name``."""
+    """Instantiate the engine named ``name``."""
     try:
-        factory = _REGISTRY[name]
+        factory = _ENGINES[name]
     except KeyError:
         raise ValueError(
             f"unknown session engine {name!r}; available: "
@@ -450,8 +459,6 @@ class BigintSessionEngine:
         )
 
 
-register_engine("bigint", BigintSessionEngine)
-
 # Re-exported for callers that want the propagation kernel directly.
 __all__ = [
     "AUTO_ENGINE",
@@ -459,7 +466,6 @@ __all__ = [
     "BigintSessionEngine",
     "available_engines",
     "get_engine",
-    "register_engine",
     "resolve_engine",
     "run_checking_frame",
     "masks_to_words",

@@ -25,8 +25,9 @@ from repro.core.bitmap import Bitmap
 from repro.core.session import CCMConfig, SessionResult, run_session, slot_matrix
 from repro.net.channel import Channel
 from repro.net.energy import EnergyLedger
+from repro.net.geometry import check_positions, pairwise_distance
 from repro.net.timing import SlotCount
-from repro.net.topology import Network, Reader
+from repro.net.topology import Network, Reader, tag_id_array
 
 
 @dataclass
@@ -65,16 +66,12 @@ def run_multireader_session(
     window it participates in.  ``engine`` selects the per-window
     session engine (see :mod:`repro.core.engine`).
     """
-    positions = np.asarray(positions, dtype=np.float64)
+    positions = check_positions(positions)
     n = positions.shape[0]
     slots = slot_matrix(n, config.frame_size, picks)
     if not readers:
         raise ValueError("at least one reader is required")
-    ids = (
-        np.arange(1, n + 1, dtype=np.int64)
-        if tag_ids is None
-        else np.asarray(list(tag_ids), dtype=np.int64)
-    )
+    ids = tag_id_array(tag_ids, n)
 
     combined_ledger = EnergyLedger(n)
     combined_slots = SlotCount()
@@ -83,8 +80,11 @@ def run_multireader_session(
     covered_any = np.zeros(n, dtype=bool)
 
     for reader in readers:
-        sub_net = Network.build(positions, [reader], tag_range, tag_ids=ids)
-        in_window = sub_net.covered_by(0)  # tags that hear this request
+        # tags that hear this request (Network.covered_by's test)
+        in_window = (
+            pairwise_distance(positions, reader.position)
+            <= reader.reader_to_tag_range
+        )
         covered_any |= in_window
         window_idx = np.flatnonzero(in_window)
         if window_idx.size == 0:

@@ -241,9 +241,10 @@ def run_session(
     engine:
         Which :class:`~repro.core.engine.SessionEngine` runs the session:
         ``"packed"`` (bit-packed uint64 kernels), ``"bigint"`` (f-bit
-        Python integers), any :func:`~repro.core.engine.register_engine`'d
-        name, or ``"auto"`` (packed for the perfect channel, bigint
-        otherwise).  Engines are bit-identical under the perfect channel.
+        Python integers), any other name of
+        :func:`~repro.core.engine.available_engines`, or ``"auto"``
+        (packed for the perfect channel, bigint otherwise).  Engines are
+        bit-identical under the perfect channel.
     """
     from repro.core import engine as _engine_mod
 

@@ -695,25 +695,6 @@ def cmd_cache_verify(args: argparse.Namespace) -> None:
         raise SystemExit(1)
 
 
-def cmd_cache_migrate(args: argparse.Namespace) -> None:
-    store = _cache_store(args)
-    outcome = store.migrate(dry_run=args.dry_run)
-    verb = "would migrate" if args.dry_run else "migrated"
-    print(
-        f"cache migrate: {verb} {outcome['migrated']} legacy file(s) "
-        f"({outcome['objects']} object(s), {outcome['journals']} "
-        f"journal(s), {outcome['jobs']} job record(s)), "
-        f"skipped {outcome['skipped']} corrupt"
-    )
-    if outcome["migrated"]:
-        before, after = outcome["bytes_before"], outcome["bytes_after"]
-        ratio = before / after if after else float("inf")
-        print(
-            f"  {_human_bytes(before)} json -> {_human_bytes(after)} bin "
-            f"({ratio:.1f}x smaller)"
-        )
-
-
 def cmd_cache_gc(args: argparse.Namespace) -> None:
     if args.max_size is None and args.older_than is None:
         raise SystemExit(
@@ -1145,7 +1126,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     prof.add_argument("--seed", type=int, default=None)
     prof.add_argument(
-        "--engine", choices=("auto", "batch", *sorted(available_engines())),
+        "--engine", choices=("auto", *sorted(available_engines())),
         default="auto",
         help="session engine; 'batch' profiles the batched campaign "
              "path (needs --trials)",
@@ -1243,17 +1224,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="drop entries older than this age (e.g. 30d, 12h, 3600s)",
     )
     gc.set_defaults(func=cmd_cache_gc)
-    migrate = cache_sub.add_parser(
-        "migrate", parents=[cache_common],
-        help="convert a pre-binary store (.json objects, .ndjson "
-             "journals, .json job records) to repro-record-bin-v1, in "
-             "place (atomic, lock-guarded)",
-    )
-    migrate.add_argument(
-        "--dry-run", action="store_true",
-        help="report what would be migrated without touching the store",
-    )
-    migrate.set_defaults(func=cmd_cache_migrate)
     serve = sub.add_parser(
         "serve",
         help="run the long-running campaign service (job-queue HTTP API)",
@@ -1531,22 +1501,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    from repro.store import LegacyStoreError
-
     args = build_parser().parse_args(argv)
     metrics_out = getattr(args, "metrics_out", None)
-    try:
-        if metrics_out and not getattr(args, "handles_metrics", False):
-            from repro.obs import MetricsRegistry, metrics_to_ndjson, use_registry
+    if metrics_out and not getattr(args, "handles_metrics", False):
+        from repro.obs import MetricsRegistry, metrics_to_ndjson, use_registry
 
-            with use_registry(MetricsRegistry()) as registry:
-                args.func(args)
-            metrics_to_ndjson(registry, metrics_out)
-            print(f"[metrics written to {metrics_out}]")
-        else:
+        with use_registry(MetricsRegistry()) as registry:
             args.func(args)
-    except LegacyStoreError as exc:
-        raise SystemExit(f"repro-ccm: error: {exc}")
+        metrics_to_ndjson(registry, metrics_out)
+        print(f"[metrics written to {metrics_out}]")
+    else:
+        args.func(args)
     return 0
 
 

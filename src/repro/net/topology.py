@@ -37,6 +37,33 @@ from repro.net.geometry import (
 UNREACHABLE = -1
 
 
+def tag_id_array(
+    tag_ids: Optional[Sequence[int]], n: Optional[int] = None
+) -> np.ndarray:
+    """``tag_ids`` as an int64 array; ``None`` numbers ``n`` tags ``1..n``.
+
+    Raises ``ValueError`` on an ID outside int64, naming it, and on a
+    count other than ``n`` (when ``n`` is given).
+    """
+    if tag_ids is None:
+        return np.arange(1, n + 1, dtype=np.int64)
+    values = list(tag_ids)
+    try:
+        ids = np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        for value in values:
+            try:
+                np.int64(value)
+            except OverflowError:
+                raise ValueError(
+                    f"tag ID {value} does not fit in int64"
+                ) from None
+        raise
+    if n is not None and ids.shape != (n,):
+        raise ValueError("tag_ids must have one entry per tag")
+    return ids
+
+
 @dataclass(frozen=True)
 class Reader:
     """An RFID reader with asymmetric communication ranges.
@@ -103,14 +130,9 @@ class Network:
         if tag_range <= 0:
             raise ValueError("tag_range must be positive")
         n = positions.shape[0]
-        if tag_ids is None:
-            ids = np.arange(1, n + 1, dtype=np.int64)
-        else:
-            ids = np.asarray(list(tag_ids), dtype=np.int64)
-            if ids.shape != (n,):
-                raise ValueError("tag_ids must have one entry per tag")
-            if len(np.unique(ids)) != n:
-                raise ValueError("tag IDs must be unique")
+        ids = tag_id_array(tag_ids, n)
+        if tag_ids is not None and len(np.unique(ids)) != n:
+            raise ValueError("tag IDs must be unique")
 
         index = GridIndex(positions, cell_size=tag_range)
         indptr, indices = index.neighbor_lists(tag_range)

@@ -32,7 +32,7 @@ from repro.core.session import CCMConfig, SessionResult, run_session, slot_matri
 from repro.net.channel import Channel
 from repro.net.energy import EnergyLedger
 from repro.net.timing import SlotCount
-from repro.net.topology import Network, Reader
+from repro.net.topology import Network, Reader, tag_id_array
 from repro.sim.rng import TagHasher, as_uint64
 
 
@@ -158,7 +158,7 @@ class TraditionalTransport(FrameTransport):
     """
 
     def __init__(self, tag_ids: Sequence[int]):
-        ids = np.asarray(list(tag_ids), dtype=np.int64)
+        ids = tag_id_array(tag_ids)
         super().__init__(len(ids))
         self._tag_ids = ids
 
@@ -248,11 +248,7 @@ class MultiReaderCCMTransport(FrameTransport):
         self.positions = positions
         self.readers = list(readers)
         self.tag_range = tag_range
-        self._tag_ids = (
-            np.arange(1, n + 1, dtype=np.int64)
-            if tag_ids is None
-            else np.asarray(list(tag_ids), dtype=np.int64)
-        )
+        self._tag_ids = tag_id_array(tag_ids, n)
         self.checking_frame_length = checking_frame_length
         self.channel = channel
         self.rng = rng

@@ -17,9 +17,8 @@ operations on a shared wall clock (slot counts × Gen2-derived
 * :func:`~repro.scenario.run.run_scenario`, the top-level entry the
   ``repro scenario`` CLI, the motion experiment and the benchmarks use.
 
-Importing this package registers the ``"scenario"`` engine in the
-:func:`repro.core.engine.register_engine` registry (``repro/__init__``
-imports it, so any ``import repro...`` makes the engine resolvable).
+The engine is selected by name, ``engine="scenario"``, from the fixed
+table of :mod:`repro.core.engine`.
 """
 
 from repro.scenario.engine import ScenarioConfig, ScenarioSessionEngine

@@ -1,7 +1,7 @@
 """The scenario session engine: Algorithm 1 under motion and power-cycling.
 
 :class:`ScenarioSessionEngine` is a :class:`~repro.core.engine.
-SessionEngine` (registered as ``"scenario"``) that runs the tag-major
+SessionEngine` (engine ``"scenario"``) that runs the tag-major
 kernel of :mod:`repro.core.batch` at B = 1 and supplies its per-round
 hook:
 
@@ -41,7 +41,6 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.batch import _into_ledger, _run_kernel
-from repro.core.engine import register_engine
 from repro.core.session import CCMConfig, SessionResult
 from repro.net.channel import Channel
 from repro.net.energy import EnergyLedger
@@ -204,6 +203,3 @@ class ScenarioSessionEngine:
             "end_time_s": scenario.start_time_s + result.slots.seconds(timing),
         }
         return _into_ledger(result, ledger)
-
-
-register_engine("scenario", ScenarioSessionEngine)

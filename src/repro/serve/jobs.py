@@ -31,10 +31,7 @@ Mechanics:
 * **Crash-safe records.**  A job's record is written at submit and
   rewritten at its terminal state, each time atomically, to
   ``<store>/serve/jobs/<id>.bin`` — a ``repro-job-record-v1``
-  document inside a ``repro-record-bin-v1`` container (a legacy
-  ``.json`` record from an older server makes recovery raise
-  :class:`~repro.store.cache.LegacyStoreError` until ``repro-ccm cache
-  migrate`` converts it);
+  document inside a ``repro-record-bin-v1`` container;
   :meth:`JobManager.recover` re-enqueues every job a previous process
   left unfinished (its record still reads ``queued``, or
   ``interrupted``), with ``resume=True`` — re-run
@@ -69,7 +66,6 @@ from repro.store.binary import (
 )
 from repro.store.cache import (
     TEMP_PREFIX,
-    LegacyStoreError,
     ResultStore,
     atomic_write,
 )
@@ -443,8 +439,6 @@ class JobManager:
         recovered: List[str] = []
         if not self.jobs_dir.is_dir():
             return recovered
-        for legacy in self.jobs_dir.glob("*.json"):
-            raise LegacyStoreError(legacy, self.store.root)
         records = []
         for path in sorted(self.jobs_dir.glob("*.bin")):
             if path.name.startswith(TEMP_PREFIX):

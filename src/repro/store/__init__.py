@@ -20,9 +20,7 @@ after.  Five modules:
   format) changes.
 * :mod:`repro.store.cache` — :class:`ResultStore`: atomic one-file-per-
   trial records under ``~/.cache/repro`` (or ``--cache-dir``), plus
-  ``stats``/``verify``/``gc``/``migrate`` maintenance; ``migrate`` is
-  the only reader of pre-binary stores, which every other path refuses
-  with :class:`LegacyStoreError`.
+  ``stats``/``verify``/``gc`` maintenance.
 * :mod:`repro.store.checkpoint` — append-only campaign journals that
   make killed campaigns resumable and record aggregate digests.
 
@@ -54,7 +52,6 @@ from repro.store.cache import (
     KEY_SCHEMA,
     RESULT_FORMAT,
     CacheEntry,
-    LegacyStoreError,
     ResultStore,
     StoreLock,
     StoreStats,
@@ -88,7 +85,6 @@ __all__ = [
     "read_record_path",
     "write_record",
     "CacheEntry",
-    "LegacyStoreError",
     "ResultStore",
     "StoreLock",
     "StoreStats",

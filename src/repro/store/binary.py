@@ -54,10 +54,7 @@ Versioning and compatibility rules:
   :func:`repro.store.fingerprint.code_fingerprint`, so every cached key
   moves when the format version moves — a store written by a future
   format version is never half-read by an old decoder, it is simply
-  recomputed under new keys;
-* stores written before this format (``.json`` objects and job records,
-  ``.ndjson`` journals) are read only by ``repro-ccm cache migrate``,
-  which rewrites them in place.
+  recomputed under new keys.
 
 One encoder, one decoder: :func:`encode_record` builds a container in a
 single pass, validating as it goes (non-finite floats, non-``str`` keys,

@@ -16,9 +16,7 @@ that function on disk:
   ``repro-record-bin-v1`` container per trial under
   ``<root>/objects/<k[:2]>/<k>.bin``, written atomically
   (:func:`atomic_write`: temp file + rename) so a SIGKILL never leaves a
-  torn entry.  Stores written before
-  the binary format are converted once by :meth:`ResultStore.migrate`;
-  until then every read path raises :class:`LegacyStoreError`.
+  torn entry.
 * **Root** — ``~/.cache/repro`` by default; override with the
   ``REPRO_CACHE_DIR`` environment variable or ``--cache-dir``.
 
@@ -47,8 +45,6 @@ import contextlib
 import dataclasses
 import datetime
 import importlib
-import io
-import json
 import os
 import pathlib
 import random
@@ -59,14 +55,10 @@ from dataclasses import dataclass, field
 from typing import Any, BinaryIO, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.store.binary import (
-    RECORD_TYPE_JOB,
     RECORD_TYPE_TRIAL,
     BinaryFormatError,
-    append_journal_frame,
     decode_record,
     encode_record,
-    load_journal,
-    write_journal_header,
 )
 from repro.store.canonical import canonical_bytes, digest
 
@@ -81,7 +73,6 @@ __all__ = [
     "RESULT_FORMAT",
     "KEY_SCHEMA",
     "CacheEntry",
-    "LegacyStoreError",
     "ResultStore",
     "StoreLock",
     "StoreStats",
@@ -108,24 +99,6 @@ TEMP_GRACE_S = 60.0
 
 #: The file name of a stored record: its SHA-256 key.
 _KEY_NAME = re.compile(r"[0-9a-f]{64}\.bin")
-
-
-class LegacyStoreError(RuntimeError):
-    """A pre-binary store file (``.json`` object, ``.ndjson`` journal or
-    ``.json`` job record) was found where a binary one was expected.
-
-    Only :meth:`ResultStore.migrate` reads the legacy formats; every
-    other path refuses them with this error, whose message names the
-    command that converts the store.
-    """
-
-    def __init__(self, path: PathLike, root: PathLike):
-        self.path = pathlib.Path(path)
-        self.root = pathlib.Path(root)
-        super().__init__(
-            f"{self.path} is a legacy pre-binary store file; convert the "
-            f"store with `repro-ccm cache migrate --cache-dir {self.root}`"
-        )
 
 
 def default_cache_dir() -> pathlib.Path:
@@ -323,9 +296,6 @@ class ResultStore:
 
     Keys are still the SHA-256 of canonical JSON, so a record's address
     — and cross-host dedupe — does not depend on the payload encoding.
-    A store written before the binary format (``.json`` objects and job
-    records, ``.ndjson`` journals) is refused with
-    :class:`LegacyStoreError` until :meth:`migrate` converts it.
 
     All writes are atomic; a key's record, once written, never changes
     (same key ⇒ same content), so concurrent campaigns can share a store
@@ -376,9 +346,6 @@ class ResultStore:
         try:
             data = path.read_bytes()
         except OSError:
-            legacy = path.with_suffix(".json")
-            if legacy.exists():
-                raise LegacyStoreError(legacy, self.root)
             return None
         entry = self._parse_binary(path, data)
         if entry is None or entry.key != key:
@@ -484,15 +451,6 @@ class ResultStore:
             return None
         return _entry(path, record, len(data))
 
-    @staticmethod
-    def _parse(path: pathlib.Path, raw: bytes) -> Optional[CacheEntry]:
-        """A legacy ``.json`` object parsed (``migrate`` only), or None."""
-        try:
-            record = json.loads(raw.decode("utf-8", "replace"))
-        except ValueError:
-            return None
-        return _entry(path, record, len(raw))
-
     # -- maintenance ---------------------------------------------------------
 
     def stats(self) -> StoreStats:
@@ -595,114 +553,6 @@ class ResultStore:
                 i += 1
             survivors = survivors[i:]
         return {"removed": removed, "freed_bytes": freed, "kept": len(survivors)}
-
-    def migrate(self, dry_run: bool = False) -> Dict[str, int]:
-        """Convert a pre-binary store to ``repro-record-bin-v1`` in place.
-
-        The only reader of the legacy formats.  Three kinds of file are
-        converted, each written atomically before its legacy file is
-        removed:
-
-        * ``objects/*/<k>.json`` trial records -> ``<k>.bin``.  A ``.bin``
-          already beside it is kept only if it decodes to a valid record
-          for ``k``; otherwise it is replaced from the JSON.
-        * ``campaigns/**/<key>.ndjson`` journals -> ``<key>.binj``, NDJSON
-          events first, then the events of any ``.binj`` beside it (the
-          order a mixed journal was always replayed in).  Torn lines are
-          dropped, as replay always dropped them.
-        * ``serve/jobs/<id>.json`` job records -> ``<id>.bin`` (unless a
-          valid ``.bin``, always the newer state, exists already).
-
-        A legacy object or job record that does not parse is renamed to
-        ``<name>.json.corrupt``: kept for forensics, out of the way of
-        :class:`LegacyStoreError`.  ``dry_run=True`` reports without
-        touching the store.  Returns ``{"migrated", "objects",
-        "journals", "jobs", "skipped", "bytes_before", "bytes_after"}``
-        (``migrated`` is the sum of the three per-kind counts;
-        ``skipped`` counts the corrupt files).
-
-        Holds the exclusive maintenance lock: a migrate racing a ``gc``
-        (or another migrate) would otherwise double-delete or mis-count.
-        """
-        with self.lock().exclusive():
-            return self._migrate_locked(dry_run)
-
-    def _migrate_locked(self, dry_run: bool) -> Dict[str, int]:
-        result = dict.fromkeys(
-            ("migrated", "objects", "journals", "jobs", "skipped",
-             "bytes_before", "bytes_after"),
-            0,
-        )
-
-        def convert(kind, legacy, raw, target, payload):
-            """Retire ``legacy`` for ``target``; a ``None`` payload keeps
-            the valid ``target`` already there."""
-            result[kind] += 1
-            result["migrated"] += 1
-            result["bytes_before"] += len(raw)
-            result["bytes_after"] += (
-                target.stat().st_size if payload is None else len(payload)
-            )
-            if not dry_run:
-                if payload is not None:
-                    atomic_write(target, payload)
-                legacy.unlink()
-
-        def quarantine(legacy):
-            result["skipped"] += 1
-            if not dry_run:
-                os.replace(legacy, legacy.with_name(legacy.name + ".corrupt"))
-
-        for legacy in _sorted_glob(self.objects_dir, "*/*.json"):
-            raw = legacy.read_bytes()
-            entry = self._parse(legacy, raw)
-            if entry is None or entry.key != legacy.stem:
-                quarantine(legacy)
-                continue
-            target = legacy.with_suffix(".bin")
-            if target.exists() and self.get_record(entry.key) is not None:
-                payload = None
-            else:
-                payload = encode_record(
-                    {
-                        "format": RESULT_FORMAT,
-                        "key": entry.key,
-                        "key_fields": entry.key_fields,
-                        "metrics": entry.metrics,
-                        "provenance": entry.provenance,
-                    },
-                    RECORD_TYPE_TRIAL,
-                )
-            convert("objects", legacy, raw, target, payload)
-
-        for legacy in _sorted_glob(self.campaigns_dir, "**/*.ndjson"):
-            raw = legacy.read_bytes()
-            target = legacy.with_suffix(".binj")
-            events = _ndjson_events(raw) + load_journal(target)[0]
-            out = io.BytesIO()
-            write_journal_header(out)
-            for event in events:
-                try:
-                    append_journal_frame(out, event)
-                except (TypeError, ValueError):
-                    continue  # unencodable: nothing was written for it
-            convert("journals", legacy, raw, target, out.getvalue())
-
-        for legacy in _sorted_glob(self.jobs_dir, "*.json"):
-            raw = legacy.read_bytes()
-            try:
-                record = json.loads(raw)
-            except ValueError:
-                record = None
-            if not isinstance(record, dict):
-                quarantine(legacy)
-                continue
-            target = legacy.with_suffix(".bin")
-            payload = None if _decodes(target) else encode_record(
-                record, RECORD_TYPE_JOB, allow_nan=True
-            )
-            convert("jobs", legacy, raw, target, payload)
-        return result
 
     def verify(
         self, sample: Optional[int] = None, seed: int = 0
@@ -816,26 +666,6 @@ def _entry(path: pathlib.Path, record: Any, size: int) -> Optional[CacheEntry]:
 
 def _sorted_glob(base: pathlib.Path, pattern: str) -> List[pathlib.Path]:
     return sorted(base.glob(pattern)) if base.is_dir() else []
-
-
-def _ndjson_events(raw: bytes) -> List[Any]:
-    """The intact events of a legacy NDJSON journal (torn lines dropped)."""
-    events = []
-    for line in raw.decode("utf-8", "replace").splitlines():
-        try:
-            events.append(json.loads(line))
-        except ValueError:
-            continue  # blank, or torn at a kill point
-    return events
-
-
-def _decodes(path: pathlib.Path) -> bool:
-    """Whether ``path`` holds a valid record container."""
-    try:
-        decode_record(path.read_bytes())
-    except (OSError, BinaryFormatError):
-        return False
-    return True
 
 
 def _tuplify(params: Dict[str, Any]) -> Dict[str, Any]:

@@ -8,10 +8,8 @@ digest of its aggregates for later bit-identity checks.
 
 The journal is an append-only event stream under
 ``<store>/campaigns/<campaign_key>.binj`` — a ``repro-record-bin-v1``
-journal container whose frames are length-prefixed and CRC-protected
-(a legacy ``.ndjson`` journal raises
-:class:`~repro.store.cache.LegacyStoreError` until ``repro-ccm cache
-migrate`` converts it).  Event kinds:
+journal container whose frames are length-prefixed and CRC-protected.
+Event kinds:
 
 * ``{"kind": "meta", ...}`` — the campaign identity, written at start;
 * ``{"kind": "trial", "trial_index": k, "key": ..., "ok": true}`` —
@@ -45,7 +43,7 @@ from repro.store.binary import (
     load_journal,
     write_journal_header,
 )
-from repro.store.cache import LegacyStoreError, open_for_write
+from repro.store.cache import open_for_write
 from repro.store.canonical import digest
 
 __all__ = [
@@ -150,13 +148,7 @@ class CampaignCheckpoint:
 
     def load(self) -> CheckpointState:
         """Replay the journal; tolerant of a torn final frame (SIGKILL)."""
-        self._refuse_legacy()
         return self._replay(load_journal(self.path)[0])
-
-    def _refuse_legacy(self) -> None:
-        legacy = self.path.with_suffix(".ndjson")
-        if legacy.exists():
-            raise LegacyStoreError(legacy, self.store_root)
 
     @staticmethod
     def _replay(events: Iterable[Any]) -> CheckpointState:
@@ -183,7 +175,6 @@ class CampaignCheckpoint:
 
         Returns the prior state (empty when starting fresh).
         """
-        self._refuse_legacy()
         events, valid = load_journal(self.path) if resume else ([], 0)
         prior = self._replay(events)
         if valid > 0:

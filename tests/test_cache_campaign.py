@@ -416,9 +416,8 @@ class TestCliCacheFlags:
         assert "PaperTrial" in ls_out
 
     def test_stats_and_ls_count_campaigns_alike(self, tmp_path, capsys):
-        """One enumeration behind both commands: a campaign journaled in
-        both formats (resumed across the format switch) is one campaign,
-        before and after migration, namespaced journals included."""
+        """One enumeration behind both commands: a root journal and a
+        namespaced one are two campaigns to ``ls`` and ``stats`` alike."""
         import re
 
         store = ResultStore(tmp_path)
@@ -427,30 +426,11 @@ class TestCliCacheFlags:
             FlakyTrial(), 2, 6,
             plan=RunPlan(store=store, checkpoint_namespace="jobs/j1"),
         ).run()
-        binj = sorted(store.campaigns_dir.glob("*.binj"))[0]
-        twin = binj.read_bytes()
-        _demote_journals(store)
-        binj.write_bytes(twin)  # the resumed half, beside its NDJSON half
-
-        def counts():
-            assert main(["cache", "ls", "--cache-dir", str(tmp_path)]) == 0
-            listed = re.search(
-                r"campaigns \((\d+)\)", capsys.readouterr().out
-            )
-            assert main(
-                ["cache", "stats", "--cache-dir", str(tmp_path)]
-            ) == 0
-            stated = re.search(
-                r"campaigns: (\d+)", capsys.readouterr().out
-            )
-            return int(listed.group(1)) if listed else 0, int(stated.group(1))
-
-        with pytest.raises(SystemExit, match="cache migrate"):
-            counts()  # ls must replay the journal, which is refused
-        capsys.readouterr()
-        assert ResultStore(tmp_path).stats().n_campaigns == 1
-        assert store.migrate()["journals"] == 2
-        assert counts() == (2, 2)
+        assert main(["cache", "ls", "--cache-dir", str(tmp_path)]) == 0
+        listed = re.search(r"campaigns \((\d+)\)", capsys.readouterr().out)
+        assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
+        stated = re.search(r"campaigns: (\d+)", capsys.readouterr().out)
+        assert (int(listed.group(1)), int(stated.group(1))) == (2, 2)
         assert [ns for ns, _ in store.journals()] == [None, "jobs/j1"]
 
     def test_cache_stats_json(self, tmp_path, capsys):
@@ -478,23 +458,20 @@ class TestCliCacheFlags:
             main(["cache", "gc", "--cache-dir", str(tmp_path)])
 
 
-# -- storage format: bit-identity and migration --------------------------------
+# -- pre-binary store files are inert -----------------------------------------
 
 
-def _demote_to_json(store, keys=None):
+def _demote_to_json(store):
     """Rewrite objects as legacy ``.json``, as a pre-binary store had them.
 
     What a store written before the binary format looks like: same keys,
-    same records, canonical-JSON payloads.  ``keys`` limits the demotion
-    to those records (a half-migrated store).
+    same records, canonical-JSON payloads.
     """
     from repro.store.binary import read_record_path
     from repro.store.canonical import canonical_json
 
     demoted = 0
     for path in sorted(store.objects_dir.glob("*/*.bin")):
-        if keys is not None and path.stem not in keys:
-            continue
         record, _ = read_record_path(path)
         path.with_suffix(".json").write_text(
             canonical_json(record) + "\n", encoding="utf-8"
@@ -521,191 +498,71 @@ def _demote_journals(store):
     return demoted
 
 
-class TestStorageFormatBitIdentity:
-    def test_aggregates_bit_identical_across_json_binary_and_mixed(
-        self, tmp_path
-    ):
-        """A legacy or half-migrated store is refused until migrated, and
-        the migrated store answers bit-identically."""
-        from repro.store import LegacyStoreError
+def _demote_job_records(store):
+    """Rewrite every serve job record as a pre-binary JSON document."""
+    from repro.store.binary import read_record_path
 
-        baseline = Campaign(FlakyTrial(), 6, 42).run()
+    demoted = 0
+    for path in sorted(store.jobs_dir.glob("*.bin")):
+        record, _ = read_record_path(path)
+        path.with_suffix(".json").write_text(
+            json.dumps(record), encoding="utf-8"
+        )
+        path.unlink()
+        demoted += 1
+    return demoted
 
-        binary_store = ResultStore(tmp_path / "binary")
-        cold = Campaign(
-            FlakyTrial(), 6, 42, plan=RunPlan(store=binary_store)
+
+class TestLegacyFilesAreInert:
+    def test_legacy_files_are_inert(self, tmp_path, capsys):
+        """A pre-binary store's objects, journals and job records are not
+        records: no path reads, counts or touches them, and a rerun over
+        them recomputes the fresh store's aggregates bit-identically."""
+        from repro.serve import JobManager, JobSpec
+        from repro.serve.jobs import JOB_SCHEMA
+        from repro.sim.plan import PLAN_SCHEMA
+
+        fresh = Campaign(
+            FlakyTrial(), 6, 42, plan=RunPlan(store=ResultStore(tmp_path / "fresh"))
         ).run()
 
-        # a legacy store: every record demoted to canonical JSON
-        json_store = ResultStore(tmp_path / "json")
-        Campaign(FlakyTrial(), 6, 42, plan=RunPlan(store=json_store)).run()
-        assert _demote_to_json(json_store) == 6
-
-        # a half-migrated store: records split across both formats
-        mixed_store = ResultStore(tmp_path / "mixed")
-        Campaign(FlakyTrial(), 6, 42, plan=RunPlan(store=mixed_store)).run()
-        half = {e.key for e in list(mixed_store.entries())[:3]}
-        assert _demote_to_json(mixed_store, keys=half) == 3
-
-        for store, n_legacy in ((json_store, 6), (mixed_store, 3)):
-            with pytest.raises(LegacyStoreError, match="cache migrate"):
-                Campaign(FlakyTrial(), 6, 42, plan=RunPlan(store=store)).run()
-            assert store.migrate()["objects"] == n_legacy
-
-        for store in (binary_store, json_store, mixed_store):
-            warm = Campaign(
-                FlakyTrial(), 6, 42, plan=RunPlan(store=store)
-            ).run()
-            assert warm.cache_hits == 6, store.root
-            assert warm.aggregates == baseline.aggregates
-            assert _agg_digest(warm.aggregates) == _agg_digest(
-                cold.aggregates
-            )
-
-    def test_migrate_rewrites_in_place_and_preserves_metrics(self, tmp_path):
-        from repro.store.canonical import canonical_bytes
-
-        store = ResultStore(tmp_path)
-        Campaign(FlakyTrial(), 5, 9, plan=RunPlan(store=store)).run()
-        before = {e.key: e.metrics for e in store.entries()}
-        _demote_to_json(store)
-        legacy = sorted(store.objects_dir.glob("*/*.json"))
-        json_bytes = sum(p.stat().st_size for p in legacy)
-
-        dry = store.migrate(dry_run=True)
-        assert (dry["migrated"], dry["objects"]) == (5, 5)
-        assert sorted(store.objects_dir.glob("*/*.json")) == legacy
-
-        outcome = store.migrate()
-        assert outcome["objects"] == 5
-        assert outcome["skipped"] == 0
-        assert outcome["bytes_before"] == json_bytes
-        assert outcome["bytes_after"] < json_bytes
-        assert not list(store.objects_dir.glob("*/*.json"))
-        after = {e.key: e.metrics for e in store.entries()}
-        assert set(after) == set(before)
-        for key in before:
-            assert canonical_bytes(after[key]) == canonical_bytes(
-                before[key]
-            )
-        # migrated records still verify byte-identically against re-runs
-        outcomes = store.verify()
-        assert len(outcomes) == 5
-        assert all(o.ok for o in outcomes), [o.reason for o in outcomes]
-
-    def test_migrate_cli_reports_per_kind_counts(self, tmp_path, capsys):
-        store = ResultStore(tmp_path)
-        Campaign(FlakyTrial(), 4, 3, plan=RunPlan(store=store)).run()
-        _demote_to_json(store)
-        _demote_journals(store)
-        assert main(
-            ["cache", "migrate", "--dry-run", "--cache-dir", str(tmp_path)]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "would migrate 5 legacy file(s)" in out
-        assert "4 object(s), 1 journal(s), 0 job record(s)" in out
-        assert ResultStore(tmp_path).stats().n_entries == 0
-        assert main(["cache", "migrate", "--cache-dir", str(tmp_path)]) == 0
-        assert "migrated 5" in capsys.readouterr().out
-        stats = ResultStore(tmp_path).stats()
-        assert (stats.n_entries, stats.n_campaigns) == (4, 1)
-        assert main(["cache", "migrate", "--cache-dir", str(tmp_path)]) == 0
-        assert "migrated 0" in capsys.readouterr().out
-
-    def test_corrupt_legacy_record_is_skipped_not_destroyed(self, tmp_path):
-        store = ResultStore(tmp_path)
-        Campaign(FlakyTrial(), 2, 1, plan=RunPlan(store=store)).run()
-        _demote_to_json(store)
-        victim = sorted(store.objects_dir.glob("*/*.json"))[0]
-        victim.write_text("{torn", encoding="utf-8")
-        outcome = store.migrate()
-        assert (outcome["migrated"], outcome["skipped"]) == (1, 1)
-        # kept for forensics, but out of the way of LegacyStoreError
-        assert not victim.exists()
-        corrupt = victim.with_name(victim.name + ".corrupt")
-        assert corrupt.read_text(encoding="utf-8") == "{torn"
-        warm = Campaign(FlakyTrial(), 2, 1, plan=RunPlan(store=store)).run()
-        assert warm.cache_hits == 1
-
-    def test_migrate_then_resume_sigkilled_campaign_bit_identical(
-        self, tmp_path
-    ):
-        """The CI scenario: kill a campaign, demote its store to the
-        legacy formats, migrate, resume through the binary checkpoint
-        journal, and land on the clean-run digest."""
-        script = tmp_path / "campaign_script.py"
-        script.write_text(
-            textwrap.dedent(
-                """
-                import json, os, sys
-                from dataclasses import asdict, dataclass
-
-                from repro.sim.parallel import Campaign
-                from repro.sim.plan import RunPlan
-                from repro.store import ResultStore, digest
-
-
-                @dataclass(frozen=True)
-                class KillerTrial:
-                    width: float = 1.5
-
-                    def __call__(self, trial_index, seed):
-                        if os.environ.get("KILL_AT") == str(trial_index):
-                            os.kill(os.getpid(), 9)
-                        return {"v": (seed % 1009) * self.width}
-
-
-                store = ResultStore(sys.argv[1])
-                resume = "--resume" in sys.argv
-                result = Campaign(
-                    KillerTrial(), 6, 42,
-                    plan=RunPlan(store=store, resume=resume),
-                ).run()
-                print(json.dumps({
-                    "hits": result.cache_hits,
-                    "digest": digest({
-                        n: asdict(a) for n, a in result.aggregates.items()
-                    }),
-                }))
-                """
-            ),
-            encoding="utf-8",
-        )
-        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-
-        def run_script(cache_dir, *extra, kill_at=None):
-            run_env = dict(env)
-            if kill_at is not None:
-                run_env["KILL_AT"] = str(kill_at)
-            return subprocess.run(
-                [sys.executable, str(script), str(cache_dir), *extra],
-                capture_output=True,
-                text=True,
-                env=run_env,
-            )
-
-        cache = tmp_path / "cache"
-        killed = run_script(cache, kill_at=4)
-        assert killed.returncode in (-9, 137), killed.stderr
-
-        # the kill left 4 records and a journal; demote them to the
-        # legacy formats: resume refuses the store and names the fix
-        store = ResultStore(cache)
-        assert _demote_to_json(store) == 4
+        root = tmp_path / "legacy"
+        store = ResultStore(root)
+        Campaign(FlakyTrial(), 6, 42, plan=RunPlan(store=store)).run()
+        # never started: the job stays queued, as a drained server leaves it
+        JobManager(store).submit(JobSpec.from_json({
+            "schema": JOB_SCHEMA,
+            "kind": "campaign",
+            "trial": {"type": f"{__name__}.FlakyTrial", "params": {}},
+            "n_trials": 3,
+            "base_seed": 7,
+            "plan": {"schema": PLAN_SCHEMA},
+        }))
+        assert _demote_to_json(store) == 6
         assert _demote_journals(store) == 1
-        refused = run_script(cache, "--resume")
-        assert refused.returncode != 0
-        assert "cache migrate" in refused.stderr
-        outcome = store.migrate()
-        assert (outcome["objects"], outcome["journals"]) == (4, 1)
+        assert _demote_job_records(store) == 1
+        legacy = {
+            path: path.read_bytes()
+            for path in root.rglob("*")
+            if path.suffix in (".json", ".ndjson")
+        }
+        assert len(legacy) == 8
 
-        resumed = run_script(cache, "--resume")
-        assert resumed.returncode == 0, resumed.stderr
-        resumed_out = json.loads(resumed.stdout)
-        assert resumed_out["hits"] == 4
+        cache_dir = ["--cache-dir", str(root)]
+        assert main(["cache", "stats", *cache_dir]) == 0
+        out = capsys.readouterr().out
+        assert "entries:   0" in out and "campaigns: 0" in out
+        assert main(["cache", "ls", *cache_dir]) == 0
+        out = capsys.readouterr().out
+        assert "(no entries)" in out and "campaigns (" not in out
+        assert main(["cache", "verify", *cache_dir]) == 0
+        assert "no entries to check" in capsys.readouterr().out
+        assert main(["cache", "gc", "--older-than", "0", *cache_dir]) == 0
+        assert "removed 0 entries" in capsys.readouterr().out
+        assert JobManager(store).recover() == []
 
-        clean = run_script(tmp_path / "fresh_cache")
-        assert clean.returncode == 0, clean.stderr
-        assert resumed_out["digest"] == json.loads(clean.stdout)["digest"]
+        rerun = Campaign(FlakyTrial(), 6, 42, plan=RunPlan(store=store)).run()
+        assert rerun.cache_hits == 0
+        assert rerun.aggregates == fresh.aggregates
+        assert _agg_digest(rerun.aggregates) == _agg_digest(fresh.aggregates)
+        assert {path: path.read_bytes() for path in legacy} == legacy

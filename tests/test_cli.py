@@ -21,6 +21,13 @@ class TestParser:
             args = parser.parse_args([name])
             assert callable(args.func)
 
+    def test_cache_subcommands(self):
+        parser = build_parser()
+        for name in ("ls", "stats", "verify", "gc"):
+            assert callable(parser.parse_args(["cache", name]).func)
+        with pytest.raises(SystemExit):
+            parser.parse_args(["cache", "migrate"])
+
     def test_overrides_parsed(self):
         args = build_parser().parse_args(
             ["tables", "--n-tags", "500", "--trials", "2",

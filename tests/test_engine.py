@@ -11,13 +11,10 @@ integer-valued float64, exact in any association).
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.scenario  # noqa: F401 - registers the "scenario" engine
 from repro.core.batch import BatchSessionEngine, run_session_batch
 from repro.core.engine import (
     AUTO_ENGINE,
@@ -26,7 +23,6 @@ from repro.core.engine import (
     available_engines,
     get_engine,
     masks_to_words,
-    register_engine,
     resolve_engine,
     words_to_int,
 )
@@ -149,7 +145,7 @@ class TestPackedPrimitives:
 
 class TestEngineRegistry:
     def test_available_engines(self):
-        assert {"bigint", "packed"} <= set(available_engines())
+        assert available_engines() == ("batch", "bigint", "packed", "scenario")
 
     def test_get_engine_instances(self):
         assert isinstance(get_engine("bigint"), BigintSessionEngine)
@@ -179,22 +175,6 @@ class TestEngineRegistry:
 
         assert resolve_engine("auto", TracingChannel()).name == "bigint"
         assert resolve_engine("auto", TracingLossy(0.2)).name == "bigint"
-
-    def test_register_custom_engine(self):
-        class NullEngine:
-            name = "null"
-
-            def run(self, network, masks, config, **kwargs):
-                raise NotImplementedError
-
-        register_engine("null-test", NullEngine)
-        try:
-            assert "null-test" in available_engines()
-            assert get_engine("null-test").name == "null"
-        finally:
-            from repro.core.engine import _REGISTRY
-
-            _REGISTRY.pop("null-test", None)
 
     def test_packed_refuses_bigint_only_channel(self, star_network):
         class BigintOnly(Channel):
@@ -429,11 +409,11 @@ class TestUnifiedAPI:
             "RoundStats",
             "available_engines",
             "get_engine",
-            "register_engine",
         ):
             assert name in repro.__all__
             assert hasattr(repro, name)
         assert not hasattr(repro, "picks_to_masks")
+        assert not hasattr(repro, "register_engine")
 
 
 class TestMultiReaderCheckingLength:

@@ -420,27 +420,6 @@ class TestJobManager:
         assert job.events.closed
         assert job_record(manager.jobs_dir, job.id) == job.to_dict()
 
-    def test_legacy_json_job_record_recovers_only_after_migrate(
-        self, tmp_path
-    ):
-        from repro.store import LegacyStoreError
-
-        store = ResultStore(tmp_path)
-        # never started: the job stays queued, as a drained server leaves it
-        job = JobManager(store).submit(JobSpec.from_json(tiny_spec()))
-        record = job_record(store.jobs_dir, job.id)
-        binary = store.jobs_dir / f"{job.id}.bin"
-        # what a pre-binary server wrote: the same document as JSON
-        legacy = binary.with_suffix(".json")
-        legacy.write_text(json.dumps(record), encoding="utf-8")
-        binary.unlink()
-        with pytest.raises(LegacyStoreError, match="cache migrate"):
-            JobManager(store).recover()
-        assert store.migrate()["jobs"] == 1
-        assert not legacy.exists()
-        assert job_record(store.jobs_dir, job.id) == record
-        assert JobManager(store).recover() == [job.id]
-
     def test_identical_jobs_dedupe_through_store(self, tmp_path):
         manager = JobManager(ResultStore(tmp_path))
         manager.start()

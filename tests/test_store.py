@@ -16,7 +16,6 @@ import pytest
 from repro.experiments.common import PaperTrial
 from repro.store import (
     CampaignCheckpoint,
-    LegacyStoreError,
     ResultStore,
     campaign_key,
     canonical_bytes,
@@ -229,29 +228,6 @@ def _put_one(store, seed=11, metrics=None, trial=None, index=0):
     return key
 
 
-def _demote_object(store, key):
-    """Rewrite ``key``'s record as a pre-binary canonical-JSON object."""
-    from repro.store.binary import read_record_path
-
-    path = store.path_for(key)
-    record, _ = read_record_path(path)
-    legacy = path.with_suffix(".json")
-    legacy.write_text(canonical_json(record) + "\n", encoding="utf-8")
-    path.unlink()
-    return legacy
-
-
-def _write_ndjson_journal(root, key, events, tail=""):
-    """A pre-binary NDJSON checkpoint journal, plus an optional torn tail."""
-    path = pathlib.Path(root) / "campaigns" / f"{key}.ndjson"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        "".join(canonical_json(e) + "\n" for e in events) + tail,
-        encoding="utf-8",
-    )
-    return path
-
-
 class TestResultStore:
     def test_put_get_round_trip_is_exact(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -295,61 +271,6 @@ class TestResultStore:
         record["key_fields"]["seed"] = 999  # key no longer matches fields
         path.write_bytes(encode_record(record, RECORD_TYPE_TRIAL))
         assert store.get(key) is None
-
-    def test_tampered_legacy_json_reads_as_miss(self, tmp_path):
-        store = ResultStore(tmp_path)
-        key = _put_one(store)
-        path = _demote_object(store, key)
-        record = json.loads(path.read_text(encoding="utf-8"))
-        record["key_fields"]["seed"] = 999
-        path.write_text(json.dumps(record), encoding="utf-8")
-        with pytest.raises(LegacyStoreError, match="cache migrate"):
-            store.get(key)
-        outcome = store.migrate()
-        assert (outcome["migrated"], outcome["skipped"]) == (0, 1)
-        assert not path.exists()
-        assert path.with_name(path.name + ".corrupt").exists()
-        assert store.get(key) is None  # quarantined: an ordinary miss
-
-    def test_legacy_object_raises_until_migrated(self, tmp_path):
-        store = ResultStore(tmp_path)
-        metrics = {"x": 1 / 3, "y": -0.0}
-        key = _put_one(store, metrics=metrics)
-        before = store.path_for(key).read_bytes()
-        legacy = _demote_object(store, key)
-        with pytest.raises(LegacyStoreError) as excinfo:
-            store.get(key)
-        assert excinfo.value.path == legacy
-        assert f"cache migrate --cache-dir {tmp_path}" in str(excinfo.value)
-        assert list(store.entries()) == []  # only .bin objects are listed
-        assert store.migrate()["objects"] == 1
-        assert not legacy.exists()
-        assert store.path_for(key).read_bytes() == before
-        assert canonical_bytes(store.get(key)) == canonical_bytes(metrics)
-
-    def test_migrate_replaces_a_corrupt_bin_beside_valid_json(self, tmp_path):
-        store = ResultStore(tmp_path)
-        key = _put_one(store, metrics={"x": 0.25})
-        good = store.path_for(key).read_bytes()
-        legacy = _demote_object(store, key)
-        store.path_for(key).write_bytes(good[:-7])  # torn binary twin
-        outcome = store.migrate()
-        assert (outcome["objects"], outcome["skipped"]) == (1, 0)
-        assert not legacy.exists()
-        assert store.path_for(key).read_bytes() == good
-        assert store.get(key) == {"x": 0.25}
-
-    def test_migrate_keeps_a_valid_bin_beside_json(self, tmp_path):
-        store = ResultStore(tmp_path)
-        key = _put_one(store)
-        good = store.path_for(key).read_bytes()
-        legacy = _demote_object(store, key)
-        store.path_for(key).write_bytes(good)
-        assert store.migrate(dry_run=True)["objects"] == 1
-        assert legacy.exists()  # dry run touches nothing
-        assert store.migrate()["objects"] == 1
-        assert not legacy.exists()
-        assert store.path_for(key).read_bytes() == good
 
     def test_entries_and_stats(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -652,21 +573,6 @@ class TestCampaignCheckpoint:
         fresh.close()
         assert CampaignCheckpoint(tmp_path, key).load().done == {}
 
-    def test_torn_final_line_is_tolerated(self, tmp_path):
-        key = "d" * 64
-        legacy = _write_ndjson_journal(
-            tmp_path, key,
-            [{"kind": "meta"},
-             {"kind": "trial", "trial_index": 0, "key": "k0", "ok": True}],
-            tail='{"kind":"trial","trial_index":1,"key":"k1","o',  # SIGKILL
-        )
-        with pytest.raises(LegacyStoreError, match="cache migrate"):
-            CampaignCheckpoint(tmp_path, key).load()
-        assert ResultStore(tmp_path).migrate()["journals"] == 1
-        assert not legacy.exists()
-        state = CampaignCheckpoint(tmp_path, key).load()
-        assert state.done == {0: "k0"}
-
     def test_torn_binary_frame_is_tolerated(self, tmp_path):
         key = "d" * 64
         ckpt = CampaignCheckpoint(tmp_path, key)
@@ -687,39 +593,6 @@ class TestCampaignCheckpoint:
         assert CampaignCheckpoint(tmp_path, key).load().done == {
             0: "k0", 1: "k1",
         }
-
-    def test_legacy_ndjson_journal_resumes_under_binary_codec(self, tmp_path):
-        key = "f" * 64
-        # a campaign journaled as NDJSON, then resumed once under the
-        # binary codec: both tiers sit side by side
-        _write_ndjson_journal(tmp_path, key, [
-            {"kind": "meta", "n_trials": 4},
-            {"kind": "trial", "trial_index": 0, "key": "k0", "ok": True},
-        ])
-        binj = CampaignCheckpoint(tmp_path, key).path
-        from repro.store.binary import (
-            append_journal_frame,
-            write_journal_header,
-        )
-
-        with open(binj, "wb") as fh:
-            write_journal_header(fh)
-            append_journal_frame(fh, {"kind": "meta", "n_trials": 4})
-            append_journal_frame(
-                fh, {"kind": "trial", "trial_index": 1, "key": "k1",
-                     "ok": True},
-            )
-        for resume in (True, False):
-            with pytest.raises(LegacyStoreError, match="cache migrate"):
-                CampaignCheckpoint(tmp_path, key).begin({}, resume=resume)
-        assert ResultStore(tmp_path).migrate()["journals"] == 1
-        ckpt = CampaignCheckpoint(tmp_path, key)
-        prior = ckpt.begin({"n_trials": 4}, resume=True)
-        assert prior.done == {0: "k0", 1: "k1"}  # NDJSON events, then .binj
-        ckpt.record_trial(2, "k2", ok=True, cached=False)
-        ckpt.close()
-        merged = CampaignCheckpoint(tmp_path, key).load()
-        assert merged.done == {0: "k0", 1: "k1", 2: "k2"}
 
     def test_record_before_begin_raises(self, tmp_path):
         ckpt = CampaignCheckpoint(tmp_path, "e" * 64)

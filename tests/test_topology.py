@@ -62,6 +62,38 @@ class TestBuildValidation:
                 tag_ids=[5, 5],
             )
 
+    @pytest.mark.parametrize("site", [
+        "Network.build",
+        "TraditionalTransport",
+        "MultiReaderCCMTransport",
+        "run_multireader_session",
+    ])
+    @pytest.mark.parametrize("tag_id", [2**63, 2**64])
+    def test_tag_id_outside_int64_is_a_value_error(self, site, tag_id):
+        from repro.core.multireader import run_multireader_session
+        from repro.core.session import CCMConfig
+        from repro.protocols.transport import (
+            MultiReaderCCMTransport,
+            TraditionalTransport,
+        )
+
+        positions = np.zeros((1, 2))
+        build = {
+            "Network.build": lambda ids: Network.build(
+                positions, [_reader()], 1.0, tag_ids=ids
+            ),
+            "TraditionalTransport": TraditionalTransport,
+            "MultiReaderCCMTransport": lambda ids: MultiReaderCCMTransport(
+                positions, [_reader()], 1.0, tag_ids=ids
+            ),
+            "run_multireader_session": lambda ids: run_multireader_session(
+                positions, [_reader()], 1.0, [0], CCMConfig(frame_size=8),
+                tag_ids=ids,
+            ),
+        }[site]
+        with pytest.raises(ValueError, match=f"tag ID {tag_id} "):
+            build([tag_id])
+
     def test_default_ids_start_at_one(self):
         net = Network.build(
             np.array([[1.0, 0.0], [0.0, 1.0]]), [_reader()], tag_range=1.0
