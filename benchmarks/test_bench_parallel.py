@@ -13,7 +13,7 @@ the scaling.
 import time
 
 from repro.experiments.common import PaperTrial
-from repro.sim.parallel import ExecutorConfig, run_trials_parallel
+from repro.sim.parallel import Campaign, ExecutorConfig
 from repro.sim.plan import RunPlan
 from repro.sim.runner import run_trials
 
@@ -33,9 +33,9 @@ def test_parallel_campaign_matches_serial(benchmark, emit):
     executor = ExecutorConfig(workers=2, backend="process")
 
     def parallel_campaign():
-        return run_trials_parallel(
+        return Campaign(
             trial, N_TRIALS, BASE_SEED, plan=RunPlan(executor=executor)
-        )
+        ).run()
 
     result = benchmark(parallel_campaign)
 

@@ -77,7 +77,6 @@ from repro.sim import (
     TagHasher,
     TrialFailure,
     run_trials,
-    run_trials_parallel,
     sweep,
 )
 from repro.scenario import (
@@ -141,7 +140,6 @@ __all__ = [
     "ExecutorConfig",
     "TrialFailure",
     "run_trials",
-    "run_trials_parallel",
     "sweep",
     "LinkBudget",
     "ReaderTrajectory",

@@ -177,25 +177,26 @@ def metrics_to_ndjson(
     One JSON object per line; also written to ``path`` when given.  Lines
     are sorted by (type, name) so exports diff cleanly.
     """
-    snapshot = registry.snapshot()
+    doc = registry.to_dict()
     records: List[dict] = []
-    for name in sorted(snapshot["counters"]):
+    for name in sorted(doc["counters"]):
         records.append(
-            {"type": "counter", "name": name,
-             "value": snapshot["counters"][name]}
+            {"type": "counter", "name": name, "value": doc["counters"][name]}
         )
-    for name in sorted(snapshot["gauges"]):
+    for name in sorted(doc["gauges"]):
         records.append(
-            {"type": "gauge", "name": name, "value": snapshot["gauges"][name]}
+            {"type": "gauge", "name": name, "value": doc["gauges"][name]}
         )
-    for name in sorted(snapshot["histograms"]):
+    for name in sorted(doc["histograms"]):
         records.append(
-            {"type": "histogram", "name": name, **snapshot["histograms"][name]}
+            {"type": "histogram", "name": name, **doc["histograms"][name]}
         )
-    for path_key in sorted(snapshot["spans"]):
-        records.append(
-            {"type": "span", "path": path_key, **snapshot["spans"][path_key]}
-        )
+    spans = [
+        {"type": "span", "path": "/".join(s["path"]),
+         "count": s["count"], "seconds": s["seconds"]}
+        for s in doc["spans"]
+    ]
+    records.extend(sorted(spans, key=lambda r: r["path"]))
     text = "\n".join(json.dumps(r, sort_keys=True) for r in records)
     if text:
         text += "\n"

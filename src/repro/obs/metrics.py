@@ -17,8 +17,8 @@ wire protocol:
   (``observe``); tracks per-bucket counts plus sum/count/min/max.
 
 Spans (nested wall-clock timers) are recorded through the registry too —
-see :mod:`repro.obs.spans` — so one :func:`snapshot` carries everything an
-exporter needs.
+see :mod:`repro.obs.spans` — so one :meth:`MetricsRegistry.to_dict`
+document carries everything an exporter needs.
 
 Usage::
 
@@ -335,36 +335,15 @@ class MetricsRegistry:
     def histograms(self) -> Dict[str, Histogram]:
         return dict(self._histograms)
 
-    def snapshot(self) -> dict:
-        """A JSON-ready dump of every metric and span aggregate."""
-        return {
-            "counters": {c.name: c.value for c in self._counters.values()},
-            "gauges": {g.name: g.value for g in self._gauges.values()},
-            "histograms": {
-                h.name: {
-                    "buckets": list(h.uppers),
-                    "counts": list(h.counts),
-                    "sum": h.sum,
-                    "count": h.count,
-                    "min": h.minimum if h.count else None,
-                    "max": h.maximum if h.count else None,
-                }
-                for h in self._histograms.values()
-            },
-            "spans": {
-                "/".join(path): {"count": count, "seconds": seconds}
-                for path, (count, seconds) in self.span_stats().items()
-            },
-        }
-
     # -- serialization / cross-process merge ---------------------------------
 
     def to_dict(self) -> dict:
         """The versioned, mergeable snapshot (:data:`SNAPSHOT_SCHEMA`).
 
-        Unlike :meth:`snapshot` (a display-oriented dump), this document
-        round-trips through :meth:`from_dict` and feeds :meth:`merge` —
-        span paths stay as segment lists so merging can re-prefix them.
+        The one serialized form of a registry: it round-trips through
+        :meth:`from_dict`, feeds :meth:`merge` (span paths stay as
+        segment lists so merging can re-prefix them) and is what the
+        NDJSON exporter renders.
         """
         with self._lock:
             doc = {

@@ -16,7 +16,6 @@ from repro.sim.parallel import (
     CampaignTimeout,
     ExecutorConfig,
     TrialFailure,
-    run_trials_parallel,
     stderr_ticker,
 )
 from repro.sim.plan import ObsPlan, RunPlan, add_execution_arguments
@@ -57,7 +56,6 @@ __all__ = [
     "CampaignTimeout",
     "ExecutorConfig",
     "TrialFailure",
-    "run_trials_parallel",
     "stderr_ticker",
     "ObsPlan",
     "RunPlan",

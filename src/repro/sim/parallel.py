@@ -11,17 +11,15 @@ parallelism.  This module provides it:
 * :class:`Campaign` — the forward-facing object API: a trial function,
   a trial count, a base seed, and an executor; ``run()`` returns a
   :class:`CampaignResult` with aggregates *and* structured failures.
-* :func:`run_trials_parallel` — functional shorthand over
-  :class:`Campaign` defaulting to the process backend.
 * :class:`TrialFailure` — a worker exception captured as data (type,
   message, traceback, attempts) instead of a crashed campaign.
 * :func:`stderr_ticker` — a default progress callback for CLIs.
 
 Determinism contract: every backend derives the per-trial seed stream
-with :func:`repro.sim.runner.trial_seed` — exactly the stream the serial
-``run_trials`` path uses — and aggregates per-trial metrics in trial-index
-order, so serial and parallel runs of the same campaign produce
-bit-identical :class:`~repro.sim.runner.TrialAggregate` values.
+with :func:`repro.sim.runner.trial_seed` and aggregates per-trial
+metrics in trial-index order, so serial and parallel runs of the same
+campaign produce bit-identical :class:`~repro.sim.runner.TrialAggregate`
+values.
 
 Process-backend caveat: the trial function crosses a pickle boundary, so
 it must be a module-level function or a picklable callable object (e.g.
@@ -37,12 +35,14 @@ import sys
 import time
 import traceback as _traceback
 from concurrent import futures
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
     Dict,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -115,7 +115,8 @@ class ExecutorConfig:
     timeout_s:
         Overall wall-clock budget for the campaign's result harvest; on
         expiry pending work is cancelled and :class:`CampaignTimeout` is
-        raised.  ``None`` means no limit.
+        raised.  The ``serial`` backend checks it between chunks (a
+        running chunk is not interrupted).  ``None`` means no limit.
     max_retries:
         Bounded retries per failing trial.  Each retry re-derives the
         seed deterministically (attempt number enters the derivation), so
@@ -148,7 +149,7 @@ class ExecutorConfig:
 
     @classmethod
     def serial(cls, **overrides) -> "ExecutorConfig":
-        """The in-process backend (today's default execution model)."""
+        """The in-process backend (what the default plan runs on)."""
         overrides.setdefault("workers", 1)
         return cls(backend="serial", **overrides)
 
@@ -372,22 +373,32 @@ TrialRecord = Tuple[
 ]
 
 
-def _capture_registry(capture_obs) -> "obs_metrics.MetricsRegistry":
-    """A fresh worker-side registry honouring the requested capture mode.
+@contextmanager
+def _captured(capture_obs) -> Iterator[Optional[obs_metrics.MetricsRegistry]]:
+    """Record the body into a fresh worker-side registry on request.
 
-    ``capture_obs`` is falsy (no capture), ``True`` (aggregates only) or
+    ``capture_obs`` is falsy (no capture: yields ``None`` and the body
+    records into the live registry), ``True`` (aggregates only) or
     ``"timeline"`` (aggregates plus per-occurrence events for Chrome
     trace export — requested when the parent registry buffers a
-    timeline).
+    timeline).  The previous registry is restored on exit, so the caller
+    can ship ``to_dict()`` of what was captured.
     """
+    if not capture_obs:
+        yield None
+        return
     # A forked worker inherits the parent's thread-local span stack (the
     # open ``campaign`` span); clear it so captured paths are rooted at
     # the worker's own spans and prefixing happens exactly once — at merge.
     reset_span_stack()
-    registry = obs_metrics.MetricsRegistry()
+    local = obs_metrics.MetricsRegistry()
     if capture_obs == "timeline":
-        registry.enable_timeline()
-    return registry
+        local.enable_timeline()
+    previous = obs_metrics.set_registry(local)
+    try:
+        yield local
+    finally:
+        obs_metrics.set_registry(previous)
 
 
 def _execute_trial(
@@ -418,12 +429,7 @@ def _execute_trial(
     ``campaign/trial/session/...`` and merged worker snapshots land on
     exactly the same paths.
     """
-    local: Optional[obs_metrics.MetricsRegistry] = None
-    previous: Optional[obs_metrics.MetricsRegistry] = None
-    if capture_obs:
-        local = _capture_registry(capture_obs)
-        previous = obs_metrics.set_registry(local)
-    try:
+    with _captured(capture_obs) as local:
         obs = obs_metrics.OBS
         last: Optional[TrialFailure] = None
         metrics: Optional[Dict[str, float]] = None
@@ -448,9 +454,6 @@ def _execute_trial(
                     attempts = attempt + 1
                     break
         wall = time.perf_counter() - started
-    finally:
-        if local is not None:
-            obs_metrics.set_registry(previous)
     snapshot = local.to_dict() if local is not None else None
     if last is not None:
         return None, last, wall, max_retries + 1, snapshot
@@ -491,15 +494,11 @@ def _run_batch_chunk(
 
     With ``capture_obs`` set, the batch runs under a fresh registry and
     its snapshot rides on the *first* record of the group (telemetry is
-    batch-grained here — the kernel advances all trials together).
+    batch-grained here — the kernel advances all trials together).  A
+    failed batch's partial telemetry is dropped with it.
     """
     indices = list(indices)
-    local: Optional[obs_metrics.MetricsRegistry] = None
-    previous: Optional[obs_metrics.MetricsRegistry] = None
-    if capture_obs:
-        local = _capture_registry(capture_obs)
-        previous = obs_metrics.set_registry(local)
-    try:
+    with _captured(capture_obs) as local:
         started = time.perf_counter()
         try:
             seeds = [trial_seed(base_seed, k) for k in indices]
@@ -510,16 +509,10 @@ def _run_batch_chunk(
                     f"{len(indices)} trials"
                 )
         except Exception:  # noqa: BLE001 - fall back to isolated trials
-            if local is not None:
-                obs_metrics.set_registry(previous)
-                local = None
-            return _run_chunk(
-                trial_fn, indices, base_seed, max_retries, capture_obs
-            )
+            metrics_list = None
         share = (time.perf_counter() - started) / len(indices)
-    finally:
-        if local is not None:
-            obs_metrics.set_registry(previous)
+    if metrics_list is None:
+        return _run_chunk(trial_fn, indices, base_seed, max_retries, capture_obs)
     records: List[TrialRecord] = [
         (k, dict(metrics), None, share, 1, None)
         for k, metrics in zip(indices, metrics_list)
@@ -541,21 +534,25 @@ class _CacheContext:
     key_fields: List[Dict[str, Any]]
     checkpoint: "CampaignCheckpoint"
     provenance_base: Dict[str, Any]
-    prior_done: int = 0
 
 
 @dataclass
 class Campaign:
     """A reproducible batch of independent trials with one seed stream.
 
-    The forward-facing object API over ``run_trials``: construct with a
-    trial function ``(trial_index, seed) -> metric dict``, a trial count,
-    a base seed, and optionally a :class:`~repro.sim.plan.RunPlan`;
-    ``run()`` executes and returns a :class:`CampaignResult`.
+    The one way trials run (``run_trials`` and ``sweep`` build one per
+    call): construct with a trial function ``(trial_index, seed) ->
+    metric dict``, a trial count, a base seed, and optionally a
+    :class:`~repro.sim.plan.RunPlan`; ``run()`` executes and returns a
+    :class:`CampaignResult`.
 
-    The default plan runs serially in-process — the exact behaviour,
-    seed stream and aggregate values of the historical ``run_trials``
-    loop; ``plan.executor`` fans trials out over a worker pool.
+    The pending trials are cut into chunks once — ``plan.batch`` groups
+    through the trial's ``run_batch`` hook when it has one, otherwise
+    ``chunk_size`` groups of isolated trials — and one dispatch runs
+    them: the default plan (the ``serial`` backend) in order on the
+    calling thread, ``plan.executor`` on a process or thread pool.  Every
+    backend records the same ``campaign/trial/...`` span tree and
+    ``campaign_*`` metrics, and aggregates are bit-identical across them.
 
     ``plan.store`` plugs in a :class:`~repro.store.cache.ResultStore` as
     a read-through/write-through memoization layer: before any trial is
@@ -566,10 +563,9 @@ class Campaign:
     written back atomically.  Aggregates are bit-identical with the
     cache on, off, hot or cold — the cached floats round-trip exactly
     through canonical JSON.  The trial function must be *describable*
-    (see :func:`repro.store.cache.trial_config_of`) or an explicit
-    ``trial_config`` must be given.  ``plan.resume`` appends to the
-    campaign's checkpoint journal instead of truncating it — the flag a
-    restarted process sets after a crash or kill — and
+    (see :func:`repro.store.cache.trial_config_of`).  ``plan.resume``
+    appends to the campaign's checkpoint journal instead of truncating
+    it — the flag a restarted process sets after a crash or kill — and
     ``plan.checkpoint_namespace`` relocates the journal under a
     namespaced subdirectory so concurrent identical campaigns (e.g. two
     ``repro serve`` jobs) never share one journal file.
@@ -580,30 +576,15 @@ class Campaign:
     base_seed: int = 0
     plan: Optional[RunPlan] = None
     on_trial_done: Optional[ProgressFn] = None
-    trial_config: Optional[Dict[str, Any]] = None
 
     def __post_init__(self) -> None:
         if self.plan is None:
             self.plan = RunPlan()
 
-    # Convenience views of the plan's execution fields (read-only).
-
-    @property
-    def executor(self) -> Optional[ExecutorConfig]:
-        return self.plan.executor
-
-    @property
-    def store(self) -> Optional["ResultStore"]:
-        return self.plan.store
-
-    @property
-    def resume(self) -> bool:
-        return self.plan.resume
-
     def run(self) -> CampaignResult:
         if self.n_trials <= 0:
             raise ValueError("n_trials must be positive")
-        cfg = self.executor or ExecutorConfig.serial()
+        cfg = self.plan.executor or ExecutorConfig.serial()
         obs = obs_metrics.OBS
         # Worker processes have their own (null) module registry, so their
         # spans/metrics would vanish with the worker; capture ships each
@@ -611,11 +592,7 @@ class Campaign:
         # backends record into this process's live registry directly.
         capture: Any = False
         if obs.enabled and cfg.backend == "process":
-            capture = (
-                "timeline"
-                if getattr(obs, "timeline_enabled", False)
-                else True
-            )
+            capture = "timeline" if getattr(obs, "timeline_enabled", False) else True
         started = time.perf_counter()
         per_trial: List[Optional[Dict[str, float]]] = [None] * self.n_trials
         failures: List[TrialFailure] = []
@@ -698,42 +675,7 @@ class Campaign:
                             obs.inc("campaign_cache_misses_total")
                             pending.append(k)
                 if pending:
-                    batch = self.plan.batch
-                    use_batch = batch > 1 and callable(
-                        getattr(self.trial_fn, "run_batch", None)
-                    )
-                    if use_batch:
-                        # B trials per task through the batched kernel.
-                        # Batch grouping *is* the chunking in this mode
-                        # (ExecutorConfig.chunk_size is ignored).
-                        groups = [
-                            pending[i : i + batch]
-                            for i in range(0, len(pending), batch)
-                        ]
-                        if cfg.backend == "serial":
-                            for group in groups:
-                                for rec in _run_batch_chunk(
-                                    self.trial_fn,
-                                    group,
-                                    self.base_seed,
-                                    cfg.max_retries,
-                                ):
-                                    record(*rec[:5], snapshot=rec[5])
-                        else:
-                            self._run_pooled(
-                                cfg,
-                                record,
-                                pending,
-                                chunks=groups,
-                                worker=_run_batch_chunk,
-                                capture_obs=capture,
-                            )
-                    elif cfg.backend == "serial":
-                        self._run_serial(cfg, record, pending)
-                    else:
-                        self._run_pooled(
-                            cfg, record, pending, capture_obs=capture
-                        )
+                    self._dispatch(cfg, record, pending, capture)
         except BaseException:
             # The journal stays on disk with every completed trial —
             # that is exactly what --resume reads after a crash.
@@ -763,13 +705,18 @@ class Campaign:
         )
         if cache is not None:
             if not failures:
-                self._finish_checkpoint(cache, result)
+                from repro.store.canonical import digest
+
+                agg_digest = digest(
+                    {n: dataclasses.asdict(a) for n, a in aggregates.items()}
+                )
+                cache.checkpoint.complete(agg_digest, elapsed_s)
             cache.checkpoint.close()
         return result
 
     def _prepare_cache(self) -> Optional[_CacheContext]:
-        if self.store is None:
-            if self.resume:
+        if self.plan.store is None:
+            if self.plan.resume:
                 raise ValueError("resume=True requires a result store")
             return None
         from repro.store.cache import (
@@ -780,12 +727,12 @@ class Campaign:
         from repro.store.checkpoint import CampaignCheckpoint, campaign_key
         from repro.store.fingerprint import code_fingerprint
 
-        config = self.trial_config or trial_config_of(self.trial_fn)
+        config = trial_config_of(self.trial_fn)
         if config is None:
             raise ValueError(
                 "trial function is not cacheable: use a dataclass trial "
-                "(e.g. repro.experiments.common.PaperTrial), give it a "
-                "cache_config() method, or pass trial_config= explicitly"
+                "(e.g. repro.experiments.common.PaperTrial) or give it a "
+                "cache_config() method"
             )
         engine = getattr(self.trial_fn, "engine", None)
         fingerprint = code_fingerprint()
@@ -807,7 +754,7 @@ class Campaign:
                 )
             )
         ckpt = CampaignCheckpoint(
-            self.store.root,
+            self.plan.store.root,
             campaign_key(
                 config, self.n_trials, self.base_seed, engine, fingerprint
             ),
@@ -818,7 +765,7 @@ class Campaign:
                 else None
             ),
         )
-        prior = ckpt.begin(
+        ckpt.begin(
             {
                 "trial": config,
                 "n_trials": self.n_trials,
@@ -826,112 +773,75 @@ class Campaign:
                 "engine": engine,
                 "code_fingerprint": fingerprint,
             },
-            resume=self.resume,
+            resume=self.plan.resume,
         )
         obs_metrics.OBS.inc("campaign_cache_campaigns_total")
         return _CacheContext(
-            store=self.store,
+            store=self.plan.store,
             keys=keys,
             key_fields=key_fields,
             checkpoint=ckpt,
             provenance_base=ResultStore.default_provenance(engine=engine),
-            prior_done=prior.n_done,
         )
 
-    @staticmethod
-    def _finish_checkpoint(
-        cache: _CacheContext, result: CampaignResult
-    ) -> None:
-        from repro.store.canonical import digest
-
-        agg_digest = digest(
-            {
-                name: dataclasses.asdict(agg)
-                for name, agg in result.aggregates.items()
-            }
-        )
-        cache.checkpoint.complete(agg_digest, result.elapsed_s)
-
-    def _run_serial(
-        self, cfg: ExecutorConfig, record, indices: Sequence[int]
-    ) -> None:
-        for k in indices:
-            metrics, failure, wall_s, attempts, _ = _execute_trial(
-                self.trial_fn, k, self.base_seed, cfg.max_retries
-            )
-            record(k, metrics, failure, wall_s, attempts)
-
-    def _run_pooled(
+    def _dispatch(
         self,
         cfg: ExecutorConfig,
-        record,
-        indices: Sequence[int],
-        chunks: Optional[List[List[int]]] = None,
-        worker: Callable = _run_chunk,
-        capture_obs=False,
+        record: Callable[..., None],
+        pending: List[int],
+        capture_obs,
     ) -> None:
+        """Cut ``pending`` into chunks and run them on ``cfg.backend``.
+
+        ``plan.batch > 1`` on a trial with a ``run_batch`` hook makes each
+        batch one chunk (``chunk_size`` is then ignored); otherwise
+        chunks are ``chunk_size`` isolated trials.  The serial backend
+        runs the chunks in order on this thread and checks ``timeout_s``
+        between them (a running chunk is never interrupted); the pools
+        submit them all up front and harvest as they complete.
+        """
+        worker: Callable[..., List[TrialRecord]] = _run_chunk
+        size = cfg.chunk_size
+        if self.plan.batch > 1 and callable(
+            getattr(self.trial_fn, "run_batch", None)
+        ):
+            worker, size = _run_batch_chunk, self.plan.batch
+        chunks = [pending[i : i + size] for i in range(0, len(pending), size)]
+        args = (self.base_seed, cfg.max_retries, capture_obs)
+        done = 0
+
+        def harvest(records: List[TrialRecord]) -> None:
+            nonlocal done
+            for k, metrics, failure, wall_s, attempts, snap in records:
+                record(k, metrics, failure, wall_s, attempts, snapshot=snap)
+                done += 1
+
+        if cfg.backend == "serial":
+            started = time.perf_counter()
+            for chunk in chunks:
+                if (
+                    cfg.timeout_s is not None
+                    and time.perf_counter() - started > cfg.timeout_s
+                ):
+                    raise CampaignTimeout(cfg.timeout_s, done, len(pending))
+                harvest(worker(self.trial_fn, chunk, *args))
+            return
         pool_cls = (
             futures.ProcessPoolExecutor
             if cfg.backend == "process"
             else futures.ThreadPoolExecutor
         )
-        indices = list(indices)
-        if chunks is None:
-            chunks = [
-                indices[i : i + cfg.chunk_size]
-                for i in range(0, len(indices), cfg.chunk_size)
-            ]
-        done = 0
         with pool_cls(max_workers=cfg.resolved_workers()) as pool:
-            pending = [
-                pool.submit(
-                    worker, self.trial_fn, chunk, self.base_seed,
-                    cfg.max_retries, capture_obs,
-                )
+            submitted = [
+                pool.submit(worker, self.trial_fn, chunk, *args)
                 for chunk in chunks
             ]
             try:
-                for fut in futures.as_completed(pending, timeout=cfg.timeout_s):
-                    for k, metrics, failure, wall_s, attempts, snap in (
-                        fut.result()
-                    ):
-                        record(
-                            k, metrics, failure, wall_s, attempts,
-                            snapshot=snap,
-                        )
-                        done += 1
+                for fut in futures.as_completed(submitted, timeout=cfg.timeout_s):
+                    harvest(fut.result())
             except futures.TimeoutError:
                 pool.shutdown(wait=False, cancel_futures=True)
-                raise CampaignTimeout(cfg.timeout_s, done, len(indices))
+                raise CampaignTimeout(cfg.timeout_s, done, len(pending))
             except CampaignError:
                 pool.shutdown(wait=False, cancel_futures=True)
                 raise
-
-
-def run_trials_parallel(
-    trial_fn: TrialFn,
-    n_trials: int,
-    base_seed: int = 0,
-    on_trial_done: Optional[ProgressFn] = None,
-    *,
-    plan: Optional[RunPlan] = None,
-) -> CampaignResult:
-    """Run a campaign on the parallel engine and return the full result.
-
-    The functional shorthand over :class:`Campaign`; unlike ``run_trials``
-    it defaults to the process backend (``ExecutorConfig()``ing an
-    unset ``plan.executor``) and returns the :class:`CampaignResult` —
-    aggregates *and* failures — rather than raising when trials fail.
-    Execution options travel in ``plan=``
-    (:class:`~repro.sim.plan.RunPlan`), the only execution interface.
-    """
-    plan = plan if plan is not None else RunPlan()
-    if plan.executor is None:
-        plan = plan.replace(executor=ExecutorConfig())
-    return Campaign(
-        trial_fn,
-        n_trials,
-        base_seed,
-        on_trial_done=on_trial_done,
-        plan=plan,
-    ).run()

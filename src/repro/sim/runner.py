@@ -9,11 +9,10 @@ repeats it with derived seeds and aggregates each metric's mean/std/min/max;
 Everything is deterministic given the base seed, and metrics are plain
 dicts of floats so experiments stay decoupled from protocols.
 
-Campaigns can be fanned out over worker processes/threads via the
-:mod:`repro.sim.parallel` engine (``plan=RunPlan(executor=...)`` on
-``run_trials``/``sweep`` or the :class:`~repro.sim.parallel.Campaign`
-object API); both paths share :func:`trial_seed`, so the results are
-bit-identical.
+Every trial runs through one :class:`~repro.sim.parallel.Campaign`
+(``run_trials`` builds one per call); ``plan=RunPlan(executor=...)``
+fans it out over worker processes/threads.  Every backend derives seeds
+with :func:`trial_seed`, so the results are bit-identical.
 """
 
 from __future__ import annotations
@@ -42,9 +41,9 @@ _RETRY_STREAM = 0x7E7B
 def trial_seed(base_seed: int, trial_index: int, attempt: int = 0) -> int:
     """The 32-bit seed for one trial of a campaign.
 
-    This is the single definition of the campaign seed stream: the serial
-    path here and every :mod:`repro.sim.parallel` backend call it, which
-    is what makes serial and parallel runs bit-identical.  ``attempt > 0``
+    This is the single definition of the campaign seed stream: every
+    :mod:`repro.sim.parallel` backend calls it, which is what makes
+    serial and parallel runs bit-identical.  ``attempt > 0``
     derives an independent retry seed (deterministic, so retried campaigns
     stay reproducible).
     """
@@ -124,12 +123,11 @@ def run_trials(
     since the one-release deprecation shim for the per-keyword
     spellings was retired.
 
-    With the default plan this is the historical inline serial loop:
-    trial exceptions propagate raw, and no campaign machinery is
-    involved.  A plan with an
-    :class:`~repro.sim.parallel.ExecutorConfig` fans trials out over a
-    process or thread pool — the aggregates are bit-identical to the
-    serial run.  On that path a trial failure raises
+    It runs one :class:`~repro.sim.parallel.Campaign`: the default plan
+    runs the trials serially on this thread, a plan with an
+    :class:`~repro.sim.parallel.ExecutorConfig` fans them out over a
+    process or thread pool, and the aggregates are bit-identical either
+    way.  A trial failure raises
     :class:`~repro.sim.parallel.CampaignError` (carrying the structured
     :class:`~repro.sim.parallel.TrialFailure` records); use
     :class:`~repro.sim.parallel.Campaign` directly to tolerate partial
@@ -144,21 +142,6 @@ def run_trials(
     ``plan.batch > 1`` stacks trials into batched kernel tasks for
     trial objects exposing ``run_batch``.
     """
-    if n_trials <= 0:
-        raise ValueError("n_trials must be positive")
-    from repro.sim.plan import RunPlan
-
-    plan = plan if plan is not None else RunPlan()
-    if (
-        plan.executor is None
-        and plan.store is None
-        and plan.batch == 1
-        and on_trial_done is None
-    ):
-        per_trial = [
-            trial_fn(k, trial_seed(base_seed, k)) for k in range(n_trials)
-        ]
-        return aggregate_metrics(per_trial)
     from repro.sim.parallel import Campaign, CampaignError
 
     result = Campaign(
@@ -219,9 +202,7 @@ def sweep(
     points never collide in the store).
     """
     from repro.obs import metrics as obs_metrics
-    from repro.sim.plan import RunPlan
 
-    plan = plan if plan is not None else RunPlan()
     obs = obs_metrics.OBS
     result = SweepResult(parameter=parameter, values=[])
     for idx, value in enumerate(values):

@@ -116,7 +116,7 @@ def trial_config_of(trial_fn: Callable) -> Optional[Dict[str, Any]]:
     dataclass instance, the object's own ``cache_config()`` for anything
     that provides one, and ``None`` for undescribable callables
     (closures, lambdas, bare functions with captured state) — the caller
-    must then run uncached or pass an explicit config.
+    must then run uncached or give the callable a ``cache_config``.
     """
     cfg = getattr(trial_fn, "cache_config", None)
     if callable(cfg):

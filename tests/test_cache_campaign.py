@@ -174,9 +174,8 @@ class TestInvalidation:
                 return {"v": float(seed % 97)}
 
             fn.engine = engine_id
-            return Campaign(
-                fn, 3, 7, plan=RunPlan(store=store), trial_config=config
-            ).run()
+            fn.cache_config = lambda: config
+            return Campaign(fn, 3, 7, plan=RunPlan(store=store)).run()
 
         assert campaign("reference").cache_hits == 0
         assert campaign("reference").cache_hits == 3

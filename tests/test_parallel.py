@@ -21,7 +21,6 @@ from repro.sim.parallel import (
     CampaignTimeout,
     ExecutorConfig,
     TrialFailure,
-    run_trials_parallel,
     stderr_ticker,
 )
 from repro.sim.plan import RunPlan
@@ -165,10 +164,10 @@ class TestDeterminism:
 
 class TestFailureIsolation:
     def test_failure_captured_and_rest_aggregated(self):
-        result = run_trials_parallel(
+        result = Campaign(
             FailingAt(bad_indices=(3,)), 10, 7,
             plan=RunPlan(executor=ExecutorConfig.serial()),
-        )
+        ).run()
         assert not result.ok
         assert result.n_ok == 9
         assert result.per_trial[3] is None
@@ -184,21 +183,29 @@ class TestFailureIsolation:
         assert result.aggregates["value"].count == 9
 
     def test_failure_captured_across_process_boundary(self):
-        result = run_trials_parallel(
+        result = Campaign(
             FailingAt(bad_indices=(1, 4)), 6, 0,
             plan=RunPlan(executor=ExecutorConfig(workers=2, backend="process")),
-        )
+        ).run()
         assert [f.trial_index for f in result.failures] == [1, 4]
         assert result.n_ok == 4
         assert result.aggregates["value"].count == 4
 
     def test_fail_fast_aborts(self):
         with pytest.raises(CampaignError) as excinfo:
-            run_trials_parallel(
+            Campaign(
                 FailingAt(bad_indices=(2,)), 10, 0,
                 plan=RunPlan(executor=ExecutorConfig.serial(fail_fast=True)),
-            )
+            ).run()
         assert excinfo.value.failures[0].trial_index == 2
+
+    def test_default_plan_failure_raises_campaign_error(self):
+        with pytest.raises(CampaignError, match="trial 2 failed") as excinfo:
+            run_trials(FailingAt(bad_indices=(2,)), 4, 0)
+        [failure] = excinfo.value.failures
+        assert failure.trial_index == 2
+        assert "deployment 2 exploded" in failure.message
+        assert excinfo.value.aggregates["value"].count == 3
 
     def test_run_trials_wrapper_raises_on_failure(self):
         with pytest.raises(CampaignError) as excinfo:
@@ -212,10 +219,10 @@ class TestFailureIsolation:
         assert err.aggregates["value"].count == 3
 
     def test_all_failed_gives_empty_aggregates(self):
-        result = run_trials_parallel(
+        result = Campaign(
             FailingAt(bad_indices=tuple(range(3))), 3, 0,
             plan=RunPlan(executor=ExecutorConfig.serial()),
-        )
+        ).run()
         assert result.aggregates == {}
         assert result.n_ok == 0
 
@@ -223,15 +230,15 @@ class TestFailureIsolation:
 class TestRetry:
     def test_retry_rederives_seed_and_recovers(self):
         trial = FlakyOnFirstSeed(bad_index=2, base_seed=5)
-        no_retry = run_trials_parallel(
+        no_retry = Campaign(
             trial, 6, 5, plan=RunPlan(executor=ExecutorConfig.serial())
-        )
+        ).run()
         assert [f.trial_index for f in no_retry.failures] == [2]
 
-        retried = run_trials_parallel(
+        retried = Campaign(
             trial, 6, 5,
             plan=RunPlan(executor=ExecutorConfig.serial(max_retries=1)),
-        )
+        ).run()
         assert retried.ok
         assert retried.per_trial[2]["value"] == float(
             trial_seed(5, 2, attempt=1) % 1009
@@ -251,11 +258,11 @@ class TestProgress:
             seen.append((k, metrics is not None))
             assert elapsed >= 0.0
 
-        run_trials_parallel(
+        Campaign(
             FailingAt(bad_indices=(1,)), 5, 0,
             plan=RunPlan(executor=ExecutorConfig(workers=2, backend="thread")),
             on_trial_done=on_done,
-        )
+        ).run()
         assert sorted(k for k, _ in seen) == [0, 1, 2, 3, 4]
         assert dict(seen)[1] is False
 
@@ -332,7 +339,7 @@ class TestCampaignObservability:
 
         with use_registry() as reg:
             Campaign(FailingAt(bad_indices=(1,)), 4, 0).run()
-        counters = reg.snapshot()["counters"]
+        counters = reg.to_dict()["counters"]
         assert counters["campaign_trials_ok"] == 3.0
         assert counters["campaign_trials_failed"] == 1.0
         hist = reg.histogram("campaign_trial_wall_s")
@@ -341,40 +348,72 @@ class TestCampaignObservability:
         assert 0.0 < reg.gauge("campaign_worker_utilization").value <= 1.0
 
 
+class TestOneCampaignPath:
+    """A default-plan ``run_trials`` is a campaign like any other."""
+
+    def _recorded(self, **kwargs):
+        from repro.obs import use_registry
+
+        with use_registry() as reg:
+            with reg.span("sweep_point"):
+                aggs = run_trials(noisy_trial, 3, 11, **kwargs)
+        return aggs, reg
+
+    def test_default_plan_records_campaign_tree(self):
+        aggs, reg = self._recorded()
+        assert reg.span_stats()[("sweep_point", "campaign")][0] == 1
+        assert reg.span_stats()[("sweep_point", "campaign", "trial")][0] == 3
+        assert reg.counter("campaign_trials_ok").value == 3.0
+        assert aggs["value"].count == 3
+
+    def test_callback_does_not_change_the_span_tree(self):
+        plain_aggs, plain = self._recorded()
+        seen = []
+        aggs, ticked = self._recorded(
+            on_trial_done=lambda k, elapsed, metrics: seen.append(k)
+        )
+        assert sorted(seen) == [0, 1, 2]
+        assert set(ticked.span_stats()) == set(plain.span_stats())
+        assert set(ticked.counters()) == set(plain.counters())
+        assert_aggregates_identical(plain_aggs, aggs)
+
+
 class TestTimeout:
-    def test_timeout_raises_campaign_timeout(self):
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    def test_timeout_raises_campaign_timeout(self, backend):
         def slow(trial_index, seed):
             import time
 
             time.sleep(0.5)
             return {"x": 1.0}
 
-        with pytest.raises(CampaignTimeout):
-            run_trials_parallel(
+        with pytest.raises(CampaignTimeout) as excinfo:
+            Campaign(
                 slow, 4, 0,
                 plan=RunPlan(executor=ExecutorConfig(
-                    workers=2, backend="thread", timeout_s=0.05
+                    workers=2, backend=backend, timeout_s=0.05
                 )),
-            )
+            ).run()
+        # The serial backend checks between chunks: the first trial ran.
+        assert excinfo.value.done < excinfo.value.total == 4
 
 
 class TestExports:
     def test_sim_exports_campaign_api(self):
         for name in (
             "Campaign", "CampaignError", "CampaignResult", "CampaignTimeout",
-            "ExecutorConfig", "TrialFailure", "run_trials_parallel",
+            "ExecutorConfig", "TrialFailure",
             "stderr_ticker", "trial_seed", "TrialFn", "MetricDict",
         ):
             assert name in sim.__all__
             assert hasattr(sim, name)
+        assert not hasattr(sim, "run_trials_parallel")
 
     def test_top_level_exports_campaign_api(self):
-        for name in (
-            "Campaign", "ExecutorConfig", "TrialFailure",
-            "run_trials_parallel",
-        ):
+        for name in ("Campaign", "ExecutorConfig", "TrialFailure"):
             assert name in repro.__all__
             assert hasattr(repro, name)
+        assert "run_trials_parallel" not in repro.__all__
 
 
 class TestCLIParallel:

@@ -609,6 +609,15 @@ class TestService:
             service.client.submit({"schema": JOB_SCHEMA, "kind": "mystery"})
         assert err.value.status == 400
 
+    def test_misspelled_executor_key_gives_400(self, service):
+        spec = tiny_spec()
+        spec["plan"]["executor"] = {"wokers": 2}
+        with pytest.raises(ServiceError) as err:
+            service.client.submit(spec)
+        assert err.value.status == 400
+        assert "wokers" in str(err.value)
+        assert service.client.jobs() == []
+
     def test_unknown_job_gives_404(self, service):
         with pytest.raises(ServiceError) as err:
             service.client.job("doesnotexist")
