@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tupl
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.net.shm import TopologyHandle
+    from repro.sim.trace import SessionTracer
 
 import numpy as np
 
@@ -266,24 +267,26 @@ class SessionBatchTrial:
         metrics.update(result.ledger.summary())
         return metrics
 
-    def __call__(self, trial_index: int, seed: int) -> Dict[str, float]:
+    def session(
+        self, seed: int, tracer: Optional[SessionTracer] = None
+    ) -> SessionResult:
+        """The session of the trial seeded ``seed`` (``tracer`` sees its events)."""
         network = self._resolve_network()
         rng = np.random.default_rng(int(seed))
         picks = self._draw_picks(rng, network.n_tags)
-        if self.loss > 0.0:
-            result = run_session(
-                network,
-                picks,
-                config=self._config(),
-                channel=LossyChannel(loss=self.loss),
-                rng=rng,
-                engine=self.engine,
-            )
-        else:
-            result = run_session(
-                network, picks, config=self._config(), engine=self.engine
-            )
-        return self._metrics(result)
+        lossy = self.loss > 0.0
+        return run_session(
+            network,
+            picks,
+            config=self._config(),
+            channel=LossyChannel(loss=self.loss) if lossy else None,
+            rng=rng if lossy else None,
+            engine=self.engine,
+            tracer=tracer,
+        )
+
+    def __call__(self, trial_index: int, seed: int) -> Dict[str, float]:
+        return self._metrics(self.session(seed))
 
     def run_batch(
         self, indices: Sequence[int], seeds: Sequence[int]

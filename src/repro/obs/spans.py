@@ -64,15 +64,17 @@ def current_span_path() -> Tuple[str, ...]:
     return tuple(_stack())
 
 
-def reset_span_stack() -> None:
-    """Clear the calling thread's span stack.
+def reset_span_stack(path: Tuple[str, ...] = ()) -> None:
+    """Set the calling thread's span stack to ``path`` (default: clear it).
 
-    Worker-process hygiene: a *forked* pool worker inherits the parent's
+    Worker hygiene: a *forked* pool worker inherits the parent's
     thread-local stack (e.g. the open ``campaign`` span), so spans it
     records would carry a stale prefix — and then get prefixed again at
-    merge time.  Capture-mode workers clear the stack before recording.
+    merge time; capture-mode workers clear the stack before recording.
+    A pool *thread* starts with an empty stack, so thread workers are
+    started on the campaign's path to nest their spans as serial does.
     """
-    _stack().clear()
+    _stack()[:] = path
 
 
 class Span:

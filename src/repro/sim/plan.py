@@ -351,7 +351,6 @@ class RunPlan:
                 "batch": int(getattr(args, "batch", None) or 1),
                 "obs": {
                     "metrics_out": getattr(args, "metrics_out", None),
-                    "trace_out": getattr(args, "trace_out", None),
                     "progress": bool(getattr(args, "progress", False)),
                 },
             }

@@ -48,6 +48,32 @@ class FailingAt:
         return noisy_trial(trial_index, seed)
 
 
+def sleeping_trial(trial_index, seed):
+    """A hung trial: sleeps far past any campaign timeout in the tests."""
+    import time
+
+    time.sleep(5.0)
+    return {"x": 1.0}
+
+
+class HungUntilReleased:
+    """A cacheable thread-backend trial that blocks until ``release`` is set."""
+
+    def __init__(self):
+        import threading
+
+        self.release = threading.Event()
+        self.finished = []
+
+    def cache_config(self):
+        return {"kind": "hung_until_released"}
+
+    def __call__(self, trial_index, seed):
+        self.release.wait(5.0)
+        self.finished.append(trial_index)
+        return {"x": 1.0}
+
+
 @dataclasses.dataclass(frozen=True)
 class FlakyOnFirstSeed:
     """Fails only when handed the attempt-0 seed for ``bad_index``.
@@ -396,6 +422,79 @@ class TestTimeout:
             ).run()
         # The serial backend checks between chunks: the first trial ran.
         assert excinfo.value.done < excinfo.value.total == 4
+
+    def test_process_pool_raises_at_the_deadline_and_kills_workers(self):
+        import multiprocessing
+        import time
+
+        started = time.perf_counter()
+        with pytest.raises(CampaignTimeout) as excinfo:
+            Campaign(
+                sleeping_trial, 4, 0,
+                plan=RunPlan(executor=ExecutorConfig(
+                    workers=2, backend="process", timeout_s=0.3
+                )),
+            ).run()
+        assert time.perf_counter() - started < 0.6
+        assert excinfo.value.done == 0
+        assert multiprocessing.active_children() == []
+
+    def test_thread_pool_raises_at_the_deadline_and_drops_late_results(
+        self, tmp_path
+    ):
+        import time
+
+        from repro.store import ResultStore
+
+        hung = HungUntilReleased()
+        store = ResultStore(tmp_path / "store")
+        started = time.perf_counter()
+        try:
+            with pytest.raises(CampaignTimeout):
+                Campaign(
+                    hung, 4, 0,
+                    plan=RunPlan(
+                        executor=ExecutorConfig(
+                            workers=2, backend="thread", timeout_s=0.3
+                        ),
+                        store=store,
+                    ),
+                ).run()
+            assert time.perf_counter() - started < 0.6
+        finally:
+            hung.release.set()
+        deadline = time.perf_counter() + 5.0
+        while len(hung.finished) < 2 and time.perf_counter() < deadline:
+            time.sleep(0.01)
+        # The two running trials finished after the raise; nothing
+        # harvested them, so the store holds no record of either.
+        assert sorted(hung.finished) == [0, 1]
+        assert store.stats().n_entries == 0
+
+    def test_fail_fast_does_not_wait_for_running_trials(self):
+        import threading
+        import time
+
+        release = threading.Event()
+
+        def trial(trial_index, seed):
+            if trial_index == 0:
+                raise RuntimeError("boom")
+            release.wait(5.0)
+            return {"x": 1.0}
+
+        started = time.perf_counter()
+        try:
+            with pytest.raises(CampaignError):
+                Campaign(
+                    trial, 2, 0,
+                    plan=RunPlan(executor=ExecutorConfig(
+                        workers=2, backend="thread", fail_fast=True
+                    )),
+                ).run()
+            assert time.perf_counter() - started < 0.6
+        finally:
+            release.set()
 
 
 class TestExports:

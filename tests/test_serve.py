@@ -206,6 +206,29 @@ class TestJobManager:
             1 for j in manager.list() if j.state == "queued"
         ) == 3
 
+    def test_timed_out_job_fails_and_frees_its_worker(self, tmp_path):
+        """A process-backend job past its plan's ``timeout_s`` fails with
+        ``CampaignTimeout`` at the deadline, leaves no worker process
+        behind, and the next queued job runs on the same job worker."""
+        import multiprocessing
+
+        manager = JobManager(ResultStore(tmp_path), max_queue=4)
+        hung = slow_spec(n_trials=2, sleep_s=5.0)
+        hung["plan"] = {
+            "schema": PLAN_SCHEMA,
+            "executor": {"workers": 2, "backend": "process", "timeout_s": 0.3},
+        }
+        first = manager.submit(JobSpec.from_json(hung))
+        second = manager.submit(JobSpec.from_json(tiny_spec()))
+        started = time.perf_counter()
+        manager._execute(manager._next_job())
+        assert time.perf_counter() - started < 1.5
+        assert first.state == "failed"
+        assert first.error.startswith("CampaignTimeout")
+        assert multiprocessing.active_children() == []
+        manager._execute(manager._next_job())
+        assert second.state == "done"
+
     def test_queue_depth_survives_concurrent_submit_and_cancel(self, tmp_path):
         manager = JobManager(ResultStore(tmp_path), max_queue=1000)
         manager.start()
