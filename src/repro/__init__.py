@@ -23,16 +23,14 @@ paper-vs-measured record of every table and figure.
 
 from repro.analysis import CCMCostModel, TierGeometry, geometric_num_tiers
 from repro.core import (
+    ENGINE_NAMES,
     Bitmap,
     CCMConfig,
     MultiReaderResult,
     RoundStats,
-    SessionEngine,
     SessionResult,
     SessionTracer,
-    available_engines,
     default_checking_frame_length,
-    get_engine,
     run_multireader_session,
     run_session,
     union,
@@ -98,12 +96,10 @@ __all__ = [
     "CCMConfig",
     "MultiReaderResult",
     "RoundStats",
-    "SessionEngine",
     "SessionResult",
     "SessionTracer",
-    "available_engines",
+    "ENGINE_NAMES",
     "default_checking_frame_length",
-    "get_engine",
     "run_multireader_session",
     "run_session",
     "union",

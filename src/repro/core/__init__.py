@@ -12,24 +12,18 @@ This subpackage is the paper's primary contribution.  Typical use::
     result = run_session(net, picks, config=CCMConfig(frame_size=1671))
     print(result.bitmap.popcount(), "busy slots in", result.rounds, "rounds")
 
-Sessions run on an interchangeable engine (``engine="packed"`` or
-``"batch"``, the vectorized kernel at B = 1; ``engine="bigint"``, the
-scalar big-int oracle; default ``"auto"``); see :mod:`repro.core.engine`
-for the engine table and :mod:`repro.core.batch` for the kernel, which also
-runs B whole sessions per numpy call.
+Sessions run on one of two engines (``engine="packed"``, the vectorized
+kernel at B = 1; ``engine="bigint"``, the scalar big-int oracle; default
+``"auto"``; see :data:`ENGINE_NAMES`); see :mod:`repro.core.engine` for
+the oracle and :mod:`repro.core.batch` for the kernel, which also runs B
+whole sessions per numpy call.
 """
 
 from repro.core.bitmap import Bitmap, union
-from repro.core.engine import (
-    BigintSessionEngine,
-    SessionEngine,
-    available_engines,
-    get_engine,
-    resolve_engine,
-)
 from repro.core.multireader import MultiReaderResult, run_multireader_session
 from repro.core.reliability import RobustCollectResult, robust_collect
 from repro.core.session import (
+    ENGINE_NAMES,
     CCMConfig,
     RoundStats,
     SessionResult,
@@ -38,7 +32,6 @@ from repro.core.session import (
 )
 from repro.core.batch import (
     BATCH_RNG_CONTRACT,
-    BatchSessionEngine,
     batch_trial_rngs,
     run_session_batch,
 )
@@ -48,6 +41,7 @@ __all__ = [
     "Bitmap",
     "union",
     "CCMConfig",
+    "ENGINE_NAMES",
     "RoundStats",
     "SessionResult",
     "SessionTracer",
@@ -56,12 +50,6 @@ __all__ = [
     "run_session_batch",
     "BATCH_RNG_CONTRACT",
     "batch_trial_rngs",
-    "SessionEngine",
-    "BigintSessionEngine",
-    "BatchSessionEngine",
-    "available_engines",
-    "get_engine",
-    "resolve_engine",
     "RobustCollectResult",
     "robust_collect",
     "MultiReaderResult",

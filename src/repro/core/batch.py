@@ -8,12 +8,13 @@ protocol step advances all B sessions in one numpy call.  Finished
 sessions are masked inert (their state freezes, their ledger stops
 accumulating) rather than forcing ragged per-trial loops.
 
-A single session is the same kernel at B = 1: the ``"packed"`` and
-``"batch"`` engine names both resolve to :class:`BatchSessionEngine`,
-which also emits the per-round tracer events.  The scenario engine
-(:mod:`repro.scenario.engine`) drives the tag-major kernel through one
-per-round hook that returns the round's network (relinked after reader
-motion) and its powered-tag mask; the kernel applies the mask itself.
+A single session is the same kernel at B = 1:
+:func:`~repro.core.session.run_session` with ``engine="packed"`` calls
+:func:`_run_kernel` on a one-trial stack, and the kernel also emits the
+per-round tracer events.  :class:`~repro.scenario.engine.
+ScenarioSessionEngine` drives the tag-major kernel through one per-round
+hook that returns the round's network (relinked after reader motion) and
+its powered-tag mask; the kernel applies the mask itself.
 
 Routing: the exact perfect channel (and ``LossyChannel(loss=0.0)``,
 which draws nothing) runs slot-major while the neighbour-bitset table
@@ -86,7 +87,6 @@ from repro.sim.trace import SessionTracer
 
 __all__ = [
     "BATCH_RNG_CONTRACT",
-    "BatchSessionEngine",
     "batch_trial_rngs",
     "run_session_batch",
 ]
@@ -953,48 +953,3 @@ def run_session_batch(
             obs.inc("ccm_batch_sessions_total", B)
             obs.inc("ccm_batch_calls_total")
     return results
-
-
-class BatchSessionEngine:
-    """The kernel as a single-session engine (the B = 1 adapter).
-
-    Listed as ``"batch"`` and as ``"packed"`` (what ``"auto"``
-    resolves to for the built-in channels), so every vectorized session
-    — one trial or a batch of them — runs the same code.  ``run_session``
-    has already built and validated the slot matrix.
-    """
-
-    def __init__(self, name: str = "batch") -> None:
-        self.name = name
-
-    def run(
-        self,
-        network: Network,
-        slots: np.ndarray,
-        config: CCMConfig,
-        *,
-        channel: Optional[Channel] = None,
-        rng: Optional[np.random.Generator] = None,
-        ledger: Optional[EnergyLedger] = None,
-        tracer: Optional[SessionTracer] = None,
-    ) -> SessionResult:
-        result = _run_kernel(
-            network,
-            slots[None],
-            config,
-            channel=channel,
-            rngs=None if rng is None else [rng],
-            tracer=tracer,
-        )[0]
-        return _into_ledger(result, ledger)
-
-
-def _into_ledger(
-    result: SessionResult, ledger: Optional[EnergyLedger]
-) -> SessionResult:
-    """Accumulate a kernel result into a caller's ledger."""
-    if ledger is not None:
-        ledger.add_sent_bulk(result.ledger.bits_sent)
-        ledger.add_received_bulk(result.ledger.bits_received)
-        result.ledger = ledger
-    return result

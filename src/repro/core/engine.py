@@ -1,20 +1,19 @@
-"""Session engines: interchangeable implementations of Algorithm 1.
+"""The bigint oracle: Algorithm 1 over f-bit Python integers.
 
-:func:`repro.core.session.run_session` delegates the per-round mechanics
-(data frame, knowledge update, indicator-vector silencing, checking frame,
-energy accounting) to a :class:`SessionEngine`.  Two implementations
-exist:
+:func:`repro.core.session.run_session` runs a session on one of two
+engines, named by its ``engine=`` argument (:data:`~repro.core.session.
+ENGINE_NAMES`):
 
-* ``"bigint"`` — the scalar oracle defined here: each tag's frame is an
+* ``"bigint"`` — :func:`run_bigint`, defined here: each tag's frame is an
   f-bit Python integer, and propagation is one big-int OR per edge.
   Works with any :class:`~repro.net.channel.Channel` implementation, so it
   is also the executable reference for the channel contract.
-* the vectorized kernel of :mod:`repro.core.batch`, listed as
-  ``"packed"`` and ``"batch"`` (one session is its B = 1 case): frames
-  are bit-packed uint64 arrays and every per-tag loop is a NumPy kernel,
-  slot-major under the exact :class:`~repro.net.channel.PerfectChannel`
-  and tag-major (driven through the channel's
-  ``propagate_packed``/``reader_senses_packed``) otherwise.
+* ``"packed"`` — the vectorized kernel of :mod:`repro.core.batch` at
+  B = 1: frames are bit-packed uint64 arrays and every per-tag loop is a
+  NumPy kernel, slot-major under the exact
+  :class:`~repro.net.channel.PerfectChannel` and tag-major (driven
+  through the channel's ``propagate_packed``/``reader_senses_packed``)
+  otherwise.
 
 The two are bit-identical — same bitmap, rounds, slot tally, round
 statistics, per-tag ledger floats and tracer NDJSON — under both
@@ -31,22 +30,15 @@ the silent slot-major path) and bigint for anything else — third-party
 channel subclasses may override propagation or not implement the
 packed-word interface at all.
 
-A third name, ``"scenario"``, runs the kernel with per-round motion and
-power hooks (:mod:`repro.scenario.engine`).  The engine table is fixed:
-engine names go into every trial key, so the set of names is part of the
+Engine names go into every trial key, so the set of names is part of the
 store's addressing, not an extension point.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-
-try:  # pragma: no cover - always present on 3.8+
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover
-    from typing_extensions import Protocol, runtime_checkable
 
 from repro.core.bitmap import Bitmap
 from repro.core.session import (
@@ -55,110 +47,12 @@ from repro.core.session import (
     SessionResult,
     default_checking_frame_length,
 )
-from repro.net.channel import (
-    Channel,
-    LossyChannel,
-    PerfectChannel,
-    or_reduce_segments,
-)
+from repro.net.channel import Channel, PerfectChannel
 from repro.net.energy import EnergyLedger
 from repro.net.timing import SlotCount, indicator_vector_slots
 from repro.net.topology import Network
 from repro.obs import metrics as obs_metrics
 from repro.sim.trace import SessionTracer
-
-#: The engine name ``run_session`` resolves per call: the vectorized
-#: kernel (``"packed"``) for the built-in channel types, bigint otherwise.
-AUTO_ENGINE = "auto"
-
-
-@runtime_checkable
-class SessionEngine(Protocol):
-    """One implementation of Algorithm 1 over pre-validated inputs.
-
-    ``slots`` is the ``(n, k)`` int64 slot matrix of
-    :func:`repro.core.session.slot_matrix`: row i lists the distinct
-    slots tag i initially sets busy, padded with -1.
-    :func:`~repro.core.session.run_session` builds and validates it
-    before dispatching here.
-    """
-
-    name: str
-
-    def run(
-        self,
-        network: Network,
-        slots: np.ndarray,
-        config: CCMConfig,
-        *,
-        channel: Optional[Channel] = None,
-        rng: Optional[np.random.Generator] = None,
-        ledger: Optional[EnergyLedger] = None,
-        tracer: Optional[SessionTracer] = None,
-    ) -> SessionResult:
-        """Execute one CCM session and account time and energy."""
-        ...  # pragma: no cover - protocol body
-
-
-# The kernel and scenario modules import this one, so their engine
-# classes are imported when an engine is first built.
-def _kernel_engine(name: str) -> SessionEngine:
-    from repro.core.batch import BatchSessionEngine
-
-    return BatchSessionEngine(name)
-
-
-def _scenario_engine() -> SessionEngine:
-    from repro.scenario.engine import ScenarioSessionEngine
-
-    return ScenarioSessionEngine()
-
-
-#: Engine name -> factory, called once per :func:`get_engine` call.
-_ENGINES: Dict[str, Callable[[], SessionEngine]] = {
-    "batch": lambda: _kernel_engine("batch"),
-    "bigint": lambda: BigintSessionEngine(),
-    "packed": lambda: _kernel_engine("packed"),
-    "scenario": _scenario_engine,
-}
-
-
-def available_engines() -> Tuple[str, ...]:
-    """The engine names, sorted (``"auto"`` is a resolution rule, not an
-    engine, and is not listed)."""
-    return tuple(sorted(_ENGINES))
-
-
-def get_engine(name: str) -> SessionEngine:
-    """Instantiate the engine named ``name``."""
-    try:
-        factory = _ENGINES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown session engine {name!r}; available: "
-            f"{', '.join(available_engines())} (or 'auto')"
-        ) from None
-    return factory()
-
-
-def resolve_engine(name: str, channel: Optional[Channel]) -> SessionEngine:
-    """Resolve an ``engine=`` argument to a concrete engine.
-
-    ``"auto"`` selects ``"packed"`` — the vectorized kernel of
-    :mod:`repro.core.batch` at B = 1 — for the exact built-in channel
-    types: ``None``/:class:`PerfectChannel` (slot-major path) and
-    :class:`LossyChannel` (tag-major path consuming the
-    ``repro-channel-rng-v1`` draw stream, bit-identical to bigint).  Any
-    other channel gets the bigint engine.  The strict type checks keep
-    subclasses that may override propagation on the channel-agnostic
-    reference engine.
-    """
-    if name != AUTO_ENGINE:
-        return get_engine(name)
-    if channel is None or type(channel) in (PerfectChannel, LossyChannel):
-        return get_engine("packed")
-    return get_engine("bigint")
-
 
 # -- shared helpers -----------------------------------------------------------
 
@@ -262,213 +156,204 @@ def run_checking_frame(
 # -- the big-int engine -------------------------------------------------------
 
 
-class BigintSessionEngine:
-    """The scalar oracle: f-bit Python integers, one OR per edge.
+def run_bigint(
+    network: Network,
+    slots: np.ndarray,
+    config: CCMConfig,
+    *,
+    channel: Optional[Channel] = None,
+    rng: Optional[np.random.Generator] = None,
+    tracer: Optional[SessionTracer] = None,
+) -> SessionResult:
+    """Run one session on the scalar oracle: f-bit Python integers, one
+    OR per edge.
 
-    Channel-agnostic — it drives the abstract
-    :meth:`~repro.net.channel.Channel.propagate` /
+    ``slots`` is the ``(n, k)`` slot matrix of
+    :func:`~repro.core.session.slot_matrix`.  Channel-agnostic — it
+    drives the abstract :meth:`~repro.net.channel.Channel.propagate` /
     :meth:`~repro.net.channel.Channel.reader_senses` interface, so any
     custom channel model works here, and it is the reference the
-    vectorized kernel is checked against.
+    vectorized kernel is checked against.  The result carries a fresh
+    ledger; :func:`~repro.core.session.run_session` folds it into a
+    caller's.
     """
+    obs = obs_metrics.OBS
+    n = network.n_tags
+    f = config.frame_size
+    channel = channel or PerfectChannel()
+    ledger = EnergyLedger(n)
+    l_c = config.checking_frame_length or default_checking_frame_length(
+        network
+    )
+    max_rounds = config.max_rounds if config.max_rounds is not None else l_c
 
-    name = "bigint"
+    with obs.span("setup"):
+        tier1 = network.tier1_mask
+        indptr, indices = network.indptr, network.indices
+        frame_mask = (1 << f) - 1
+        # Tags with no path to the reader can hold pending bits forever
+        # (they relay among themselves); only pending data on *reachable*
+        # tags means the session lost information.
+        reachable_idx = np.flatnonzero(network.reachable_mask).tolist()
 
-    def run(
-        self,
-        network: Network,
-        slots: np.ndarray,
-        config: CCMConfig,
-        *,
-        channel: Optional[Channel] = None,
-        rng: Optional[np.random.Generator] = None,
-        ledger: Optional[EnergyLedger] = None,
-        tracer: Optional[SessionTracer] = None,
-    ) -> SessionResult:
-        obs = obs_metrics.OBS
-        n = network.n_tags
-        f = config.frame_size
-        channel = channel or PerfectChannel()
-        ledger = ledger if ledger is not None else EnergyLedger(n)
-        l_c = config.checking_frame_length or default_checking_frame_length(
-            network
-        )
-        max_rounds = config.max_rounds if config.max_rounds is not None else l_c
+        # Per-tag session state (exists only for the session; tags stay
+        # state-free across sessions).
+        pending = [0] * n  # to transmit next data frame
+        tags, cols = np.nonzero(slots >= 0)
+        for t, slot in zip(tags.tolist(), slots[tags, cols].tolist()):
+            pending[t] |= 1 << slot
+        known = list(pending)  # ever picked/heard/transmitted
+        n_words = max(1, (f + 63) // 64)
+        # transmitted already -> sleep in those slots; kept bit-packed
+        # so the per-round monitor popcount is one NumPy reduction.
+        done_words = np.zeros((n, n_words), dtype=np.uint64)
+        silenced = 0  # indicator vector accumulated at the reader
+        reader_bitmap = 0  # B
+        iv_slots = indicator_vector_slots(f)
 
-        with obs.span("setup"):
-            tier1 = network.tier1_mask
-            indptr, indices = network.indptr, network.indices
-            frame_mask = (1 << f) - 1
-            # Tags with no path to the reader can hold pending bits forever
-            # (they relay among themselves); only pending data on *reachable*
-            # tags means the session lost information.
-            reachable_idx = np.flatnonzero(network.reachable_mask).tolist()
+    def _lost_data(pending_masks: List[int]) -> bool:
+        return any(pending_masks[t] for t in reachable_idx)
 
-            # Per-tag session state (exists only for the session; tags stay
-            # state-free across sessions).
-            pending = [0] * n  # to transmit next data frame
-            tags, cols = np.nonzero(slots >= 0)
-            for t, slot in zip(tags.tolist(), slots[tags, cols].tolist()):
-                pending[t] |= 1 << slot
-            known = list(pending)  # ever picked/heard/transmitted
-            n_words = max(1, (f + 63) // 64)
-            # transmitted already -> sleep in those slots; kept bit-packed
-            # so the per-round monitor popcount is one NumPy reduction.
-            done_words = np.zeros((n, n_words), dtype=np.uint64)
-            silenced = 0  # indicator vector accumulated at the reader
-            reader_bitmap = 0  # B
-            iv_slots = indicator_vector_slots(f)
+    slots = SlotCount()
+    round_stats: List[RoundStats] = []
+    terminated_cleanly = False
+    rounds_run = 0
 
-        def _lost_data(pending_masks: List[int]) -> bool:
-            return any(pending_masks[t] for t in reachable_idx)
-
-        slots = SlotCount()
-        round_stats: List[RoundStats] = []
-        terminated_cleanly = False
-        rounds_run = 0
-
-        for round_index in range(1, max_rounds + 1):
-            rounds_run = round_index
-            obs.inc("ccm_rounds_total")
-            if tracer is not None:
-                tracer.emit("round_start", round_index)
-            with obs.span("round"):
-                # --- data frame -----------------------------------------
-                with obs.span("data_frame"):
-                    live = ~silenced & frame_mask
-                    transmit = [pending[t] & live for t in range(n)]
-                    transmitting = sum(1 for m in transmit if m)
-                    with obs.span("propagate"):
-                        heard = channel.propagate(
-                            transmit, indptr, indices, rng
-                        )
-                    reader_busy = channel.reader_senses(transmit, tier1, rng)
-
-                    # Energy for the frame: 1 bit per transmitted slot; 1
-                    # bit per carrier-sensed slot (tags monitor every slot
-                    # not silenced, not already relayed by them, and not
-                    # currently transmitted).  Popcounts run word-parallel
-                    # over the packed view.
-                    tx_words = masks_to_words(transmit, f)
-                    silenced_words = masks_to_words([silenced], f)[0]
-                    sent = _word_counts(tx_words).sum(axis=1)
-                    done_words |= tx_words
-                    monitored = _word_counts(
-                        silenced_words | done_words | tx_words
-                    ).sum(axis=1)
-                    ledger.add_sent_bulk(sent.astype(np.float64))
-                    ledger.add_received_bulk(
-                        (f - monitored).astype(np.float64)
+    for round_index in range(1, max_rounds + 1):
+        rounds_run = round_index
+        obs.inc("ccm_rounds_total")
+        if tracer is not None:
+            tracer.emit("round_start", round_index)
+        with obs.span("round"):
+            # --- data frame -----------------------------------------
+            with obs.span("data_frame"):
+                live = ~silenced & frame_mask
+                transmit = [pending[t] & live for t in range(n)]
+                transmitting = sum(1 for m in transmit if m)
+                with obs.span("propagate"):
+                    heard = channel.propagate(
+                        transmit, indptr, indices, rng
                     )
-                    slots += SlotCount(short_slots=f)
-                    obs.inc("ccm_data_frame_slots_total", f)
+                reader_busy = channel.reader_senses(transmit, tier1, rng)
 
-                    # Knowledge update: a tag learns a slot it heard,
-                    # unless it was transmitting in it (half duplex),
-                    # already knew it, or the reader had silenced it.
-                    # (done_words already absorbed this frame's transmits.)
-                    not_silenced = ~silenced
-                    new_pending = [0] * n
-                    for t in range(n):
-                        learned = (
-                            heard[t] & ~known[t] & ~transmit[t] & not_silenced
-                        )
-                        known[t] |= learned | transmit[t]
-                        new_pending[t] = learned
+                # Energy for the frame: 1 bit per transmitted slot; 1
+                # bit per carrier-sensed slot (tags monitor every slot
+                # not silenced, not already relayed by them, and not
+                # currently transmitted).  Popcounts run word-parallel
+                # over the packed view.
+                tx_words = masks_to_words(transmit, f)
+                silenced_words = masks_to_words([silenced], f)[0]
+                sent = _word_counts(tx_words).sum(axis=1)
+                done_words |= tx_words
+                monitored = _word_counts(
+                    silenced_words | done_words | tx_words
+                ).sum(axis=1)
+                ledger.add_sent_bulk(sent.astype(np.float64))
+                ledger.add_received_bulk(
+                    (f - monitored).astype(np.float64)
+                )
+                slots += SlotCount(short_slots=f)
+                obs.inc("ccm_data_frame_slots_total", f)
 
-                # --- indicator vector -----------------------------------
-                bits_new = (reader_busy & ~reader_bitmap).bit_count()
-                reader_bitmap |= reader_busy
-                if tracer is not None:
-                    tracer.emit(
-                        "frame",
-                        round_index,
-                        transmitters=transmitting,
-                        bits_new_at_reader=bits_new,
-                        reader_busy_total=reader_bitmap.bit_count(),
+                # Knowledge update: a tag learns a slot it heard,
+                # unless it was transmitting in it (half duplex),
+                # already knew it, or the reader had silenced it.
+                # (done_words already absorbed this frame's transmits.)
+                not_silenced = ~silenced
+                new_pending = [0] * n
+                for t in range(n):
+                    learned = (
+                        heard[t] & ~known[t] & ~transmit[t] & not_silenced
                     )
-                if config.use_indicator_vector:
-                    with obs.span("indicator"):
-                        silenced = reader_bitmap
-                        # The reader ships V in ceil(f/96) 96-bit slots;
-                        # every tag receives the full f bits.
-                        slots += SlotCount(id_slots=iv_slots)
-                        ledger.add_received_to_all(float(f))
-                        keep = ~silenced
-                        new_pending = [m & keep for m in new_pending]
-                        obs.inc("ccm_indicator_slots_total", iv_slots)
-                    if tracer is not None:
-                        tracer.emit(
-                            "indicator",
-                            round_index,
-                            silenced_total=silenced.bit_count(),
-                        )
-                pending = new_pending
+                    known[t] |= learned | transmit[t]
+                    new_pending[t] = learned
 
-                # --- checking frame -------------------------------------
-                with obs.span("checking"):
-                    has_pending = np.array(
-                        [bool(pending[t]) for t in range(n)]
-                    )
-                    executed, reader_heard = run_checking_frame(
-                        network, has_pending, l_c, ledger
-                    )
-                    slots += SlotCount(short_slots=executed)
-                    obs.inc("ccm_checking_slots_total", executed)
+            # --- indicator vector -----------------------------------
+            bits_new = (reader_busy & ~reader_bitmap).bit_count()
+            reader_bitmap |= reader_busy
             if tracer is not None:
                 tracer.emit(
-                    "checking",
+                    "frame",
                     round_index,
-                    slots_executed=executed,
-                    reader_heard=reader_heard,
-                    pending_tags=int(has_pending.sum()),
-                )
-            round_stats.append(
-                RoundStats(
-                    round_index=round_index,
-                    transmitting_tags=transmitting,
+                    transmitters=transmitting,
                     bits_new_at_reader=bits_new,
-                    checking_slots_executed=executed,
-                    reader_heard_checking=reader_heard,
+                    reader_busy_total=reader_bitmap.bit_count(),
                 )
-            )
-            if not reader_heard:
-                terminated_cleanly = not _lost_data(pending)
-                break
-        else:
-            # Round bound exhausted with the checking frame still reporting
-            # pending data (can only happen with a non-default max_rounds or
-            # a pathological L_c — surfaced to the caller, not swallowed).
-            terminated_cleanly = not _lost_data(pending)
+            if config.use_indicator_vector:
+                with obs.span("indicator"):
+                    silenced = reader_bitmap
+                    # The reader ships V in ceil(f/96) 96-bit slots;
+                    # every tag receives the full f bits.
+                    slots += SlotCount(id_slots=iv_slots)
+                    ledger.add_received_to_all(float(f))
+                    keep = ~silenced
+                    new_pending = [m & keep for m in new_pending]
+                    obs.inc("ccm_indicator_slots_total", iv_slots)
+                if tracer is not None:
+                    tracer.emit(
+                        "indicator",
+                        round_index,
+                        silenced_total=silenced.bit_count(),
+                    )
+            pending = new_pending
 
+            # --- checking frame -------------------------------------
+            with obs.span("checking"):
+                has_pending = np.array(
+                    [bool(pending[t]) for t in range(n)]
+                )
+                executed, reader_heard = run_checking_frame(
+                    network, has_pending, l_c, ledger
+                )
+                slots += SlotCount(short_slots=executed)
+                obs.inc("ccm_checking_slots_total", executed)
         if tracer is not None:
             tracer.emit(
-                "session_end",
-                rounds_run,
-                rounds=rounds_run,
-                clean=terminated_cleanly,
-                busy_slots=reader_bitmap.bit_count(),
+                "checking",
+                round_index,
+                slots_executed=executed,
+                reader_heard=reader_heard,
+                pending_tags=int(has_pending.sum()),
             )
-        return SessionResult(
-            bitmap=Bitmap(f, reader_bitmap),
-            rounds=rounds_run,
-            slots=slots,
-            ledger=ledger,
-            round_stats=round_stats,
-            terminated_cleanly=terminated_cleanly,
+        round_stats.append(
+            RoundStats(
+                round_index=round_index,
+                transmitting_tags=transmitting,
+                bits_new_at_reader=bits_new,
+                checking_slots_executed=executed,
+                reader_heard_checking=reader_heard,
+            )
         )
+        if not reader_heard:
+            terminated_cleanly = not _lost_data(pending)
+            break
+    else:
+        # Round bound exhausted with the checking frame still reporting
+        # pending data (can only happen with a non-default max_rounds or
+        # a pathological L_c — surfaced to the caller, not swallowed).
+        terminated_cleanly = not _lost_data(pending)
+
+    if tracer is not None:
+        tracer.emit(
+            "session_end",
+            rounds_run,
+            rounds=rounds_run,
+            clean=terminated_cleanly,
+            busy_slots=reader_bitmap.bit_count(),
+        )
+    return SessionResult(
+        bitmap=Bitmap(f, reader_bitmap),
+        rounds=rounds_run,
+        slots=slots,
+        ledger=ledger,
+        round_stats=round_stats,
+        terminated_cleanly=terminated_cleanly,
+    )
 
 
-# Re-exported for callers that want the propagation kernel directly.
 __all__ = [
-    "AUTO_ENGINE",
-    "SessionEngine",
-    "BigintSessionEngine",
-    "available_engines",
-    "get_engine",
-    "resolve_engine",
+    "run_bigint",
     "run_checking_frame",
     "masks_to_words",
     "words_to_int",
-    "or_reduce_segments",
 ]

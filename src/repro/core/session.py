@@ -29,16 +29,16 @@ Implementation notes
 This module is the *API*: parameter objects, result objects, validation,
 and the single entry point :func:`run_session`.  Validation turns the
 caller's picks into one *slot matrix* (:func:`slot_matrix`), the only
-initial-state form the engines take.  The per-round mechanics
-live in interchangeable :class:`~repro.core.engine.SessionEngine`
-implementations (``"bigint"`` big-int masks, ``"packed"`` the
-bit-packed uint64 kernel of :mod:`repro.core.batch`) selected by the
-keyword-only ``engine=`` argument; the default ``"auto"`` picks the
-kernel for the built-in channels and the channel-agnostic bigint engine
-otherwise.  Tags are
-*state-free*: the per-tag state the engines carry (pending/known/done
-masks) exists only *within* one session, exactly as in the protocol, and
-nothing survives between sessions.
+initial-state form the engines take.  The per-round mechanics run on one
+of two engines, named by the keyword-only ``engine=`` argument
+(:data:`ENGINE_NAMES`): ``"bigint"``, the big-int oracle
+:func:`repro.core.engine.run_bigint`, or ``"packed"``, the bit-packed
+uint64 kernel of :mod:`repro.core.batch` at B = 1; the default
+``"auto"`` picks the kernel for the built-in channels and the
+channel-agnostic oracle otherwise.  Tags are *state-free*: the per-tag
+state the engines carry (pending/known/done masks) exists only *within*
+one session, exactly as in the protocol, and nothing survives between
+sessions.
 """
 
 from __future__ import annotations
@@ -51,12 +51,18 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.core.bitmap import Bitmap
-from repro.net.channel import Channel
+from repro.net.channel import Channel, LossyChannel, PerfectChannel
 from repro.net.energy import EnergyLedger
 from repro.net.timing import SlotCount
 from repro.net.topology import Network
 from repro.obs import metrics as obs_metrics
 from repro.sim.trace import SessionTracer
+
+
+#: The ``engine=`` names :func:`run_session` accepts (and every
+#: ``--engine`` choice list): ``"auto"`` is the kernel for the built-in
+#: channel types and the oracle otherwise.
+ENGINE_NAMES = ("auto", "bigint", "packed")
 
 
 def default_checking_frame_length(network: Network) -> int:
@@ -239,32 +245,50 @@ def run_session(
         Optional :class:`~repro.sim.trace.SessionTracer` receiving one
         structured event per protocol step.
     engine:
-        Which :class:`~repro.core.engine.SessionEngine` runs the session:
-        ``"packed"`` (bit-packed uint64 kernels), ``"bigint"`` (f-bit
-        Python integers), any other name of
-        :func:`~repro.core.engine.available_engines`, or ``"auto"``
-        (packed for the perfect channel, bigint otherwise).  Engines are
-        bit-identical under the perfect channel.
+        One of :data:`ENGINE_NAMES`: ``"packed"`` (the bit-packed uint64
+        kernel), ``"bigint"`` (f-bit Python integers) or ``"auto"``
+        (packed for the exact :class:`PerfectChannel` and
+        :class:`LossyChannel` types, bigint for any other channel, whose
+        subclass may override propagation).  The two engines are
+        bit-identical.
     """
-    from repro.core import engine as _engine_mod
-
     obs = obs_metrics.OBS
     # The session span covers the whole entry point (validation, engine
     # resolution, the run, metric recording), so its cumulative time is
     # the session wall time a caller measures around this call.
     with obs.span("session"):
         slots = slot_matrix(network.n_tags, config.frame_size, picks)
-        impl = _engine_mod.resolve_engine(engine, channel)
+        if engine not in ENGINE_NAMES:
+            raise ValueError(
+                f"unknown session engine {engine!r}; expected one of "
+                f"{', '.join(ENGINE_NAMES)}"
+            )
+        if engine == "auto":
+            builtin = channel is None or type(channel) in (
+                PerfectChannel,
+                LossyChannel,
+            )
+            engine = "packed" if builtin else "bigint"
         started = time.perf_counter()
-        result = impl.run(
-            network,
-            slots,
-            config,
-            channel=channel,
-            rng=rng,
-            ledger=ledger,
-            tracer=tracer,
-        )
+        if engine == "packed":
+            from repro.core.batch import _run_kernel
+
+            result = _run_kernel(
+                network,
+                slots[None],
+                config,
+                channel=channel,
+                rngs=None if rng is None else [rng],
+                tracer=tracer,
+            )[0]
+        else:
+            from repro.core.engine import run_bigint
+
+            result = run_bigint(
+                network, slots, config, channel=channel, rng=rng,
+                tracer=tracer,
+            )
+        _fold_ledger(result, ledger)
         if obs.enabled:
             obs.inc("ccm_sessions_total")
             obs.inc("ccm_session_slots_total", result.total_slots)
@@ -273,4 +297,21 @@ def run_session(
             obs.set_gauge(
                 "ccm_last_session_busy_slots", result.bitmap.popcount()
             )
+    return result
+
+
+def _fold_ledger(
+    result: SessionResult, ledger: Optional[EnergyLedger]
+) -> SessionResult:
+    """Add a session's per-tag counts into a caller's ``ledger`` (if any)
+    and make it the result's ledger.
+
+    Every count an engine posts is an integer-valued float64, so the
+    session's totals are exact and the fold lands on the floats that
+    adding round by round into ``ledger`` would (whenever those sums are
+    exact, as they are for integer or half-integer counts).
+    """
+    if ledger is not None:
+        ledger.merge(result.ledger)
+        result.ledger = ledger
     return result

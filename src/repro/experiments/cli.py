@@ -62,7 +62,7 @@ import time
 from dataclasses import replace
 from typing import List, Optional
 
-from repro.core.engine import available_engines
+from repro.core.session import ENGINE_NAMES
 from repro.scenario.trajectory import TRAJECTORY_NAMES
 from repro.sim.parallel import stderr_ticker
 from repro.sim.plan import RunPlan, add_execution_arguments
@@ -366,8 +366,9 @@ def cmd_profile(args: argparse.Namespace) -> None:
     :class:`~repro.experiments.common.SessionBatchTrial` on one fixed
     topology (``--trials`` defaults to a single session).  Under
     ``--backend process`` the per-phase numbers come from worker registry
-    snapshots merged back into this process; ``--engine batch`` stacks
-    trials into batched session calls (``campaign/session_batch`` spans).
+    snapshots merged back into this process; ``--batch B`` stacks B
+    trials into each batched session call (``campaign/session_batch``
+    spans).
     ``--trace-out`` replays trial 0 after the timed campaign, so the event
     trace is that trial's session whatever the backend or batch.
     """
@@ -387,7 +388,6 @@ def cmd_profile(args: argparse.Namespace) -> None:
 
     n, f, r = args.n, args.frame, args.range
     seed = args.seed if args.seed is not None else 7
-    batched = args.engine == "batch"
     trial = SessionBatchTrial(
         tag_range=r,
         n_tags=n,
@@ -395,15 +395,18 @@ def cmd_profile(args: argparse.Namespace) -> None:
         participation=args.participation,
         loss=args.loss if args.loss is not None else 0.0,
         topology_seed=seed,
-        engine="packed" if args.engine in ("auto", "batch") else args.engine,
+        engine=args.engine,
     )
     # Deploy outside the timed region; forked process workers inherit it.
     trial._resolve_network()
-    plan = RunPlan(
-        executor=ExecutorConfig(workers=args.workers, backend=args.backend),
-        batch=args.batch if args.batch else (8 if batched else 1),
-        trace=TraceContext.new(),
-    )
+    try:
+        plan = RunPlan(
+            executor=ExecutorConfig(workers=args.workers, backend=args.backend),
+            batch=args.batch,
+            trace=TraceContext.new(),
+        )
+    except ValueError as exc:
+        raise SystemExit(f"repro-ccm: error: {exc}")
     registry = MetricsRegistry(trace=plan.trace)
     if args.trace_json:
         registry.enable_timeline()
@@ -982,9 +985,7 @@ def build_parser() -> argparse.ArgumentParser:
     # exactly the same --workers/--backend/--batch/--engine/--progress/
     # --cache/--no-cache/--cache-dir/--resume flags, and
     # RunPlan.from_args is the single interpreter for all of them.
-    add_execution_arguments(
-        common, engines=("auto", *sorted(available_engines()))
-    )
+    add_execution_arguments(common)
     common.add_argument(
         "--out", type=str, default=None, help="append reports to this file"
     )
@@ -1044,10 +1045,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     prof.add_argument("--seed", type=int, default=None)
     prof.add_argument(
-        "--engine", choices=("auto", *sorted(available_engines())),
-        default="auto",
-        help="session engine; 'batch' stacks trials into batched "
-             "session calls",
+        "--engine", choices=ENGINE_NAMES, default="auto",
+        help="session engine (default: auto)",
     )
     prof.add_argument(
         "--trials", type=int, default=1,
@@ -1065,9 +1064,8 @@ def build_parser() -> argparse.ArgumentParser:
              "'process' merges worker registry snapshots back",
     )
     prof.add_argument(
-        "--batch", type=int, default=None,
-        help="trials stacked per batched session call "
-             "(default: 8 with --engine batch, else 1)",
+        "--batch", type=int, default=1,
+        help="trials stacked per batched session call (default: 1)",
     )
     prof.add_argument(
         "--sort", choices=("self", "cum", "tree"), default="self",
@@ -1411,9 +1409,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=90_210,
         help="base seed for the trial family (default: 90210)",
     )
-    add_execution_arguments(
-        scen_sweep, engines=("auto", *sorted(available_engines()))
-    )
+    # Scenario trials always run ScenarioSessionEngine: no --engine.
+    add_execution_arguments(scen_sweep, engine=False)
     scen_sweep.set_defaults(func=cmd_scenario)
     return parser
 

@@ -16,7 +16,7 @@ Two implementations are provided:
   paper assumes reliable sensing).
 
 Each channel speaks two frame representations, matching the two session
-engines in :mod:`repro.core.engine`:
+engines (:mod:`repro.core.engine`, :mod:`repro.core.batch`):
 
 * the **big-int** interface (:meth:`Channel.propagate` /
   :meth:`Channel.reader_senses`): ``transmit[u]`` is an f-bit Python

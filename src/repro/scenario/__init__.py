@@ -11,14 +11,13 @@ operations on a shared wall clock (slot counts × Gen2-derived
 * a reader trajectory family — static, aisle drive-by, UAV lawnmower
   sweep, waypoints (:mod:`repro.scenario.trajectory`);
 * link-budget tag power-cycling (:mod:`repro.scenario.power`);
-* the ``"scenario"`` session engine — the vectorized tag-major kernel
-  with a per-round motion/power hook, bit-identical to the static
-  engines when the hooks are off (:mod:`repro.scenario.engine`);
+* :class:`~repro.scenario.engine.ScenarioSessionEngine` — the
+  vectorized tag-major kernel with a per-round motion/power hook,
+  bit-identical to the ``"packed"`` and ``"bigint"`` engines when the
+  hooks are off (:mod:`repro.scenario.engine`);
 * :func:`~repro.scenario.run.run_scenario`, the top-level entry the
-  ``repro scenario`` CLI, the motion experiment and the benchmarks use.
-
-The engine is selected by name, ``engine="scenario"``, from the fixed
-table of :mod:`repro.core.engine`.
+  ``repro scenario`` CLI, the motion experiment and the benchmarks use,
+  and the one place that builds the scenario engine.
 """
 
 from repro.scenario.engine import ScenarioConfig, ScenarioSessionEngine

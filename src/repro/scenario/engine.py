@@ -1,9 +1,12 @@
 """The scenario session engine: Algorithm 1 under motion and power-cycling.
 
-:class:`ScenarioSessionEngine` is a :class:`~repro.core.engine.
-SessionEngine` (engine ``"scenario"``) that runs the tag-major
-kernel of :mod:`repro.core.batch` at B = 1 and supplies its per-round
-hook:
+:class:`ScenarioSessionEngine` runs the tag-major kernel of
+:mod:`repro.core.batch` at B = 1 and supplies its per-round hook.  It is
+not an ``engine=`` name of :func:`~repro.core.session.run_session`:
+:func:`~repro.scenario.run.run_scenario` builds it with the scenario's
+config, and its :meth:`~ScenarioSessionEngine.run` takes the validated
+slot matrix and an optional ledger to fold into.  The hook does three
+things:
 
 1. **Reader motion** — at each round's start time (accumulated slot count
    × :class:`~repro.net.timing.SlotTiming`, Gen2-derived by default) the
@@ -40,8 +43,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.core.batch import _into_ledger, _run_kernel
-from repro.core.session import CCMConfig, SessionResult
+from repro.core.batch import _run_kernel
+from repro.core.session import CCMConfig, SessionResult, _fold_ledger
 from repro.net.channel import Channel
 from repro.net.energy import EnergyLedger
 from repro.net.geometry import Point
@@ -100,8 +103,6 @@ class ScenarioConfig:
 
 class ScenarioSessionEngine:
     """The tag-major kernel with per-round motion/power hooks."""
-
-    name = "scenario"
 
     def __init__(self, scenario: Optional[ScenarioConfig] = None) -> None:
         self.scenario = scenario or ScenarioConfig()
@@ -202,4 +203,4 @@ class ScenarioSessionEngine:
             "min_powered": min(powered_counts, default=n),
             "end_time_s": scenario.start_time_s + result.slots.seconds(timing),
         }
-        return _into_ledger(result, ledger)
+        return _fold_ledger(result, ledger)

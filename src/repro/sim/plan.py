@@ -124,8 +124,8 @@ class RunPlan:
     Parameters
     ----------
     engine:
-        Session engine name resolved through
-        :func:`repro.core.engine.resolve_engine` (``"auto"`` default).
+        Session engine name, one of
+        :data:`repro.core.session.ENGINE_NAMES` (``"auto"`` default).
     executor:
         :class:`~repro.sim.parallel.ExecutorConfig` or ``None`` for the
         ``serial`` backend (trials run in order on the calling thread).
@@ -360,20 +360,19 @@ class RunPlan:
 def add_execution_arguments(
     parser: argparse.ArgumentParser,
     *,
-    engines: Optional[Tuple[str, ...]] = None,
+    engine: bool = True,
 ) -> argparse._ArgumentGroup:
     """Mount the shared execution-options group on ``parser``.
 
     Every experiment subcommand gets this exact group (via a parent
     parser), and :meth:`RunPlan.from_args` understands precisely these
     destinations — add a knob here and every subcommand grows it at
-    once.  ``engines`` overrides the ``--engine`` choices (defaults to
-    ``"auto"`` plus every registered engine).
+    once.  ``--engine`` offers :data:`repro.core.session.ENGINE_NAMES`;
+    ``engine=False`` leaves it off for commands whose sessions always run
+    one engine (``RunPlan.engine`` then stays ``"auto"``).
     """
-    if engines is None:
-        from repro.core.engine import AUTO_ENGINE, available_engines
+    from repro.core.session import ENGINE_NAMES
 
-        engines = (AUTO_ENGINE,) + available_engines()
     group = parser.add_argument_group("execution options")
     group.add_argument(
         "--workers",
@@ -397,12 +396,13 @@ def add_execution_arguments(
         help="trials stacked per batched-kernel task for batch-capable "
         "trials (default: 1 = per-trial dispatch)",
     )
-    group.add_argument(
-        "--engine",
-        choices=engines,
-        default="auto",
-        help="session engine (default: auto)",
-    )
+    if engine:
+        group.add_argument(
+            "--engine",
+            choices=ENGINE_NAMES,
+            default="auto",
+            help="session engine (default: auto)",
+        )
     group.add_argument(
         "--progress",
         action="store_true",

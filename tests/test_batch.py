@@ -7,8 +7,8 @@ every trial in a batch must be bit-identical to running it alone with
 the same generator.  The grid here sweeps topology x frame size x loss and
 compares every observable field (bitmap, rounds, slot accounting, round
 stats, energy floats).  Also covered: trial-order independence, tail
-batches through the campaign engine, the ``engine="batch"`` adapter,
-and the RNG-contract fingerprint coupling.
+batches through the campaign engine, a one-trial batch against
+``run_session``, and the RNG-contract fingerprint coupling.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from repro.core.batch import (
     batch_trial_rngs,
     run_session_batch,
 )
-from repro.core.engine import available_engines, words_to_int
-from repro.core.session import CCMConfig, run_session
+from repro.core.engine import words_to_int
+from repro.core.session import ENGINE_NAMES, CCMConfig, run_session
 from repro.net.channel import LossyChannel, PerfectChannel, or_reduce_segments
 from repro.net.geometry import Point
 from repro.net.topology import Network, Reader
@@ -144,8 +144,15 @@ class TestTrialOrderIndependence:
 
 
 class TestBatchEngineAdapter:
-    def test_registered(self):
-        assert "batch" in available_engines()
+    def test_registered(self, small_network):
+        """``"batch"`` is no engine name: one session is ``"packed"``,
+        and batches go through ``run_session_batch``."""
+        assert "batch" not in ENGINE_NAMES
+        with pytest.raises(ValueError, match="auto, bigint, packed"):
+            run_session(
+                small_network, [-1] * small_network.n_tags,
+                config=CCMConfig(frame_size=4), engine="batch",
+            )
 
     @pytest.mark.parametrize("loss", (0.0, 0.2))
     def test_engine_batch_equals_packed(self, small_network, loss):
@@ -159,9 +166,9 @@ class TestBatchEngineAdapter:
             small_network, picks, config=config, channel=channel,
             rng=rng_a if loss > 0.0 else None, engine="packed",
         )
-        out = run_session(
-            small_network, picks, config=config, channel=channel,
-            rng=rng_b if loss > 0.0 else None, engine="batch",
+        [out] = run_session_batch(
+            small_network, [picks], config, channel=channel,
+            rngs=[rng_b] if loss > 0.0 else None,
         )
         assert_sessions_identical(ref, out)
 

@@ -28,6 +28,36 @@ class TestParser:
         with pytest.raises(SystemExit):
             parser.parse_args(["cache", "migrate"])
 
+    def test_engine_choices_are_run_session_names(self):
+        """One engine table: every ``--engine`` offers exactly the names
+        ``run_session`` accepts."""
+        import argparse
+
+        from repro.core.session import ENGINE_NAMES
+
+        def walk(parser, path):
+            for action in parser._actions:
+                if "--engine" in action.option_strings:
+                    yield path, tuple(action.choices)
+                if isinstance(action, argparse._SubParsersAction):
+                    for name, sub in action.choices.items():
+                        yield from walk(sub, path + (name,))
+
+        found = dict(walk(build_parser(), ()))
+        assert {("tables",), ("profile",), ("robustness",)} <= set(found)
+        for path, choices in found.items():
+            assert choices == ENGINE_NAMES, path
+
+    def test_scenario_sweep_has_no_engine(self):
+        """Scenario trials always run ScenarioSessionEngine, so ``scenario
+        sweep`` offers no ``--engine`` to ignore."""
+        parser = build_parser()
+        args = parser.parse_args(["scenario", "sweep"])
+        assert not hasattr(args, "engine")
+        for engine in ("bigint", "auto"):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["scenario", "sweep", "--engine", engine])
+
     def test_experiment_parser_has_no_trace_out(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["tables", "--trace-out", "t.ndjson"])
@@ -237,14 +267,21 @@ class TestProfileCommand:
         assert '"kind": "session_end"' in trace_path.read_text()
 
     def test_profile_engine_batch_needs_no_trials(self, tmp_path, capsys):
+        """``--engine batch`` is gone (a usage error); ``--batch B`` is
+        the one batching knob, and runs without ``--trials``."""
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "--engine", "batch"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'batch'" in capsys.readouterr().err
         code = main([
-            "profile", "--n", "400", "--frame", "67", "--engine", "batch",
+            "profile", "--n", "400", "--frame", "67", "--batch", "8",
             "--metrics-out", str(tmp_path / "m.ndjson"),
             "--manifest-out", str(tmp_path / "m.json"),
         ])
         assert code == 0
         out = capsys.readouterr().out
         assert "1/1 trials ok" in out
+        assert "batch=8" in out
         assert "campaign/session_batch/round/checking" in out
 
     def test_profile_thread_campaign(self, tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Tests for repro.core.engine — the interchangeable session engines.
+"""Tests for repro.core.engine — the bigint oracle vs the kernel.
 
 The contract under test is the strongest one the redesign makes: for any
 network, initial slots and config, the vectorized kernel at B = 1
@@ -15,18 +15,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.batch import BatchSessionEngine, run_session_batch
-from repro.core.engine import (
-    AUTO_ENGINE,
-    BigintSessionEngine,
-    SessionEngine,
-    available_engines,
-    get_engine,
-    masks_to_words,
-    resolve_engine,
-    words_to_int,
-)
+import repro.core.batch as batch_mod
+import repro.core.engine as engine_mod
+from repro.core.batch import run_session_batch
+from repro.core.engine import masks_to_words, words_to_int
 from repro.core.session import (
+    ENGINE_NAMES,
     CCMConfig,
     default_checking_frame_length,
     run_session,
@@ -40,6 +34,7 @@ from repro.net.channel import (
 )
 from repro.net.geometry import Point, clustered_disk, uniform_annulus, uniform_disk
 from repro.net.topology import Network, Reader
+from repro.scenario import ScenarioSessionEngine
 from repro.sim.rng import TagHasher
 
 
@@ -144,37 +139,76 @@ class TestPackedPrimitives:
 
 
 class TestEngineRegistry:
+    """``run_session`` names its two engines itself: no engine objects."""
+
+    @pytest.fixture
+    def ran(self, monkeypatch):
+        """The engines ``run_session`` dispatched to, in call order."""
+        calls = []
+        for module, attr, name in (
+            (batch_mod, "_run_kernel", "packed"),
+            (engine_mod, "run_bigint", "bigint"),
+        ):
+            def spy(*args, _real=getattr(module, attr), _name=name, **kw):
+                calls.append(_name)
+                return _real(*args, **kw)
+
+            monkeypatch.setattr(module, attr, spy)
+        return calls
+
+    @staticmethod
+    def _run(network, channel, engine="auto"):
+        return run_session(
+            network, [0, 1, 2, 3, 4], config=CCMConfig(frame_size=8),
+            channel=channel, rng=np.random.default_rng(0), engine=engine,
+        )
+
     def test_available_engines(self):
-        assert available_engines() == ("batch", "bigint", "packed", "scenario")
+        assert ENGINE_NAMES == ("auto", "bigint", "packed")
 
     def test_get_engine_instances(self):
-        assert isinstance(get_engine("bigint"), BigintSessionEngine)
-        # "packed" is the vectorized kernel at B = 1, under its own name.
-        assert isinstance(get_engine("packed"), BatchSessionEngine)
-        assert get_engine("packed").name == "packed"
-        assert isinstance(get_engine("packed"), SessionEngine)
+        """The engine-object layer is gone: no protocol, registry,
+        adapter classes or resolver; ``"batch"`` and ``"scenario"`` are
+        not engine names."""
+        for name in (
+            "SessionEngine", "BigintSessionEngine", "AUTO_ENGINE",
+            "_ENGINES", "available_engines", "get_engine", "resolve_engine",
+        ):
+            assert not hasattr(engine_mod, name)
+        assert not hasattr(batch_mod, "BatchSessionEngine")
+        assert not hasattr(batch_mod, "_into_ledger")
+        assert "batch" not in ENGINE_NAMES
+        assert "scenario" not in ENGINE_NAMES
 
-    def test_unknown_engine(self):
-        with pytest.raises(ValueError, match="unknown session engine"):
-            get_engine("quantum")
+    def test_unknown_engine(self, star_network):
+        for name in ("quantum", "batch", "scenario"):
+            with pytest.raises(
+                ValueError, match="expected one of auto, bigint, packed"
+            ):
+                self._run(star_network, None, engine=name)
 
-    def test_auto_resolution(self):
-        assert resolve_engine(AUTO_ENGINE, None).name == "packed"
-        assert resolve_engine("auto", PerfectChannel()).name == "packed"
+    def test_auto_resolution(self, star_network, ran):
         # Lossy channels consume the repro-channel-rng-v1 stream
         # identically on both engines, so auto routes them to packed too.
-        assert resolve_engine("auto", LossyChannel(0.1)).name == "packed"
-        assert resolve_engine("auto", LossyChannel(0.0)).name == "packed"
+        for channel in (
+            None, PerfectChannel(), LossyChannel(0.1), LossyChannel(0.0)
+        ):
+            self._run(star_network, channel)
+        assert ran == ["packed"] * 4
+        for engine in ("packed", "bigint"):
+            self._run(star_network, None, engine=engine)
+        assert ran[4:] == ["packed", "bigint"]
 
-    def test_auto_is_conservative_for_subclasses(self):
+    def test_auto_is_conservative_for_subclasses(self, star_network, ran):
         class TracingChannel(PerfectChannel):
             pass
 
         class TracingLossy(LossyChannel):
             pass
 
-        assert resolve_engine("auto", TracingChannel()).name == "bigint"
-        assert resolve_engine("auto", TracingLossy(0.2)).name == "bigint"
+        self._run(star_network, TracingChannel())
+        self._run(star_network, TracingLossy(0.2))
+        assert ran == ["bigint", "bigint"]
 
     def test_packed_refuses_bigint_only_channel(self, star_network):
         class BigintOnly(Channel):
@@ -403,17 +437,18 @@ class TestUnifiedAPI:
     def test_top_level_exports(self):
         import repro
 
-        for name in (
-            "SessionEngine",
-            "SessionTracer",
-            "RoundStats",
-            "available_engines",
-            "get_engine",
-        ):
+        for name in ("SessionTracer", "RoundStats", "ENGINE_NAMES"):
             assert name in repro.__all__
             assert hasattr(repro, name)
-        assert not hasattr(repro, "picks_to_masks")
-        assert not hasattr(repro, "register_engine")
+        assert repro.ENGINE_NAMES == ENGINE_NAMES
+        for module in (repro, repro.core):
+            for name in (
+                "SessionEngine", "BigintSessionEngine", "BatchSessionEngine",
+                "available_engines", "get_engine", "resolve_engine",
+                "picks_to_masks", "register_engine",
+            ):
+                assert name not in module.__all__
+                assert not hasattr(module, name)
 
 
 class TestMultiReaderCheckingLength:
@@ -484,7 +519,15 @@ class TestSlotMatrixInputs:
     one-column matrix is the 1-D picks, and the boundary still rejects
     malformed input."""
 
+    #: ``"scenario"`` is a hooks-off ScenarioSessionEngine, built directly.
     ENGINES = ("bigint", "packed", "scenario")
+
+    @staticmethod
+    def _run(picks, config, engine):
+        if engine == "scenario":
+            slots = slot_matrix(_SLOT_NET.n_tags, config.frame_size, picks)
+            return ScenarioSessionEngine().run(_SLOT_NET, slots, config)
+        return run_session(_SLOT_NET, picks, config=config, engine=engine)
 
     @settings(max_examples=25, deadline=None)
     @given(_pick_matrices())
@@ -499,9 +542,7 @@ class TestSlotMatrixInputs:
         )
         for engine in self.ENGINES:
             for picks in (canonical, messy):
-                result = run_session(
-                    _SLOT_NET, picks, config=config, engine=engine
-                )
+                result = self._run(picks, config, engine)
                 _assert_results_identical(reference, result)
 
     @settings(max_examples=25, deadline=None)
@@ -515,8 +556,8 @@ class TestSlotMatrixInputs:
         column = np.array(picks)[:, None]
         for engine in self.ENGINES:
             _assert_results_identical(
-                run_session(_SLOT_NET, picks, config=config, engine=engine),
-                run_session(_SLOT_NET, column, config=config, engine=engine),
+                self._run(picks, config, engine),
+                self._run(column, config, engine),
             )
 
     @settings(max_examples=25, deadline=None)

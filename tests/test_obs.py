@@ -291,7 +291,7 @@ class TestGitRevisionLookup:
     def test_default_provenance_runs_git_once_per_process(self, git_calls):
         from repro.store import ResultStore
 
-        for engine in ("packed", "batch", None):
+        for engine in ("packed", "bigint", None):
             record = ResultStore.default_provenance(engine=engine)
             assert record["git_rev"] == "a" * 40
         assert RunManifest.capture().git_rev == "a" * 40
@@ -324,7 +324,7 @@ class TestGitRevisionLookup:
 
 
 class TestInstrumentedSession:
-    @pytest.mark.parametrize("engine", ["bigint", "packed", "batch"])
+    @pytest.mark.parametrize("engine", ["bigint", "packed"])
     def test_session_records_phases_and_counters(self, small_network, engine):
         picks = frame_picks(small_network.tag_ids, 64, 1.0, seed=1)
         with use_registry() as reg:
@@ -346,7 +346,7 @@ class TestInstrumentedSession:
     def test_engines_agree_on_protocol_counters(self, small_network):
         picks = frame_picks(small_network.tag_ids, 64, 1.0, seed=1)
         values = {}
-        for engine in ("bigint", "packed", "batch"):
+        for engine in ("bigint", "packed"):
             with use_registry() as reg:
                 run_session(
                     small_network, picks, config=CCMConfig(frame_size=64),
@@ -357,7 +357,7 @@ class TestInstrumentedSession:
                 k: v for k, v in counters.items()
                 if k.startswith("ccm_") and k != "ccm_session_seconds"
             }
-        assert values["bigint"] == values["packed"] == values["batch"]
+        assert values["bigint"] == values["packed"]
 
     @staticmethod
     def _round_counters(reg):

@@ -62,8 +62,8 @@ class TestRunPlanObject:
             RunPlan(engine=None)
 
     def test_replace(self):
-        plan = RunPlan().replace(engine="batch", batch=8)
-        assert plan.engine == "batch"
+        plan = RunPlan().replace(engine="packed", batch=8)
+        assert plan.engine == "packed"
         assert plan.batch == 8
         assert RunPlan().engine == "auto"  # original untouched
 
@@ -97,10 +97,10 @@ class TestFromArgs:
 
     def test_batch_and_engine(self):
         plan = RunPlan.from_args(
-            self._parse(["--batch", "25", "--engine", "batch"])
+            self._parse(["--batch", "25", "--engine", "packed"])
         )
         assert plan.batch == 25
-        assert plan.engine == "batch"
+        assert plan.engine == "packed"
 
     def test_cache_dir_implies_cache(self, tmp_path):
         plan = RunPlan.from_args(self._parse(["--cache-dir", str(tmp_path)]))

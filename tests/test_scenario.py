@@ -232,16 +232,22 @@ class TestStaticEquivalencePin:
                 if loss > 0.0
                 else PerfectChannel()
             )
+            rng = np.random.default_rng(77)
+            if engine is None:
+                return ScenarioSessionEngine().run(
+                    net, slot_matrix(net.n_tags, f, picks), config,
+                    channel=channel, rng=rng,
+                )
             return run_session(
                 net,
                 picks,
                 config=config,
                 channel=channel,
-                rng=np.random.default_rng(77),
+                rng=rng,
                 engine=engine,
             )
 
-        ours, theirs = one("scenario"), one(baseline)
+        ours, theirs = one(None), one(baseline)
         assert ours.bitmap == theirs.bitmap
         assert ours.rounds == theirs.rounds
         assert ours.slots.total_slots == theirs.slots.total_slots
@@ -279,10 +285,17 @@ class TestStaticEquivalencePin:
         )
 
     def test_registered_in_engine_registry(self):
-        from repro.core.engine import available_engines, get_engine
+        """The scenario engine is built directly, never by name:
+        ``"scenario"`` is not an ``engine=`` of ``run_session``."""
+        from repro.core.session import ENGINE_NAMES
 
-        assert "scenario" in available_engines()
-        assert isinstance(get_engine("scenario"), ScenarioSessionEngine)
+        assert "scenario" not in ENGINE_NAMES
+        net = small_network(n=50)
+        with pytest.raises(ValueError, match="auto, bigint, packed"):
+            run_session(
+                net, [-1] * net.n_tags, config=CCMConfig(frame_size=8),
+                engine="scenario",
+            )
 
     def test_rejects_unpacked_channel(self):
         class NoPacked:

@@ -211,13 +211,40 @@ class TestEnergyAccounting:
         assert np.allclose(result.ledger.bits_received, expected)
 
     def test_external_ledger_accumulates(self, star_network):
-        ledger = EnergyLedger(5)
-        run_session(star_network, [0, 1, 2, 3, 4],
-                    config=CCMConfig(frame_size=8), ledger=ledger)
-        first = ledger.bits_received.copy()
-        run_session(star_network, [0, 1, 2, 3, 4],
-                    config=CCMConfig(frame_size=8), ledger=ledger)
-        assert np.all(ledger.bits_received >= 2 * first * 0.99)
+        """Two-round sessions fold into a caller's pre-seeded, non-integer
+        ledger to the same bytes on both engines: the floats the bigint
+        oracle once reached adding into it round by round."""
+        expected = [
+            # (bits_sent, bits_received) after one and after two sessions
+            ([3.0, 2.5, 4.0, 5.5, 7.0], [40.0, 43.5, 45.0, 46.5, 47.0]),
+            ([6.0, 3.5, 5.0, 6.5, 8.0], [80.0, 85.5, 87.0, 88.5, 88.0]),
+        ]
+        ledgers = {}
+        for engine in ("bigint", "packed"):
+            ledger = EnergyLedger(5)
+            ledger.bits_sent += np.arange(5) * 1.5
+            ledger.bits_received += np.arange(5) * 1.5
+            for sent, received in expected:
+                result = run_session(
+                    star_network, [0, 1, 2, 3, 4],
+                    config=CCMConfig(frame_size=8), ledger=ledger,
+                    engine=engine,
+                )
+                assert result.rounds == 2
+                assert result.ledger is ledger
+                assert ledger.bits_sent.tobytes() == (
+                    np.array(sent).tobytes()
+                )
+                assert ledger.bits_received.tobytes() == (
+                    np.array(received).tobytes()
+                )
+            ledgers[engine] = ledger
+        assert ledgers["bigint"].bits_sent.tobytes() == (
+            ledgers["packed"].bits_sent.tobytes()
+        )
+        assert ledgers["bigint"].bits_received.tobytes() == (
+            ledgers["packed"].bits_received.tobytes()
+        )
 
 
 class TestRandomNetworkEquivalence:
