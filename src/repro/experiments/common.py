@@ -291,7 +291,10 @@ class SessionBatchTrial:
     def run_batch(
         self, indices: Sequence[int], seeds: Sequence[int]
     ) -> List[Dict[str, float]]:
-        """All trials of one batch in a single batched-kernel call."""
+        """All trials of one batch in a single batched-kernel call (the
+        ``bigint`` engine runs each trial through the oracle instead)."""
+        if self.engine == "bigint":
+            return [self(i, s) for i, s in zip(indices, seeds)]
         network = self._resolve_network()
         rngs = [np.random.default_rng(int(s)) for s in seeds]
         picks_batch = [

@@ -202,8 +202,9 @@ class SharedTopology:
             tag_range=handle.tag_range,
             indptr=views["indptr"],
             indices=views["indices"],
-            tiers=views["tiers"],
             reader_distance=views["reader_distance"],
+            tier1_mask=views["tiers"] == 1,
+            _tiers=views["tiers"],
         )
 
     # -- refcounted lifecycle ------------------------------------------------

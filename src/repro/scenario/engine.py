@@ -1,8 +1,10 @@
 """The scenario session engine: Algorithm 1 under motion and power-cycling.
 
-:class:`ScenarioSessionEngine` runs the tag-major kernel of
-:mod:`repro.core.batch` at B = 1 and supplies its per-round hook.  It is
-not an ``engine=`` name of :func:`~repro.core.session.run_session`:
+:class:`ScenarioSessionEngine` runs the kernel of :mod:`repro.core.batch`
+at B = 1 and supplies its per-round hook; the kernel routes by channel
+only (a perfect channel runs slot-major, a lossy one tag-major, with the
+same hook semantics).  It is not an ``engine=`` name of
+:func:`~repro.core.session.run_session`:
 :func:`~repro.scenario.run.run_scenario` builds it with the scenario's
 config, and its :meth:`~ScenarioSessionEngine.run` takes the validated
 slot matrix and an optional ledger to fold into.  The hook does three
@@ -11,9 +13,11 @@ things:
 1. **Reader motion** — at each round's start time (accumulated slot count
    × :class:`~repro.net.timing.SlotTiming`, Gen2-derived by default) the
    reader is moved along the configured
-   :class:`~repro.scenario.trajectory.ReaderTrajectory` and the network's
-   tiers are recomputed via :meth:`~repro.net.topology.Network.
-   with_readers` — an O(n + edges) relink that shares the tag adjacency.
+   :class:`~repro.scenario.trajectory.ReaderTrajectory` and the network is
+   relinked via :meth:`~repro.net.topology.Network.with_readers` — an O(n)
+   pass for reader distances and tier 1 that shares the tag adjacency.
+   The kernel reads tier 1 every round and reachability once, at the
+   end, so the tier BFS runs at most once per session, not per relink.
 2. **Power-cycling** — the :class:`~repro.scenario.power.LinkBudget`
    turns each tag's distance-to-reader into a powered mask.  The kernel
    applies it: unpowered tags neither transmit, listen, learn, respond in
@@ -25,7 +29,7 @@ things:
 
 With the hooks disabled (no trajectory or a static one, no link budget —
 the default ``ScenarioConfig()``), the hook returns the fixed network and
-no mask, and the kernel runs its static tag-major round: bit-identical
+no mask, and the kernel runs its static round: bit-identical
 bitmap, rounds, slots, round stats, and ledger floats — the
 static-equivalence pin the tests and CI smoke assert against
 ``run_session``.
@@ -102,7 +106,7 @@ class ScenarioConfig:
 
 
 class ScenarioSessionEngine:
-    """The tag-major kernel with per-round motion/power hooks."""
+    """The CCM kernel with per-round motion/power hooks."""
 
     def __init__(self, scenario: Optional[ScenarioConfig] = None) -> None:
         self.scenario = scenario or ScenarioConfig()

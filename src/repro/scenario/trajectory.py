@@ -2,7 +2,7 @@
 
 The scenario engine samples the trajectory once per CCM round, at the
 round's start time (accumulated slot count × :class:`~repro.net.timing.
-SlotTiming`), moves the reader there, and recomputes tiers via
+SlotTiming`), moves the reader there, and relinks the network via
 :meth:`repro.net.topology.Network.with_readers`.  All trajectories are
 pure functions of time — no internal state, so sampling is trivially
 deterministic and replayable.

@@ -266,6 +266,41 @@ class TestProfileCommand:
         assert trace_path.read_bytes() == direct.read_bytes()
         assert '"kind": "session_end"' in trace_path.read_text()
 
+    def test_profile_batched_bigint_runs_the_oracle(self, tmp_path, capsys):
+        """A batched ``--engine bigint`` campaign runs each trial through
+        the oracle (no ``session_batch`` kernel span) and gives the
+        packed run's metrics."""
+        from repro.experiments.common import SessionBatchTrial
+        from repro.obs import RunManifest
+
+        outs, extras = {}, {}
+        for engine in ("bigint", "packed"):
+            manifest_path = tmp_path / f"{engine}.json"
+            assert main([
+                "profile", "--n", "300", "--frame", "64", "--trials", "2",
+                "--batch", "2", "--engine", engine,
+                "--metrics-out", str(tmp_path / f"{engine}.ndjson"),
+                "--manifest-out", str(manifest_path),
+            ]) == 0
+            outs[engine] = capsys.readouterr().out
+            extras[engine] = RunManifest.from_json(
+                manifest_path.read_text()
+            ).extra
+        assert "session_batch" not in outs["bigint"]
+        assert "campaign/session/round/checking" in outs["bigint"]
+        assert "campaign/session_batch/round/checking" in outs["packed"]
+        assert extras["bigint"] == extras["packed"]
+        trials = {
+            engine: SessionBatchTrial(
+                tag_range=6.0, n_tags=300, frame_size=64, topology_seed=7,
+                engine=engine,
+            )
+            for engine in ("bigint", "packed")
+        }
+        assert trials["bigint"].run_batch([0, 1], [11, 12]) == trials[
+            "packed"
+        ].run_batch([0, 1], [11, 12])
+
     def test_profile_engine_batch_needs_no_trials(self, tmp_path, capsys):
         """``--engine batch`` is gone (a usage error); ``--batch B`` is
         the one batching knob, and runs without ``--trials``."""

@@ -617,13 +617,153 @@ class TestHooksOnGolden:
 
 class CSRPerfectChannel(PerfectChannel):
     """The perfect channel under another type: ``is_perfect`` is False, so
-    the kernel propagates through the channel's CSR pass instead of the
-    neighbour bitsets — the oracle for the bitset path."""
+    the kernel runs its tag-major loop and propagates through the
+    channel's CSR pass — the oracle for the slot-major path."""
 
 
 class TestBitsetPropagationOracle:
-    """Hooked perfect-channel sessions propagate over the network's
-    neighbour bitsets; the channel's CSR pass must give the same bits."""
+    """Hooked perfect-channel sessions run on the slot-major kernel
+    (transmit pairs, neighbour bitsets, sleeping tags' pairs held back);
+    the same sessions through :class:`CSRPerfectChannel` run the
+    tag-major loop over the channel's CSR pass.  Both loops must give the
+    same bits, counts, journal and ledger floats."""
+
+    UAV = make_trajectory("uav", field_radius=30.0, speed_mps=20.0)
+    CENTRE = StaticTrajectory(Point(0.0, 0.0))
+
+    #: name -> (engine inputs, what the case must engage)
+    CASES = {
+        "power_only": (
+            dict(trajectory=CENTRE, threshold_dbm=-22.0),
+            lambda r, info: info["relinks"] == 0
+            and info["powered_fraction_mean"] < 1.0,
+        ),
+        "motion_only": (
+            dict(trajectory=UAV),
+            lambda r, info: info["relinks"] > 0
+            and info["powered_fraction_mean"] == 1.0,
+        ),
+        "static_off_centre": (
+            dict(
+                trajectory=StaticTrajectory(Point(12.0, -7.0)),
+                threshold_dbm=-22.0,
+            ),
+            lambda r, info: info["relinks"] == 0 and r.rounds > 1,
+        ),
+        # Round 1 hears a reply, so the bound ends a running session in
+        # which the tags outside the powered radius still hold their picks.
+        "bound_with_sleepers": (
+            dict(trajectory=CENTRE, threshold_dbm=-22.0, max_rounds=1),
+            lambda r, info: r.rounds == 1
+            and r.round_stats[-1].reader_heard_checking
+            and info["min_powered"] < 600
+            and not r.terminated_cleanly,
+        ),
+        "n_333": (
+            dict(n=333, trajectory=UAV, threshold_dbm=-22.0),
+            lambda r, info: info["relinks"] > 0 and r.rounds > 1,
+        ),
+        # The reader leaves the field after round 1: in round 2 every tag
+        # sleeps, nothing transmits and the session ends.
+        "all_asleep_round": (
+            dict(
+                trajectory=WaypointTrajectory(
+                    (Point(0.0, 0.0), Point(60.0, 0.0)), speed_mps=2000.0
+                ),
+                threshold_dbm=-22.0,
+            ),
+            lambda r, info: r.rounds == 2
+            and info["min_powered"] == 0
+            and r.round_stats[-1].transmitting_tags == 0,
+        ),
+    }
+
+    @staticmethod
+    def observe(
+        channel, *, n=600, trajectory=None, threshold_dbm=None,
+        max_rounds=None,
+    ):
+        """Everything a hooked session shows, on a pre-filled ledger."""
+        from repro.sim.trace import SessionTracer
+
+        f = 129
+        dep = PaperDeployment(n_tags=n)
+        net = paper_network(6.0, n_tags=n, seed=13, deployment=dep)
+        engine = ScenarioSessionEngine(
+            ScenarioConfig(
+                trajectory=trajectory,
+                link_budget=(
+                    None if threshold_dbm is None
+                    else LinkBudget(threshold_dbm=threshold_dbm)
+                ),
+            )
+        )
+        engine.journal = EventJournal()
+        tracer = SessionTracer()
+        ledger = EnergyLedger(n)
+        ledger.bits_sent[:] = np.arange(n) * 0.5
+        ledger.bits_received[:] = np.arange(n)[::-1] * 1.5
+        result = engine.run(
+            net, slot_matrix(n, f, picks=picks_for(net, f)),
+            CCMConfig(frame_size=f, max_rounds=max_rounds),
+            channel=channel, ledger=ledger, tracer=tracer,
+        )
+        return result, engine.last_run_info, {
+            "bitmap": result.bitmap,
+            "rounds": result.rounds,
+            "slots": result.slots,
+            "round_stats": result.round_stats,
+            "clean": result.terminated_cleanly,
+            "info": engine.last_run_info,
+            "journal": engine.journal.to_ndjson(),
+            "trace": tracer.events,
+            "sent": ledger.bits_sent.tobytes(),
+            "received": ledger.bits_received.tobytes(),
+        }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_slot_major_equals_tag_major(self, case):
+        inputs, engages = self.CASES[case]
+        result, info, ours = self.observe(PerfectChannel(), **inputs)
+        assert engages(result, info)
+        assert ours == self.observe(CSRPerfectChannel(), **inputs)[2]
+
+    @pytest.mark.parametrize("n,f", [(300, 129), (333, 1031)])
+    def test_power_flicker_equals_tag_major(self, n, f):
+        """A hook that powers a random half of the tags each round wakes
+        tags whose held pairs share slots with freshly learned ones: the
+        merged pairs must be re-sorted before the next round's runs."""
+        from repro.core.batch import _run_kernel
+
+        net = small_network(n=n, seed=13)
+        slots = slot_matrix(n, f, picks=picks_for(net, f))
+
+        def hook(round_index, slot_count):
+            return net, np.random.default_rng(round_index).random(n) < 0.5
+
+        def run(channel):
+            [r] = _run_kernel(
+                net, slots[None], CCMConfig(frame_size=f), channel=channel,
+                hook=hook,
+            )
+            return (
+                r.bitmap, r.rounds, r.slots, r.round_stats,
+                r.terminated_cleanly, r.ledger.bits_sent.tobytes(),
+                r.ledger.bits_received.tobytes(),
+            )
+
+        ours = run(PerfectChannel())
+        assert ours[1] > 2
+        assert ours == run(CSRPerfectChannel())
+
+    def test_hooked_perfect_channel_never_runs_tag_major(self, monkeypatch):
+        from repro.core import batch
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a hooked perfect-channel run went tag-major")
+
+        monkeypatch.setattr(batch, "_batch_tag_major", refuse)
+        self.observe(PerfectChannel(), **self.CASES["n_333"][0])
 
     @pytest.mark.parametrize("max_step_m", [0.0, 1.0])
     @pytest.mark.parametrize("trajectory", ["uav", "aisle"])

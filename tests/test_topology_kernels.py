@@ -10,11 +10,13 @@ int64 dtypes and the same tiers.
 """
 
 import math
+import pickle
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.net.channel import _set_bits
 from repro.net.geometry import GridIndex, Point
@@ -247,6 +249,121 @@ class TestBfsTiersOracle:
         positions = np.array([[0.0, 0.0], [0.8, 0.0], [1.6, 0.0], [50.0, 50.0], [50.5, 50.0]])
         net = Network.build(positions, [Reader(Point(0, 0), 2.0, 0.5)], 1.0)
         assert net.tiers.tolist() == [1, 2, 3, UNREACHABLE, UNREACHABLE]
+
+
+# -- lazy tiers ------------------------------------------------------------
+
+
+def oracle_tier1(positions, readers):
+    tier1 = np.zeros(positions.shape[0], dtype=bool)
+    for reader in readers:
+        d = np.hypot(
+            positions[:, 0] - reader.position.x,
+            positions[:, 1] - reader.position.y,
+        )
+        tier1 |= d <= reader.tag_to_reader_range
+    return tier1
+
+
+FAR_READER = [Reader(Point(1e4, 1e4), 2.0, 1.0)]
+LINE_130 = np.column_stack([np.arange(130) * 0.9, np.zeros(130)])
+
+
+class TestLazyTiers:
+    """``with_readers`` computes tier 1 and the reader distances; the tier
+    BFS runs on the first read of a tier query and is cached."""
+
+    @staticmethod
+    def count_bfs(monkeypatch):
+        from repro.net import topology
+
+        calls = []
+        bfs = topology._bfs_tiers
+
+        def counted(*args):
+            calls.append(args)
+            return bfs(*args)
+
+        monkeypatch.setattr(topology, "_bfs_tiers", counted)
+        return calls
+
+    @staticmethod
+    def relinked(n=300):
+        from repro.net.topology import PaperDeployment, paper_network
+
+        net = paper_network(
+            6.0, n_tags=n, seed=5, deployment=PaperDeployment(n_tags=n)
+        )
+        return net, [replace(net.readers[0], position=Point(9.0, -4.0))]
+
+    @pytest.mark.parametrize("first", ["tiers", "reachable_mask", "num_tiers"])
+    def test_bfs_runs_once_on_first_use(self, monkeypatch, first):
+        net, readers = self.relinked()
+        calls = self.count_bfs(monkeypatch)
+        moved = net.with_readers(readers)
+        moved.tier1_mask, moved.reader_distance
+        assert len(calls) == 0
+        getattr(moved, first)
+        assert len(calls) == 1
+        moved.tiers, moved.reachable_mask, moved.num_tiers
+        moved.tier_sizes(), moved.is_fully_reachable()
+        assert len(calls) == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(deployments(), reader_sets())
+    @example((np.array([[0.3, -0.2]]), 1.0, 1.0), [Reader(Point(0, 0), 2.0, 1.0)])
+    @example((LINE_130, 1.0, 1.0), FAR_READER)
+    @example((LINE_130, 1.0, 1.0), [Reader(Point(0, 0), 2.0, 1.0)])
+    @example(
+        (np.array([[0.0, 0.0], [0.8, 0.0], [50.0, 50.0], [50.5, 50.0]]), 1.0, 1.0),
+        [Reader(Point(0, 0), 2.0, 0.5)],
+    )
+    def test_lazy_tiers_equal_eager(self, dep, readers):
+        positions, _, radius = dep
+        moved = Network.build(positions, FAR_READER, radius).with_readers(readers)
+        assert moved._tiers is None
+        tier1 = oracle_tier1(positions, readers)
+        assert np.array_equal(moved.tier1_mask, tier1)
+        eager = Network.build(positions, readers, radius)
+        want = oracle_bfs_tiers(positions.shape[0], eager.indptr, eager.indices, tier1)
+        assert np.array_equal(eager.tiers, want)
+        assert moved.tiers.dtype == np.int64
+        assert np.array_equal(moved.tiers, want)
+        assert moved.num_tiers == eager.num_tiers
+        assert np.array_equal(moved.tier_sizes(), eager.tier_sizes())
+
+    @pytest.mark.parametrize("touched", [False, True])
+    def test_relinked_network_pickles_with_tiers(self, touched):
+        net, readers = self.relinked()
+        moved = net.with_readers(readers)
+        if touched:
+            moved.tiers
+        want = Network.build(net.positions, readers, net.tag_range)
+        clone = pickle.loads(pickle.dumps(moved))
+        for name in ("tiers", "tier1_mask", "reader_distance", "indices"):
+            assert np.array_equal(getattr(clone, name), getattr(want, name))
+        assert clone.readers == readers
+
+    def test_relinked_network_exports_with_tiers(self):
+        from repro.net.shm import SharedTopology, shared_memory_available
+
+        if not shared_memory_available():
+            pytest.skip("multiprocessing.shared_memory unavailable")
+        net, readers = self.relinked()
+        moved = net.with_readers(readers)
+        want = Network.build(net.positions, readers, net.tag_range)
+        topo = SharedTopology.publish(moved)
+        try:
+            attached = SharedTopology.attach(topo.handle)
+            try:
+                got = attached.network
+                for name in ("tiers", "tier1_mask", "reader_distance"):
+                    assert np.array_equal(getattr(got, name), getattr(want, name))
+                assert got.readers == readers
+            finally:
+                attached.close()
+        finally:
+            topo.close()
 
 
 # -- position validation ---------------------------------------------------
