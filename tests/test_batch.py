@@ -220,12 +220,21 @@ def transmit_matrix(kind, n, f, rng):
 
 
 class TestHeardFromBitsets:
-    """The tag-major kernel's perfect-channel propagation equals the CSR
-    segment OR and the bigint channel, word for word."""
+    """The slot-major kernel's propagation of one frame (each slot's
+    audience is the OR of its transmitters' neighbour bitsets, by
+    ``_run_starts`` and ``_or_runs`` over pairs sorted by slot) equals
+    the CSR segment OR and the bigint channel, word for word."""
 
     @staticmethod
     def check(net, transmit):
-        got = batch_mod._heard_from_bitsets(net.packed_adjacency(), transmit)
+        w = transmit.shape[1]
+        slot, tag = np.nonzero(batch_mod._unpack_rows(transmit, 64 * w).T)
+        heard = np.zeros((64 * w, net.n_tags), dtype=bool)
+        if slot.size:
+            starts = batch_mod._run_starts(slot)
+            audience = batch_mod._or_runs(net.packed_adjacency(), tag, starts)
+            heard[slot[starts]] = batch_mod._unpack_rows(audience, net.n_tags)
+        got = batch_mod._pack_rows(heard.T, w)
         csr = or_reduce_segments(transmit, net.indptr, net.indices)
         np.testing.assert_array_equal(got, csr)
         ints = [words_to_int(row) for row in transmit]
