@@ -116,6 +116,38 @@ class TestEquivalenceGrid:
         for a, b in zip(slot_major, tag_major):
             assert_sessions_identical(a, b)
 
+    @pytest.mark.parametrize("max_rounds", (1, 2, 3))
+    @pytest.mark.parametrize("path", ("slot_major", "tag_major", "lossy"))
+    def test_round_bound_matches_bigint(
+        self, small_network, monkeypatch, path, max_rounds
+    ):
+        """B trials of which some finish and some are cut off by
+        ``max_rounds``: each matches the bigint engine run on its own
+        ``batch_trial_rngs`` generator, clean flag included."""
+        f, participation = 16, (0.8, 0.2, 0.05, 0.02)
+        n = small_network.n_tags
+        channel = LossyChannel(loss=0.3) if path == "lossy" else None
+        if path == "tag_major":
+            monkeypatch.setattr(batch_mod, "SLOT_MAJOR_MAX_ADJ_BYTES", 0)
+        config = CCMConfig(frame_size=f, max_rounds=max_rounds)
+        rngs = batch_trial_rngs(3, range(B))
+        batched = run_session_batch(
+            small_network,
+            [draw_picks(r, n, f, p) for r, p in zip(rngs, participation)],
+            config, channel=channel, rngs=rngs,
+        )
+        for rng, p, out in zip(
+            batch_trial_rngs(3, range(B)), participation, batched
+        ):
+            ref = run_session(
+                small_network, draw_picks(rng, n, f, p), config=config,
+                channel=channel, rng=rng, engine="bigint",
+            )
+            assert_sessions_identical(ref, out)
+        cut = [r.round_stats[-1].reader_heard_checking for r in batched]
+        assert any(cut) and not all(cut)
+        assert all(r.rounds == max_rounds for r, c in zip(batched, cut) if c)
+
 
 class TestTrialOrderIndependence:
     """A trial's bits do not depend on its batch neighbours."""

@@ -343,6 +343,71 @@ class TestInstrumentedSession:
             assert ("session", "round", phase) in stats
         assert reg.gauge("ccm_last_session_rounds").value == float(result.rounds)
 
+    #: Each knowledge layout's per-round span paths under ``session``:
+    #: perfbench derives the ``core.phase.*`` metrics from these names.
+    SLOT_MAJOR_PHASES = (
+        ("data_frame",), ("indicator",), ("propagate",), ("checking",),
+    )
+    TAG_MAJOR_PHASES = (
+        ("data_frame",), ("data_frame", "propagate"),
+        ("data_frame", "transpose_popcount"), ("indicator",), ("checking",),
+    )
+
+    @pytest.mark.parametrize(
+        "run", ["slot_major", "tag_major_lossy", "tag_major_forced", "hooked"]
+    )
+    def test_layout_span_tree(self, small_network, monkeypatch, run):
+        """The exact ``session/...`` span paths, and the call count of
+        each, for both knowledge layouts and a hooked scenario session."""
+        import numpy as np
+
+        import repro.core.batch as batch_mod
+        from repro.net.channel import LossyChannel
+        from repro.scenario import (
+            LinkBudget,
+            ScenarioConfig,
+            ScenarioSessionEngine,
+            make_trajectory,
+        )
+
+        f = 64
+        picks = frame_picks(small_network.tag_ids, f, 1.0, seed=1)
+        config = CCMConfig(frame_size=f)
+        phases = self.TAG_MAJOR_PHASES
+        if run == "tag_major_forced":
+            monkeypatch.setattr(batch_mod, "SLOT_MAJOR_MAX_ADJ_BYTES", 0)
+        with use_registry() as reg:
+            if run == "hooked":
+                engine = ScenarioSessionEngine(
+                    ScenarioConfig(
+                        trajectory=make_trajectory(
+                            "uav", field_radius=30.0, speed_mps=20.0
+                        ),
+                        link_budget=LinkBudget(threshold_dbm=-200.0),
+                    )
+                )
+                slots = slot_matrix(small_network.n_tags, f, picks[:, None])
+                with reg.span("session"):
+                    result = engine.run(small_network, slots, config)
+                assert engine.last_run_info["relinks"] > 0
+                phases = self.SLOT_MAJOR_PHASES + (("scenario_motion",),)
+            elif run == "tag_major_lossy":
+                result = run_session(
+                    small_network, picks, config=config,
+                    channel=LossyChannel(0.2), rng=np.random.default_rng(5),
+                )
+            else:
+                result = run_session(small_network, picks, config=config)
+                if run == "slot_major":
+                    phases = self.SLOT_MAJOR_PHASES
+        assert result.rounds >= 2
+        want = {("session",): 1, ("session", "setup"): 1}
+        want[("session", "round")] = result.rounds
+        for phase in phases:
+            want[("session", "round") + phase] = result.rounds
+        got = {path: c for path, (c, _) in reg.span_stats().items()}
+        assert got == want
+
     def test_engines_agree_on_protocol_counters(self, small_network):
         picks = frame_picks(small_network.tag_ids, 64, 1.0, seed=1)
         values = {}
