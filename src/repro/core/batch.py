@@ -2,33 +2,33 @@
 
 This module is the only vectorized implementation of the CCM round (data
 frame, indicator vector, propagation, checking frame).  One round driver,
-:func:`_run_rounds`, runs every round of every trial: the reader bitmap
+:func:`_run_kernel`, runs every round of every trial: the reader bitmap
 and indicator vector, the slot tallies and energy ledger, the checking
 frame, termination, round stats and tracer events.  Every protocol step
 advances all B sessions in one numpy call; finished sessions are masked
 inert (their state freezes, their ledger stops accumulating) rather than
 forcing ragged per-trial loops.
 
-Tag knowledge lives in one of two layouts, which own only their state,
-their data frame and propagation, and the retirement of finished
-trials: :class:`_SlotMajor` (trial x slot x tag-word bitsets plus the
-round's transmit pairs, for the perfect channel) and :class:`_TagMajor`
-(trial x tag x slot-word bitsets, propagated through the channel's
-packed interface).  Routing depends on the channel and size only: the
-exact perfect channel (and ``LossyChannel(loss=0.0)``, which draws
-nothing) runs slot-major, hooked or not, while the neighbour-bitset
-table fits under :data:`SLOT_MAJOR_MAX_ADJ_BYTES`; every other
-packed-capable channel and larger networks go tag-major.
+Tag knowledge lives in one layout, :class:`_SlotMajor`: trial x slot x
+tag-word bitsets plus the round's (trial, slot, tag) transmit pairs.  It
+owns its state, its data frame and propagation, and the retirement of
+finished trials.  Propagation has two steps, chosen from the input only:
+an ``is_perfect`` channel (the exact perfect channel, and
+``LossyChannel(loss=0.0)``, which draws nothing) whose neighbour-bitset
+table fits under :data:`SLOT_MAJOR_MAX_ADJ_BYTES` ORs cached adjacency
+rows (the bitset step), hooked or not; every other packed-capable
+channel, and larger networks, expand the pairs over the CSR adjacency
+and keep the events the channel lets through (the CSR step).
 
 A single session is the same kernel at B = 1:
 :func:`~repro.core.session.run_session` with ``engine="packed"`` calls
-:func:`_run_kernel` on a one-trial stack, and the driver also emits the
+the driver on a one-trial stack, and the driver also emits the
 per-round tracer events.  :class:`~repro.scenario.engine.
 ScenarioSessionEngine` drives the kernel through one per-round hook that
 returns the round's network (relinked after reader motion) and its
-powered-tag mask; the driver and both layouts apply the mask.
+powered-tag mask; the driver and the layout apply the mask.
 
-The slot-major layout never transposes the transmit matrix: because
+The layout never transposes the transmit matrix: because
 every (tag, slot) bit is transmitted at most once per session, per-tag
 energy accounting reduces to exact integer counting identities
 (``|V ∪ done| = |V| + |done| − |V ∩ done|``) maintained incrementally
@@ -51,12 +51,16 @@ that pins this:
   the generator the per-trial path would receive.
 * Within every round, channel draws are made per trial in **ascending
   trial order**, each against its own generator, with the per-trial draw
-  order of ``repro-channel-rng-v1`` unchanged.  Independent generators
-  make the interleaving irrelevant: trial k's stream is identical
+  order of ``repro-channel-rng-v1`` unchanged: the channel draws the
+  trial's whole propagation block, then its reader block, and the CSR
+  step later looks up only the events of slots that survive the round's
+  indicator vector.  Independent generators make the interleaving
+  irrelevant: trial k's stream is identical
   whether its neighbours in the batch exist or not (trial-order
   independence), so any sub-batch, tail batch, or B=1 run replays the
   same bits.
-* The perfect-channel path draws nothing, also per the channel contract.
+* An ``is_perfect`` channel draws nothing, also per the channel
+  contract.
 
 :data:`BATCH_RNG_CONTRACT` names this contract and is mixed into
 :func:`repro.store.fingerprint.code_fingerprint`, so bumping it
@@ -75,7 +79,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.bitmap import Bitmap
-from repro.core.engine import _word_counts, words_to_int
+from repro.core.engine import words_to_int
 from repro.core.session import (
     CCMConfig,
     RoundStats,
@@ -83,6 +87,7 @@ from repro.core.session import (
     default_checking_frame_length,
     slot_matrix,
 )
+from repro.net import channel as channel_mod
 from repro.net.channel import Channel, PerfectChannel, or_reduce_segments
 from repro.net.energy import EnergyLedger
 from repro.net.timing import SlotCount, indicator_vector_slots
@@ -103,10 +108,10 @@ __all__ = [
 BATCH_RNG_CONTRACT = "repro-batch-rng-v1"
 
 #: Upper bound on the cached neighbour-bitset size (n x ceil(n/64) words)
-#: for the slot-major path; bigger networks run tag-major, whose memory
-#: is proportional to the edge count rather than n^2/8.  Module-level
-#: (read at call time) so large-memory hosts can raise it for headline
-#: runs.
+#: for the bitset propagation step; bigger networks take the CSR step,
+#: which reads the edge list rather than an n^2/8-byte table.
+#: Module-level (read at call time) so large-memory hosts can raise it
+#: for headline runs.
 SLOT_MAJOR_MAX_ADJ_BYTES = 1 << 27
 
 #: Shared empty pair array — the "no transmits" state between rounds.
@@ -448,13 +453,8 @@ def _call_hook(
     return net, powered
 
 
-def _bitsets_fit(n: int) -> bool:
-    """Whether n tags' bitsets fit :data:`SLOT_MAJOR_MAX_ADJ_BYTES`."""
-    return n * max(1, (n + 63) // 64) * 8 <= SLOT_MAJOR_MAX_ADJ_BYTES
-
-
 class _SlotMajor:
-    """Perfect-channel knowledge: per-slot tag bitsets, no channel calls.
+    """Tag knowledge: per-slot tag bitsets and the round's transmit pairs.
 
     The state is the (trial, slot, tag-word) ``known`` bitset plus the
     current round's transmit *pairs* ``(pb, ps, pt)``, sorted by (trial,
@@ -474,19 +474,33 @@ class _SlotMajor:
       popcount the bigint engine computes, so the float64 ledger adds
       are bit-identical (integer-valued, far below 2^53).
 
+    A channel that is not ``is_perfect`` is called in the data frame,
+    per active trial in ascending trial order against the trial's own
+    generator: ``propagate_packed`` draws the trial's propagation block
+    and ``reader_senses_packed`` its reader block.  An ``is_perfect``
+    channel draws nothing and is never called.
+
     Propagation runs after the indicator vector, and only for slots that
     survive it: ``heard`` feeds only ``learned``, which is zeroed for
     every slot in the (updated) indicator vector.  (The bigint engine
     also grows ``known`` on freshly-silenced slots, but such slots never
     transmit or learn again, so skipping them is observationally
-    identical.)  It gathers adjacency rows per surviving (trial, slot)
-    run — the adjacency table is shared across trials and
-    cache-resident, so the per-run reduction beats one batch-wide gather
-    that would materialize gigabytes.  The learned rows are unpacked in
-    cache-sized chunks and their nonzero coordinates *are* the next
-    round's pairs (int32: every flat key here is bounded by the
-    ``known`` array's element count, which memory already caps far
-    below 2**31).
+    identical.)  What each surviving (trial, slot) run hears comes from
+    one of two steps:
+
+    * the **bitset step** (an ``is_perfect`` channel whose bitsets fit
+      :data:`SLOT_MAJOR_MAX_ADJ_BYTES`) ORs the run's adjacency rows —
+      the table is shared across trials and cache-resident, so the
+      per-run reduction beats one batch-wide gather that would
+      materialize gigabytes;
+    * the **CSR step** (everything else) expands the run's pairs over
+      the CSR adjacency and keeps the events the channel lets through
+      (:meth:`_csr_heard`).
+
+    The learned rows are unpacked in cache-sized chunks and their
+    nonzero coordinates *are* the next round's pairs (int32: every flat
+    key here is bounded by the ``known`` array's element count, which
+    memory already caps far below 2**31).
 
     The pairs of sleeping tags are held back, not transmitted; after the
     round's indicator-vector filter they rejoin the next round's pairs
@@ -494,10 +508,27 @@ class _SlotMajor:
     Sleeping tags learn nothing and receive nothing.
     """
 
-    def __init__(self, network: Network, slots: np.ndarray, f: int) -> None:
+    def __init__(
+        self,
+        network: Network,
+        slots: np.ndarray,
+        f: int,
+        channel: Channel,
+        rngs: Optional[Sequence[np.random.Generator]],
+    ) -> None:
         B, n = len(slots), network.n_tags
         self.f, self.wn = f, max(1, (n + 63) // 64)
-        self.adjacency = network.packed_adjacency()
+        bitsets_fit = n * self.wn * 8 <= SLOT_MAJOR_MAX_ADJ_BYTES
+        self.adjacency = (
+            network.packed_adjacency()
+            if channel.is_perfect and bitsets_fit else None
+        )
+        # Hooks keep the tag graph (checked per round).
+        self.indptr, self.indices = network.indptr, network.indices
+        self.channel = None if channel.is_perfect else channel
+        self.rngs = rngs
+        # Trial -> this round's ``survives`` (absent or None: all heard).
+        self.survival: dict = {}
         pb, ps, pt = _initial_pairs(slots)
         self.known = _bit_words((B, f, self.wn), pb, ps, pt)
         self.pairs = pb, ps, pt
@@ -523,9 +554,31 @@ class _SlotMajor:
         self.hist_bs = np.concatenate((self.hist_bs, key_bs))
         self.hist_bt = np.concatenate((self.hist_bt, key_bt))
         monitored = silenced.sum(axis=1)[:, None] + self.dcount - self.overlap
+        sensed = (
+            net.tier1_mask[pt] if self.channel is None
+            else self._draw(net, act)
+        )
         reader_busy = np.zeros(silenced.shape, dtype=bool)
-        reader_busy.reshape(-1)[key_bs[net.tier1_mask[pt]]] = True
+        reader_busy.reshape(-1)[key_bs[sensed]] = True
         return sent, monitored, np.count_nonzero(sent, axis=1), reader_busy
+
+    def _draw(self, net, act):
+        """Each active trial's channel draws, in ascending trial order
+        (``repro-batch-rng-v1``): keeps the trial's ``survives`` lookup
+        for :meth:`_csr_heard` and returns the pairs the reader senses."""
+        pb, ps, pt = self.pairs
+        bounds = np.searchsorted(pb, np.arange(len(act) + 1))
+        sensed = np.zeros(pb.size, dtype=bool)
+        for b in np.flatnonzero(act):
+            lo, hi = bounds[b], bounds[b + 1]
+            rng = None if self.rngs is None else self.rngs[b]
+            self.survival[b] = self.channel.propagate_packed(
+                pt[lo:hi], ps[lo:hi], self.indptr, rng
+            )
+            sensed[lo:hi] = self.channel.reader_senses_packed(
+                pt[lo:hi], ps[lo:hi], net.tier1_mask, rng
+            )
+        return sensed
 
     def indicator(self, silenced, newbusy):
         # Done slots that just turned busy: the pair history holds exactly
@@ -548,7 +601,11 @@ class _SlotMajor:
                 starts = _run_starts(self.key_bs[keep])
                 surv_b, surv_s = qb[starts], qs[starts]
                 known_rows = self.known[surv_b, surv_s]
-                learned_rows = _or_runs(self.adjacency, qt, starts)
+                learned_rows = (
+                    _or_runs(self.adjacency, qt, starts)
+                    if self.adjacency is not None
+                    else self._csr_heard(np.flatnonzero(keep), starts)
+                )
                 learned_rows &= ~known_rows
                 if powered is not None:
                     learned_rows &= _pack_rows(powered[None], self.wn)
@@ -575,7 +632,64 @@ class _SlotMajor:
                 order = np.lexsort((nt, ns, nb))
                 nb, ns, nt = nb[order], ns[order], nt[order]
             self.pairs = nb, ns, nt
+            self.survival = {}
         return has_pending
+
+    def _csr_heard(self, at: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        """What each surviving (trial, slot) run hears over the CSR
+        adjacency: ``at`` indexes the surviving pairs in ``self.pairs``,
+        and their runs begin at ``starts``.
+
+        Pairs are taken in blocks of one trial, at most a draw chunk of
+        (pair, neighbour) events (a pair with more goes alone) and ~2 MB
+        of one-byte-per-tag rows; a block sets one byte per event its
+        trial's ``survives`` keeps and ORs its packed rows into the
+        result.
+        """
+        pb, _, pt = self.pairs
+        indptr, indices = self.indptr, self.indices
+        n8 = self.wn * 64
+        tags = pt[at]
+        first = indptr[tags]
+        degree = indptr[tags + 1] - first
+        ends = np.cumsum(degree)
+        begin = ends - degree
+        row = np.zeros(at.size, dtype=np.int64)
+        row[starts[1:]] = 1
+        np.cumsum(row, out=row)
+        heard = np.zeros((starts.size, self.wn), dtype=np.uint64)
+        max_events = channel_mod._LOSSY_DRAW_CHUNK
+        max_rows = max(1, (1 << 21) // n8)
+        trial = pb[at]
+        cuts = np.append(_run_starts(trial), at.size).tolist()
+        for s0, s1 in zip(cuts[:-1], cuts[1:]):
+            survives = self.survival.get(trial[s0])
+            lo = np.searchsorted(pb, trial[s0])
+            a = s0
+            while a < s1:
+                c = min(
+                    int(np.searchsorted(ends, begin[a] + max_events, "right")),
+                    int(np.searchsorted(row, row[a] + max_rows)),
+                    s1,
+                )
+                c = max(c, a + 1)
+                d, r0 = degree[a:c], row[a]
+                edge = np.arange(begin[a], ends[c - 1]) + np.repeat(
+                    first[a:c] - begin[a:c], d
+                )
+                key = np.repeat((row[a:c] - r0) * n8, d) + indices[edge]
+                if survives is not None:
+                    key = key[survives(
+                        np.repeat(at[a:c] - lo, d),
+                        edge - np.repeat(first[a:c], d),
+                    )]
+                block = np.zeros((row[c - 1] - r0 + 1, n8), dtype=np.uint8)
+                block.reshape(-1)[key] = 1
+                heard[r0 : r0 + len(block)] |= np.packbits(
+                    block, axis=1, bitorder="little"
+                ).view(np.uint64)
+                a = c
+        return heard
 
     def retire(self, active):
         pb, ps, pt = self.pairs
@@ -583,103 +697,25 @@ class _SlotMajor:
         self.pairs = pb[keep], ps[keep], pt[keep]
 
 
-class _TagMajor:
-    """Channel-driven knowledge: per-tag slot words through the channel.
-
-    The state is the (trial, tag, slot-word) ``pending``, ``known`` and
-    ``done`` bitsets.  Channel draws happen per trial in ascending trial
-    order against each trial's private generator (the
-    ``repro-batch-rng-v1`` interleaving); everything else is
-    word-parallel across the whole batch.  A sleeping tag's pending data
-    is *retained* until it wakes — data parks on a sleeping tag, it does
-    not vanish.
-    """
-
-    def __init__(
-        self,
-        network: Network,
-        slots: np.ndarray,
-        f: int,
-        channel: Channel,
-        rngs: Optional[Sequence[np.random.Generator]],
-    ) -> None:
-        B, n = len(slots), network.n_tags
-        self.f, self.wf = f, max(1, (f + 63) // 64)
-        self.channel, self.rngs = channel, rngs
-        # Hooks keep the tag graph (checked per round).
-        self.indptr, self.indices = network.indptr, network.indices
-        pb, ps, pt = _initial_pairs(slots)
-        self.pending = _bit_words((B, n, self.wf), pb, pt, ps)
-        self.known = self.pending.copy()
-        self.done = np.zeros((B, n, self.wf), dtype=np.uint64)
-
-    def data_frame(self, net, act, silenced, asleep):
-        obs = obs_metrics.OBS
-        v = _pack_rows(silenced, self.wf)[:, None, :]
-        # pending bits are within the frame by construction (validated
-        # initial slots; learned bits come from transmissions), so no
-        # frame-mask clip is needed.
-        transmit = self.pending & ~v
-        if asleep is not None:
-            transmit[:, asleep] = 0
-        transmitting = np.count_nonzero(transmit.any(axis=2), axis=1)
-        heard = np.zeros_like(transmit)
-        reader_busy = np.zeros((len(transmit), self.wf), dtype=np.uint64)
-        with obs.span("propagate"):
-            for b in np.flatnonzero(act):
-                # Ascending trial order, private generators: the
-                # contract's interleaving (each stream is unchanged by
-                # its neighbours).
-                rng_b = self.rngs[b] if self.rngs is not None else None
-                heard[b] = self.channel.propagate_packed(
-                    transmit[b], self.indptr, self.indices, rng_b
-                )
-                reader_busy[b] = self.channel.reader_senses_packed(
-                    transmit[b], net.tier1_mask, rng_b
-                )
-        if asleep is not None:
-            heard[:, asleep] = 0
-        with obs.span("transpose_popcount"):
-            sent = _word_counts(transmit).sum(axis=2)
-            monitored = _word_counts(v | self.done | transmit).sum(axis=2)
-        # Knowledge update (half duplex + silencing), word-parallel.
-        learned = heard & ~self.known & ~transmit & ~v
-        self.known |= learned | transmit
-        self.done |= transmit
-        if asleep is not None:
-            learned[:, asleep] = self.pending[:, asleep]
-        self.pending = learned
-        return sent, monitored, transmitting, _unpack_rows(reader_busy, self.f)
-
-    def indicator(self, silenced, newbusy):
-        # Masking retained (sleeping-tag) pending with the new V is
-        # observationally identical to masking at wake time: V only
-        # grows, and a woken tag applies the then-current V before
-        # transmitting anyway.
-        self.pending &= ~_pack_rows(silenced, self.wf)[:, None, :]
-
-    def next_pending(self, silenced, powered):
-        return self.pending.any(axis=2)
-
-    def retire(self, active):
-        self.pending[~active] = 0
-
-
-def _run_rounds(
+def _run_kernel(
     network: Network,
     slots: np.ndarray,
     config: CCMConfig,
-    layout: Callable[[], "_SlotMajor | _TagMajor"],
-    tracer: Optional[SessionTracer],
-    hook: Optional[RoundHook],
+    *,
+    channel: Optional[Channel] = None,
+    rngs: Optional[Sequence[np.random.Generator]] = None,
+    tracer: Optional[SessionTracer] = None,
+    hook: Optional[RoundHook] = None,
 ) -> List[SessionResult]:
-    """Algorithm 1's rounds over one knowledge layout, for all B trials.
+    """Algorithm 1's rounds for a validated ``(B, n, k)`` slot-matrix
+    stack: the one round driver.
 
     The driver owns everything the protocol defines independently of how
     knowledge is stored: the reader bitmap and indicator vector, the
     slot tallies and the energy ledger, the checking frame, termination,
-    the round stats and the tracer events.  ``layout()`` builds the
-    knowledge state, which runs a round in four steps:
+    the round stats and the tracer events.  :class:`_SlotMajor` holds the
+    knowledge state (its propagation step chosen by channel and size)
+    and runs a round in four steps:
 
     * ``data_frame(net, act, silenced, asleep)`` transmits the pending
       bits not in the indicator vector ``silenced`` and returns per-tag
@@ -698,6 +734,13 @@ def _run_rounds(
     hook's network.  A hook may move readers, not tags (another tag
     graph raises :class:`ValueError`).
     """
+    channel = channel or PerfectChannel()
+    if not getattr(channel, "supports_packed", False):
+        raise ValueError(
+            f"channel {type(channel).__name__} does not implement the "
+            "packed pair interface required by the batched kernel; use "
+            "engine='bigint'"
+        )
     obs = obs_metrics.OBS
     B = len(slots)
     n = network.n_tags
@@ -709,7 +752,7 @@ def _run_rounds(
     use_iv = config.use_indicator_vector
 
     with obs.span("setup"):
-        knowledge = layout()
+        knowledge = _SlotMajor(network, slots, f, channel, rngs)
         iv_slots = indicator_vector_slots(f)
         bitmap = np.zeros((B, f), dtype=bool)
         # The indicator vector the tags hold: the reader bitmap itself
@@ -812,63 +855,6 @@ def _run_rounds(
     return _finalize(
         f, _pack_rows(bitmap, max(1, (f + 63) // 64)), rounds_run,
         short_slots, id_slots, sent_bits, recv_bits, stats, clean,
-    )
-
-
-def _batch_tag_major(
-    network: Network,
-    slots: np.ndarray,
-    config: CCMConfig,
-    *,
-    channel: Channel,
-    rngs: Optional[Sequence[np.random.Generator]],
-    tracer: Optional[SessionTracer] = None,
-    hook: Optional[RoundHook] = None,
-) -> List[SessionResult]:
-    """The round driver over the channel-driven tag-major layout.
-
-    Kept as its own module-level name so the route to it can be
-    replaced (a hooked perfect-channel run must never reach it).
-    """
-    return _run_rounds(
-        network, slots, config,
-        lambda: _TagMajor(network, slots, config.frame_size, channel, rngs),
-        tracer, hook,
-    )
-
-
-def _run_kernel(
-    network: Network,
-    slots: np.ndarray,
-    config: CCMConfig,
-    *,
-    channel: Optional[Channel] = None,
-    rngs: Optional[Sequence[np.random.Generator]] = None,
-    tracer: Optional[SessionTracer] = None,
-    hook: Optional[RoundHook] = None,
-) -> List[SessionResult]:
-    """Route a validated ``(B, n, k)`` slot-matrix stack to a layout.
-
-    The route depends on the channel and size only: an ``is_perfect``
-    channel whose neighbour bitsets fit runs the slot-major layout,
-    hooked or not; every other channel and larger networks run
-    tag-major.  Both run under the one round driver, :func:`_run_rounds`.
-    """
-    channel = channel or PerfectChannel()
-    if not getattr(channel, "supports_packed", False):
-        raise ValueError(
-            f"channel {type(channel).__name__} does not implement the "
-            "packed-word interface required by the batched kernel; use "
-            "engine='bigint'"
-        )
-    if channel.is_perfect and _bitsets_fit(network.n_tags):
-        return _run_rounds(
-            network, slots, config,
-            lambda: _SlotMajor(network, slots, config.frame_size), tracer, hook,
-        )
-    return _batch_tag_major(
-        network, slots, config, channel=channel, rngs=rngs, tracer=tracer,
-        hook=hook,
     )
 
 

@@ -9,11 +9,12 @@ ENGINE_NAMES`):
   Works with any :class:`~repro.net.channel.Channel` implementation, so it
   is also the executable reference for the channel contract.
 * ``"packed"`` — the vectorized kernel of :mod:`repro.core.batch` at
-  B = 1: frames are bit-packed uint64 arrays and every per-tag loop is a
-  NumPy kernel, slot-major under the exact
-  :class:`~repro.net.channel.PerfectChannel` and tag-major (driven
-  through the channel's ``propagate_packed``/``reader_senses_packed``)
-  otherwise.
+  B = 1: knowledge is bit-packed uint64 per-slot tag bitsets and every
+  per-tag loop is a NumPy kernel.  Under the exact
+  :class:`~repro.net.channel.PerfectChannel` propagation ORs cached
+  neighbour bitsets; otherwise it expands the round's transmit pairs
+  over the CSR adjacency and keeps the events the channel's
+  ``propagate_packed``/``reader_senses_packed`` let through.
 
 The two are bit-identical — same bitmap, rounds, slot tally, round
 statistics, per-tag ledger floats and tracer NDJSON — under both
@@ -26,7 +27,7 @@ the same pinned order, the bigint path one scalar draw at a time and the
 kernel in batched-but-identical ``Generator`` calls.  The default
 ``engine="auto"`` therefore selects the kernel for the exact built-in
 channel types (including ``LossyChannel(loss=0.0)``, which is routed to
-the silent slot-major path) and bigint for anything else — third-party
+the silent bitset step) and bigint for anything else — third-party
 channel subclasses may override propagation or not implement the
 packed-word interface at all.
 

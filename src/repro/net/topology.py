@@ -232,7 +232,7 @@ class Network:
         Bit ``u % 64`` of word ``u // 64`` in row ``t`` is set iff tags
         ``t`` and ``u`` are within ``tag_range`` (the CSR adjacency is
         symmetric, so rows double as columns).  Built lazily and cached on
-        the network — the slot-major layout ORs these rows to compute
+        the network — the kernel's bitset step ORs these rows to compute
         which tags hear each slot, so sessions on the same network reuse
         one build.  Little-endian bit order throughout, matching
         :func:`repro.core.engine.masks_to_words`.

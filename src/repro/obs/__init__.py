@@ -9,8 +9,8 @@ execution path threads through:
   :func:`use_registry`; the default :data:`~repro.obs.metrics.OBS` is a
   no-op registry so un-instrumented runs pay one attribute check.
 * :class:`Span` (:mod:`repro.obs.spans`) — nesting wall-clock timers
-  (session → round → data_frame / indicator / propagate / checking /
-  transpose_popcount) with a self/cumulative profile renderer.
+  (session → round → data_frame / indicator / propagate / checking)
+  with a self/cumulative profile renderer.
 * :class:`EventLog` and exporters (:mod:`repro.obs.export`) — the one
   sequence-numbered event store (behind the session tracer, the
   scenario journal and a served job's ``/events`` stream), plus NDJSON

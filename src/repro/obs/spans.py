@@ -7,7 +7,6 @@ child under the parent's *path*, so one session produces a tree such as::
     session
     └── round
         ├── data_frame
-        │   └── transpose_popcount
         ├── indicator
         ├── propagate
         └── checking

@@ -12,8 +12,9 @@ operations on a shared wall clock (slot counts × Gen2-derived
   sweep, waypoints (:mod:`repro.scenario.trajectory`);
 * link-budget tag power-cycling (:mod:`repro.scenario.power`);
 * :class:`~repro.scenario.engine.ScenarioSessionEngine` — the
-  vectorized kernel (slot-major on a perfect channel, tag-major on a
-  lossy one) with a per-round motion/power hook,
+  vectorized kernel (one slot-major layout, its bitset propagation
+  step on a perfect channel, its CSR step on a lossy one) with a
+  per-round motion/power hook,
   bit-identical to the ``"packed"`` and ``"bigint"`` engines when the
   hooks are off (:mod:`repro.scenario.engine`);
 * :func:`~repro.scenario.run.run_scenario`, the top-level entry the

@@ -1,9 +1,9 @@
 """The scenario session engine: Algorithm 1 under motion and power-cycling.
 
 :class:`ScenarioSessionEngine` runs the kernel of :mod:`repro.core.batch`
-at B = 1 and supplies its per-round hook; the kernel routes by channel
-only (a perfect channel runs slot-major, a lossy one tag-major, with the
-same hook semantics).  It is not an ``engine=`` name of
+at B = 1 and supplies its per-round hook; the kernel picks its
+propagation step by channel only (the bitset step on a perfect channel,
+the CSR step on a lossy one, with the same hook semantics).  It is not an ``engine=`` name of
 :func:`~repro.core.session.run_session`:
 :func:`~repro.scenario.run.run_scenario` builds it with the scenario's
 config, and its :meth:`~ScenarioSessionEngine.run` takes the validated

@@ -179,11 +179,7 @@ def run_scenario(
     if link_budget is None and power_threshold_dbm is not None:
         link_budget = LinkBudget(threshold_dbm=power_threshold_dbm)
     if channel is None:
-        channel = (
-            LossyChannel(loss, frame_size_hint=frame_size)
-            if loss > 0.0
-            else PerfectChannel()
-        )
+        channel = LossyChannel(loss) if loss > 0.0 else PerfectChannel()
 
     from repro.net.geometry import uniform_disk
 

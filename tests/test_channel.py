@@ -120,21 +120,47 @@ class TestLossyChannel:
         assert 120 <= hits <= 280
 
 
-def _pack_masks(masks, frame_size):
-    from repro.core.engine import masks_to_words
+def _pairs(masks):
+    """The ``(tag, slot)`` transmit pairs of f-bit masks, shuffled: the
+    pair interface takes its pairs in any order."""
+    pairs = [
+        (u, s)
+        for u, mask in enumerate(masks)
+        for s in range(mask.bit_length())
+        if mask >> s & 1
+    ]
+    order = np.random.default_rng(len(pairs)).permutation(len(pairs))
+    pairs = np.array(pairs, dtype=np.int32).reshape(-1, 2)[order]
+    return pairs[:, 0], pairs[:, 1]
 
-    return masks_to_words(masks, frame_size)
+
+def _heard_via_pairs(ch, masks, indptr, indices, rng):
+    """What every tag hears, expanding each pair over its tag's CSR row
+    and keeping the events ``propagate_packed`` lets through."""
+    tags, slots = _pairs(masks)
+    survives = ch.propagate_packed(tags, slots, indptr, rng)
+    heard = [0] * len(masks)
+    for j, (u, s) in enumerate(zip(tags.tolist(), slots.tolist())):
+        row = indices[indptr[u] : indptr[u + 1]]
+        rank = np.arange(row.size)
+        if survives is not None:
+            row = row[survives(np.full(row.size, j), rank)]
+        for t in row.tolist():
+            heard[t] |= 1 << s
+    return heard
 
 
-def _unpack_row(row):
-    from repro.core.engine import words_to_int
-
-    return words_to_int(row)
+def _busy_via_pairs(ch, masks, tier1, rng):
+    tags, slots = _pairs(masks)
+    busy = 0
+    for s in slots[ch.reader_senses_packed(tags, slots, tier1, rng)]:
+        busy |= 1 << int(s)
+    return busy
 
 
 class TestChannelRngContract:
-    """The packed lossy interface batches the *same* draw stream the
-    scalar big-int interface consumes one call at a time."""
+    """The lossy pair interface draws the *same* stream the scalar big-int
+    interface consumes one call at a time."""
 
     def test_contract_version_exported(self):
         assert CHANNEL_RNG_CONTRACT == "repro-channel-rng-v1"
@@ -179,18 +205,15 @@ class TestChannelRngContract:
         rng_a = np.random.default_rng(99)
         rng_b = np.random.default_rng(99)
         scalar = ch.propagate(masks, indptr, indices, rng_a)
-        packed = ch.propagate_packed(
-            _pack_masks(masks, frame_size), indptr, indices, rng_b
-        )
-        assert [_unpack_row(row) for row in packed] == scalar
+        assert _heard_via_pairs(ch, masks, indptr, indices, rng_b) == scalar
         # Both consumed exactly the same number of draws.
         assert rng_a.random() == rng_b.random()
 
     def test_propagate_packed_chunk_boundaries_preserve_stream(
         self, monkeypatch
     ):
-        """Chunked batched draws must read the stream exactly as one big
-        draw would — chunk boundaries land on whole edges."""
+        """Chunked draws must read the stream exactly as one big draw
+        would — chunk boundaries fall anywhere in an edge's draws."""
         monkeypatch.setattr(channel_mod, "_LOSSY_DRAW_CHUNK", 13)
         rng = np.random.default_rng(5)
         n = 40
@@ -210,16 +233,13 @@ class TestChannelRngContract:
         rng_a = np.random.default_rng(31)
         rng_b = np.random.default_rng(31)
         scalar = ch.propagate(masks, indptr, indices, rng_a)
-        packed = ch.propagate_packed(
-            _pack_masks(masks, 64), indptr, indices, rng_b
-        )
-        assert [_unpack_row(row) for row in packed] == scalar
+        assert _heard_via_pairs(ch, masks, indptr, indices, rng_b) == scalar
         assert rng_a.random() == rng_b.random()
 
     @pytest.mark.parametrize("loss", [0.2, 0.5])
     def test_reader_senses_packed_matches_scalar_stream(self, loss):
         rng = np.random.default_rng(77)
-        n, frame_size = 50, 128
+        n = 50
         masks = [
             int(rng.integers(0, 2**60)) if rng.random() < 0.6 else 0
             for _ in range(n)
@@ -229,10 +249,7 @@ class TestChannelRngContract:
         rng_a = np.random.default_rng(13)
         rng_b = np.random.default_rng(13)
         scalar = ch.reader_senses(masks, tier1, rng_a)
-        packed = ch.reader_senses_packed(
-            _pack_masks(masks, frame_size), tier1, rng_b
-        )
-        assert _unpack_row(packed) == scalar
+        assert _busy_via_pairs(ch, masks, tier1, rng_b) == scalar
         assert rng_a.random() == rng_b.random()
 
     def test_zero_loss_consumes_no_draws(self):
@@ -241,10 +258,11 @@ class TestChannelRngContract:
         ch = LossyChannel(0.0)
         rng = np.random.default_rng(8)
         before = rng.bit_generator.state
+        tier1 = np.array([True, False, True])
         ch.propagate(masks, indptr, indices, rng)
-        ch.propagate_packed(_pack_masks(masks, 8), indptr, indices, rng)
-        ch.reader_senses(masks, np.array([True, False, True]), rng)
-        ch.reader_senses_packed(
-            _pack_masks(masks, 8), np.array([True, False, True]), rng
+        assert _heard_via_pairs(ch, masks, indptr, indices, rng) == (
+            PerfectChannel().propagate(masks, indptr, indices)
         )
+        ch.reader_senses(masks, tier1, rng)
+        assert _busy_via_pairs(ch, masks, tier1, rng) == 0b111
         assert rng.bit_generator.state == before

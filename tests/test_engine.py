@@ -401,9 +401,9 @@ class TestLossyCrossEngineEquivalence:
 
     def test_zero_loss_routes_to_slot_major_without_rng(self):
         """LossyChannel(0.0) consumes no draws, so auto must reach the
-        silent slot-major fast path — which never touches an rng.  The
-        bigint/tag-major lossy paths raise without one, so succeeding
-        here proves the dispatch."""
+        silent bitset step — which never touches an rng.  The bigint and
+        CSR-step lossy paths raise without one, so succeeding here proves
+        the dispatch."""
         network = _build_network("disk", n_tags=200, seed=9)
         picks = _picks_for(network, 64, seed=2, multibit=False)
         config = CCMConfig(frame_size=64)

@@ -343,14 +343,10 @@ class TestInstrumentedSession:
             assert ("session", "round", phase) in stats
         assert reg.gauge("ccm_last_session_rounds").value == float(result.rounds)
 
-    #: Each knowledge layout's per-round span paths under ``session``:
-    #: perfbench derives the ``core.phase.*`` metrics from these names.
-    SLOT_MAJOR_PHASES = (
+    #: The kernel's per-round span paths under ``session``: perfbench
+    #: derives the ``core.phase.*`` metrics from these names.
+    PHASES = (
         ("data_frame",), ("indicator",), ("propagate",), ("checking",),
-    )
-    TAG_MAJOR_PHASES = (
-        ("data_frame",), ("data_frame", "propagate"),
-        ("data_frame", "transpose_popcount"), ("indicator",), ("checking",),
     )
 
     @pytest.mark.parametrize(
@@ -358,7 +354,11 @@ class TestInstrumentedSession:
     )
     def test_layout_span_tree(self, small_network, monkeypatch, run):
         """The exact ``session/...`` span paths, and the call count of
-        each, for both knowledge layouts and a hooked scenario session."""
+        each, for the bitset step (``slot_major``), the CSR step on a
+        lossy channel (``tag_major_lossy``) and on a perfect one forced
+        past the bitset bound (``tag_major_forced``), and a hooked
+        scenario session: one tree for all.  The ``tag_major`` ids name
+        the layout these runs took before the CSR step replaced it."""
         import numpy as np
 
         import repro.core.batch as batch_mod
@@ -373,7 +373,7 @@ class TestInstrumentedSession:
         f = 64
         picks = frame_picks(small_network.tag_ids, f, 1.0, seed=1)
         config = CCMConfig(frame_size=f)
-        phases = self.TAG_MAJOR_PHASES
+        phases = self.PHASES
         if run == "tag_major_forced":
             monkeypatch.setattr(batch_mod, "SLOT_MAJOR_MAX_ADJ_BYTES", 0)
         with use_registry() as reg:
@@ -390,7 +390,7 @@ class TestInstrumentedSession:
                 with reg.span("session"):
                     result = engine.run(small_network, slots, config)
                 assert engine.last_run_info["relinks"] > 0
-                phases = self.SLOT_MAJOR_PHASES + (("scenario_motion",),)
+                phases = self.PHASES + (("scenario_motion",),)
             elif run == "tag_major_lossy":
                 result = run_session(
                     small_network, picks, config=config,
@@ -398,8 +398,6 @@ class TestInstrumentedSession:
                 )
             else:
                 result = run_session(small_network, picks, config=config)
-                if run == "slot_major":
-                    phases = self.SLOT_MAJOR_PHASES
         assert result.rounds >= 2
         want = {("session",): 1, ("session", "setup"): 1}
         want[("session", "round")] = result.rounds

@@ -227,11 +227,7 @@ class TestStaticEquivalencePin:
         config = CCMConfig(frame_size=f)
 
         def one(engine):
-            channel = (
-                LossyChannel(loss, frame_size_hint=f)
-                if loss > 0.0
-                else PerfectChannel()
-            )
+            channel = LossyChannel(loss) if loss > 0.0 else PerfectChannel()
             rng = np.random.default_rng(77)
             if engine is None:
                 return ScenarioSessionEngine().run(
@@ -573,11 +569,7 @@ class TestHooksOnGolden:
             )
         )
         engine.journal = EventJournal()
-        channel = (
-            LossyChannel(loss, frame_size_hint=f)
-            if loss > 0.0
-            else PerfectChannel()
-        )
+        channel = LossyChannel(loss) if loss > 0.0 else PerfectChannel()
         ledger = EnergyLedger(n)
         ledger.bits_sent[:] = np.arange(n) * 0.5
         ledger.bits_received[:] = np.arange(n)[::-1] * 1.5
@@ -617,16 +609,18 @@ class TestHooksOnGolden:
 
 class CSRPerfectChannel(PerfectChannel):
     """The perfect channel under another type: ``is_perfect`` is False, so
-    the kernel runs its tag-major loop and propagates through the
-    channel's CSR pass — the oracle for the slot-major path."""
+    the kernel calls the channel and propagates with its CSR step — the
+    oracle for the bitset step."""
 
 
 class TestBitsetPropagationOracle:
-    """Hooked perfect-channel sessions run on the slot-major kernel
-    (transmit pairs, neighbour bitsets, sleeping tags' pairs held back);
-    the same sessions through :class:`CSRPerfectChannel` run the
-    tag-major loop over the channel's CSR pass.  Both loops must give the
-    same bits, counts, journal and ledger floats."""
+    """Hooked perfect-channel sessions propagate with the kernel's bitset
+    step (ORs of cached neighbour bitsets); the same sessions through
+    :class:`CSRPerfectChannel` take the CSR step (pairs expanded over the
+    CSR adjacency, the channel asked which events survive).  Sleeping
+    tags' pairs are held back either way.  Both steps must give the same
+    bits, counts, journal and ledger floats.  (The ``tag_major`` in the
+    test names is the retired layout this oracle once ran.)"""
 
     UAV = make_trajectory("uav", field_radius=30.0, speed_mps=20.0)
     CENTRE = StaticTrajectory(Point(0.0, 0.0))
@@ -756,13 +750,13 @@ class TestBitsetPropagationOracle:
         assert ours[1] > 2
         assert ours == run(CSRPerfectChannel())
 
-    def test_hooked_perfect_channel_never_runs_tag_major(self, monkeypatch):
+    def test_hooked_perfect_channel_runs_bitset_step(self, monkeypatch):
         from repro.core import batch
 
         def refuse(*args, **kwargs):
-            raise AssertionError("a hooked perfect-channel run went tag-major")
+            raise AssertionError("a hooked perfect-channel run took CSR")
 
-        monkeypatch.setattr(batch, "_batch_tag_major", refuse)
+        monkeypatch.setattr(batch._SlotMajor, "_csr_heard", refuse)
         self.observe(PerfectChannel(), **self.CASES["n_333"][0])
 
     @pytest.mark.parametrize("max_step_m", [0.0, 1.0])

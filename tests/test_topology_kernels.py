@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.net.channel import _set_bits
 from repro.net.geometry import GridIndex, Point
 from repro.net.topology import UNREACHABLE, Network, Reader, _bfs_tiers
 
@@ -87,11 +86,6 @@ def oracle_bfs_tiers(n, indptr, indices, tier1):
         tiers[nxt] = level
         frontier = nxt
     return tiers
-
-
-def oracle_set_bits(words):
-    bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
-    return np.nonzero(bits)
 
 
 # -- strategies ------------------------------------------------------------
@@ -398,32 +392,3 @@ class TestNonFinitePositions:
     def test_cell_coordinates_beyond_int64_rejected(self):
         with pytest.raises(ValueError, match="2\\*\\*62 cells"):
             GridIndex(np.array([[0.0, 0.0], [1e300, 0.0]]), 1.0)
-
-
-# -- lossy set-bit scan ----------------------------------------------------
-
-
-class TestSetBits:
-    @settings(max_examples=80, deadline=None)
-    @given(
-        st.integers(0, 12),
-        st.integers(1, 4),
-        st.data(),
-    )
-    def test_matches_full_unpack(self, rows, n_words, data):
-        vals = data.draw(
-            st.lists(
-                st.one_of(
-                    st.just(0),
-                    st.integers(0, 2**64 - 1),
-                    st.sampled_from([1, 2**63, 2**64 - 1]),
-                ),
-                min_size=rows * n_words,
-                max_size=rows * n_words,
-            )
-        )
-        words = np.array(vals, dtype=np.uint64).reshape(rows, n_words)
-        got_row, got_col = _set_bits(words)
-        want_row, want_col = oracle_set_bits(words)
-        assert np.array_equal(got_row, want_row)
-        assert np.array_equal(got_col, want_col)
