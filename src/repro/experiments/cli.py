@@ -360,7 +360,8 @@ def cmd_map(args: argparse.Namespace) -> None:
 
 
 def cmd_profile(args: argparse.Namespace) -> None:
-    """Profile ``--trials`` CCM sessions -> per-phase time table + artifacts.
+    """Profile ``--trials`` CCM sessions -> per-phase time table (and the
+    metrics, manifest and trace files whose paths are given).
 
     Every profile is a :class:`~repro.sim.parallel.Campaign` of
     :class:`~repro.experiments.common.SessionBatchTrial` on one fixed
@@ -447,34 +448,34 @@ def cmd_profile(args: argparse.Namespace) -> None:
             f"({merged_s / campaign_s:.2f}x the campaign's "
             f"{campaign_s:.4f}s wall)"
         )
-    metrics_path = args.metrics_out or "results/profile.metrics.ndjson"
-    metrics_to_ndjson(registry, metrics_path)
-    print(f"[metrics written to {metrics_path}]")
-    manifest_path = args.manifest_out or "results/profile.manifest.json"
-    RunManifest.capture(
-        seed=seed,
-        config={
-            "n_tags": n,
-            "frame_size": f,
-            "tag_range_m": r,
-            "participation": args.participation,
-            "n_trials": args.trials,
-            "backend": args.backend,
-            "workers": args.workers,
-            "batch": plan.batch,
-            **({"loss": args.loss} if args.loss is not None else {}),
-        },
-        engine=args.engine,
-        elapsed_s=wall_s,
-        trace_id=plan.trace.trace_id,
-        extra={
-            "n_ok": result.n_ok,
-            "cache_hits": result.cache_hits,
-            "rounds": rounds,
-            "slots": slots,
-        },
-    ).write(manifest_path)
-    print(f"[manifest written to {manifest_path}]")
+    if args.metrics_out:
+        metrics_to_ndjson(registry, args.metrics_out)
+        print(f"[metrics written to {args.metrics_out}]")
+    if args.manifest_out:
+        RunManifest.capture(
+            seed=seed,
+            config={
+                "n_tags": n,
+                "frame_size": f,
+                "tag_range_m": r,
+                "participation": args.participation,
+                "n_trials": args.trials,
+                "backend": args.backend,
+                "workers": args.workers,
+                "batch": plan.batch,
+                **({"loss": args.loss} if args.loss is not None else {}),
+            },
+            engine=args.engine,
+            elapsed_s=wall_s,
+            trace_id=plan.trace.trace_id,
+            extra={
+                "n_ok": result.n_ok,
+                "cache_hits": result.cache_hits,
+                "rounds": rounds,
+                "slots": slots,
+            },
+        ).write(args.manifest_out)
+        print(f"[manifest written to {args.manifest_out}]")
     if args.trace_out:
         import pathlib
 
@@ -1073,11 +1074,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     prof.add_argument(
         "--metrics-out", type=str, default=None,
-        help="metrics NDJSON path (default: results/profile.metrics.ndjson)",
+        help="write the run's metrics as NDJSON to this path",
     )
     prof.add_argument(
         "--manifest-out", type=str, default=None,
-        help="run manifest path (default: results/profile.manifest.json)",
+        help="write the run manifest to this path",
     )
     prof.add_argument(
         "--trace-out", type=str, default=None,
