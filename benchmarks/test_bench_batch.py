@@ -4,19 +4,22 @@ Runs the same 100-trial campaign (one fixed r = 6 m deployment at the
 paper's n = 10,000, f = 1,671, p = 1.59 f/n) three ways through the
 :class:`~repro.sim.parallel.Campaign` engine:
 
-* **per-trial dispatch** — the historical baseline: one task per trial
-  through a process pool, the trial object carrying the ~30 MB network,
-  re-pickled for every task;
-* **per-trial + shm** — same dispatch, but the topology travels as a
-  :class:`~repro.net.shm.TopologyHandle` naming a shared-memory segment
-  workers attach zero-copy;
-* **batched** — ``plan=RunPlan(batch=8)`` stacks 8 trials per task
-  into one :func:`~repro.core.batch.run_session_batch` call.
+* **per-trial, network pickled per task** — the historical baseline:
+  one task per trial through a process pool, the trial object carrying
+  the ~30 MB network, re-pickled for every task;
+* **per-trial, topology by parameters** — same dispatch, but the trial
+  carries only the deployment parameters; the parent resolves the
+  topology before the pool starts (as ``repro-ccm profile`` does), so
+  forked workers inherit it and a spawned worker would build it once;
+* **batched (B = 8), topology by parameters** — ``plan=RunPlan(batch=8)``
+  stacks 8 trials per task into one
+  :func:`~repro.core.batch.run_session_batch` call.
 
 All three produce bit-identical per-trial metrics (asserted); at full
 scale the batched mode must clear ``MIN_SPEEDUP`` trials/sec over
 per-trial dispatch.  A headline n = 100,000 / 100-trial campaign (the
-deployment scaled to constant tag density) is appended to the manifest.
+deployment scaled to constant tag density, the propagation step the
+kernel picks by default) is appended to the manifest.
 CI runs a reduced smoke version via ``REPRO_BENCH_BATCH_NTAGS`` /
 ``REPRO_BENCH_BATCH_TRIALS`` where only the equivalences are asserted
 and the headline is skipped.
@@ -27,16 +30,14 @@ the machine-readable manifest as ``benchmarks/output/BENCH_batch.json``.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import pathlib
 import time
 
-import repro.core.batch as batch_mod
 from repro.experiments import paperconfig as cfg
 from repro.experiments.common import SessionBatchTrial
-from repro.net.shm import SharedTopology, shared_memory_available
-from repro.net.topology import PaperDeployment, paper_network
 from repro.obs import RunManifest
 from repro.sim.parallel import Campaign, ExecutorConfig
 from repro.sim.plan import RunPlan
@@ -59,8 +60,9 @@ MIN_SPEEDUP = 3.0
 FULL_SCALE = N_TAGS >= PAPER_N_TAGS
 
 
-def _trial_params(n_tags: int, scale: float = 1.0) -> dict:
-    return dict(
+def _trial(n_tags: int, scale: float = 1.0) -> SessionBatchTrial:
+    """A parameter-only trial, its topology resolved in this process."""
+    trial = SessionBatchTrial(
         tag_range=TAG_RANGE_M,
         n_tags=n_tags,
         frame_size=FRAME_SIZE,
@@ -70,21 +72,8 @@ def _trial_params(n_tags: int, scale: float = 1.0) -> dict:
         reader_range=30.0 * scale,
         tag_to_reader_range=20.0 * scale,
     )
-
-
-def _network(n_tags: int, scale: float = 1.0):
-    params = _trial_params(n_tags, scale)
-    return paper_network(
-        TAG_RANGE_M,
-        n_tags=n_tags,
-        seed=99,
-        deployment=PaperDeployment(
-            n_tags=n_tags,
-            field_radius=params["field_radius"],
-            reader_to_tag_range=params["reader_range"],
-            tag_to_reader_range=params["tag_to_reader_range"],
-        ),
-    )
+    trial._resolve_network()
+    return trial
 
 
 def _run(trial, plan: RunPlan, reps: int = 2):
@@ -104,24 +93,15 @@ def _run(trial, plan: RunPlan, reps: int = 2):
 def _headline_entry() -> dict:
     """The n = 100,000 / 100-trial batched campaign (constant density)."""
     scale = math.sqrt(HEADLINE_N_TAGS / PAPER_N_TAGS)
-    network = _network(HEADLINE_N_TAGS, scale)
-    trial = SessionBatchTrial(
-        **_trial_params(HEADLINE_N_TAGS, scale), network=network
-    )
-    adj_bytes = network.n_tags * max(1, (network.n_tags + 63) // 64) * 8
-    saved = batch_mod.SLOT_MAJOR_MAX_ADJ_BYTES
-    batch_mod.SLOT_MAJOR_MAX_ADJ_BYTES = max(saved, 2 * adj_bytes)
-    try:
-        started = time.perf_counter()
-        result = Campaign(
-            trial,
-            HEADLINE_N_TRIALS,
-            CAMPAIGN_SEED,
-            plan=RunPlan(batch=HEADLINE_BATCH),
-        ).run()
-        elapsed = time.perf_counter() - started
-    finally:
-        batch_mod.SLOT_MAJOR_MAX_ADJ_BYTES = saved
+    trial = _trial(HEADLINE_N_TAGS, scale)
+    started = time.perf_counter()
+    result = Campaign(
+        trial,
+        HEADLINE_N_TRIALS,
+        CAMPAIGN_SEED,
+        plan=RunPlan(batch=HEADLINE_BATCH),
+    ).run()
+    elapsed = time.perf_counter() - started
     assert result.ok
     rounds = [m["rounds"] for m in result.per_trial]
     return {
@@ -137,31 +117,17 @@ def _headline_entry() -> dict:
 
 
 def test_batched_campaign_speedup(emit):
-    if not shared_memory_available():  # pragma: no cover - exotic hosts
-        import pytest
-
-        pytest.skip("multiprocessing.shared_memory unavailable")
-
-    network = _network(N_TAGS)
-    params = _trial_params(N_TAGS)
+    trial = _trial(N_TAGS)
     pool = ExecutorConfig(workers=1, backend="process")
 
     # Baseline: the trial drags the whole network through pickle per task.
-    naive = SessionBatchTrial(**params, network=network)
+    naive = dataclasses.replace(trial, network=trial._resolve_network())
     baseline, t_dispatch = _run(naive, RunPlan(executor=pool))
-
-    topo = SharedTopology.publish(network)
-    try:
-        shm_trial = SessionBatchTrial(**params, topology=topo.handle)
-        shm, t_shm = _run(shm_trial, RunPlan(executor=pool))
-        batched, t_batched = _run(
-            shm_trial, RunPlan(batch=BATCH, executor=pool)
-        )
-    finally:
-        topo.close()
+    by_params, t_params = _run(trial, RunPlan(executor=pool))
+    batched, t_batched = _run(trial, RunPlan(batch=BATCH, executor=pool))
 
     # The whole point: three dispatch strategies, one set of bits.
-    assert shm.per_trial == baseline.per_trial
+    assert by_params.per_trial == baseline.per_trial
     assert batched.per_trial == baseline.per_trial
     assert batched.aggregates == baseline.aggregates
 
@@ -169,18 +135,18 @@ def test_batched_campaign_speedup(emit):
     headline = _headline_entry() if FULL_SCALE else None
 
     rows = [
-        ("per-trial dispatch", t_dispatch),
-        ("per-trial + shm", t_shm),
-        (f"batched (B={BATCH}) + shm", t_batched),
+        ("per-trial, network pickled per task", t_dispatch),
+        ("per-trial, topology by parameters", t_params),
+        (f"batched (B = {BATCH}), topology by parameters", t_batched),
     ]
     lines = [
         f"Campaign dispatch comparison — {N_TRIALS} trials "
         f"(n = {N_TAGS:,}, f = {FRAME_SIZE:,}, r = {TAG_RANGE_M:g} m, "
         "process pool, 1 worker, best of 2)",
-        f"{'mode':<26}{'seconds':>10}{'trials/s':>10}",
+        f"{'mode':<44}{'seconds':>10}{'trials/s':>10}",
     ]
     lines += [
-        f"{name:<26}{secs:>10.2f}{N_TRIALS / secs:>10.2f}"
+        f"{name:<44}{secs:>10.2f}{N_TRIALS / secs:>10.2f}"
         for name, secs in rows
     ]
     lines.append(f"speedup: {speedup:.1f}x  (bit-identical per-trial metrics)")
@@ -204,13 +170,13 @@ def test_batched_campaign_speedup(emit):
             "batch": BATCH,
         },
         engine="batch-campaign",
-        elapsed_s=t_dispatch + t_shm + t_batched,
+        elapsed_s=t_dispatch + t_params + t_batched,
         extra={
             "per_trial_dispatch_seconds": t_dispatch,
-            "per_trial_shm_seconds": t_shm,
+            "per_trial_by_params_seconds": t_params,
             "batched_seconds": t_batched,
             "per_trial_dispatch_trials_per_s": N_TRIALS / t_dispatch,
-            "per_trial_shm_trials_per_s": N_TRIALS / t_shm,
+            "per_trial_by_params_trials_per_s": N_TRIALS / t_params,
             "batched_trials_per_s": N_TRIALS / t_batched,
             "speedup_vs_dispatch": speedup,
             "headline": headline,

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - types only
-    from repro.net.shm import TopologyHandle
     from repro.sim.trace import SessionTracer
 
 import numpy as np
@@ -143,10 +142,10 @@ def make_trial(
     return PaperTrial(tag_range, n_tags, tuple(protocols), engine)
 
 
-#: Rebuilt topologies, keyed by the deployment parameters that determine
-#: them.  A worker process that cannot attach the shared-memory segment
-#: (or was handed no handle at all) regenerates the network once and
-#: reuses it for every trial of the campaign.
+#: Built topologies, keyed by the deployment parameters that determine
+#: them.  A process builds each network once and reuses it for every
+#: trial of the campaign; forked workers inherit the parent's entries,
+#: spawned workers build their own.
 _TOPOLOGY_CACHE: Dict[Tuple, Network] = {}
 
 
@@ -165,13 +164,12 @@ class SessionBatchTrial:
     (each trial's generator draws its slot picks first, then its channel
     losses, regardless of which path runs it).
 
-    The topology travels by *name*, not by value: ``topology`` is a
-    :class:`~repro.net.shm.TopologyHandle` naming a shared-memory
-    segment that workers attach zero-copy (falling back to a
-    deterministic rebuild if the segment is gone); ``network`` pins a
-    concrete object for in-process use.  Neither enters the result-store
-    content address — :meth:`cache_config` canonicalizes only the
-    parameters that *determine* the topology and trial physics.
+    The topology travels by its parameters, not by value: unless
+    ``network`` pins a concrete object (pickled with every task), the
+    network is built from the deployment fields once per process and
+    cached.  ``network`` never enters the result-store content address —
+    :meth:`cache_config` canonicalizes only the parameters that
+    *determine* the topology and trial physics.
     """
 
     tag_range: float
@@ -184,7 +182,6 @@ class SessionBatchTrial:
     field_radius: float = 30.0
     reader_range: float = 30.0
     tag_to_reader_range: float = 20.0
-    topology: "Optional[TopologyHandle]" = field(default=None, compare=False)
     network: Optional[Network] = field(
         default=None, compare=False, repr=False
     )
@@ -215,13 +212,6 @@ class SessionBatchTrial:
     def _resolve_network(self) -> Network:
         if self.network is not None:
             return self.network
-        if self.topology is not None:
-            from repro.net import shm
-
-            try:
-                return shm.attach_cached(self.topology)
-            except (FileNotFoundError, OSError):
-                pass  # segment gone (owner exited) — rebuild below
         key = (
             self.tag_range,
             self.n_tags,

@@ -104,7 +104,7 @@ class Network:
 
     ``reader_distance`` and ``tier1_mask`` are always present; the tier
     BFS behind :attr:`tiers` runs on first use unless the constructor
-    was given ``_tiers`` (as :meth:`build` and the shared-memory view do).
+    was given ``_tiers`` (as :meth:`build` does).
     """
 
     positions: np.ndarray

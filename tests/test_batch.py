@@ -8,7 +8,8 @@ the same generator.  The grid here sweeps topology x frame size x loss and
 compares every observable field (bitmap, rounds, slot accounting, round
 stats, energy floats).  Also covered: trial-order independence, tail
 batches through the campaign engine, a one-trial batch against
-``run_session``, and the RNG-contract fingerprint coupling.
+``run_session``, parameter-only trials on a process pool, and the
+RNG-contract fingerprint coupling.
 """
 
 from __future__ import annotations
@@ -433,6 +434,61 @@ class TestCampaignBatchDispatch:
         ).run()
         assert rescued.ok
         assert rescued.per_trial == baseline.per_trial
+
+
+class TestTopologyByParameters:
+    """A trial without a pinned ``network`` builds its topology from its
+    own parameters, in whichever process runs it."""
+
+    PARAMS = dict(tag_range=6.0, n_tags=250, frame_size=64, topology_seed=77)
+
+    def test_cache_config_excludes_network(self):
+        from repro.experiments.common import SessionBatchTrial
+
+        bare = SessionBatchTrial(**self.PARAMS)
+        pinned = SessionBatchTrial(
+            **self.PARAMS, network=bare._resolve_network()
+        )
+        assert pinned.cache_config() == bare.cache_config()
+        assert "network" not in bare.cache_config()
+
+    def test_parameter_only_trial_equals_pinned(self):
+        from repro.experiments.common import SessionBatchTrial
+        from repro.net.topology import PaperDeployment, paper_network
+
+        network = paper_network(
+            6.0, n_tags=250, seed=77, deployment=PaperDeployment(n_tags=250)
+        )
+        pinned = SessionBatchTrial(**self.PARAMS, network=network)
+        bare = SessionBatchTrial(**self.PARAMS)
+        np.testing.assert_array_equal(
+            bare._resolve_network().indices, network.indices
+        )
+        assert bare(0, 1234) == pinned(0, 1234)
+
+    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize("loss", [0.0, 0.25])
+    def test_process_campaign_matches_serial(self, monkeypatch, loss, batch):
+        from repro.experiments import common
+        from repro.experiments.common import SessionBatchTrial
+
+        # An empty cache: each worker builds the topology itself.
+        monkeypatch.setattr(common, "_TOPOLOGY_CACHE", {})
+        trial = SessionBatchTrial(
+            **self.PARAMS, participation=0.7, loss=loss
+        )
+        pooled = Campaign(
+            trial, 5, 19,
+            plan=RunPlan(
+                batch=batch,
+                executor=ExecutorConfig(workers=2, backend="process"),
+            ),
+        ).run()
+        assert not common._TOPOLOGY_CACHE
+        serial = Campaign(trial, 5, 19).run()
+        assert pooled.ok
+        assert pooled.per_trial == serial.per_trial
+        assert pooled.aggregates == serial.aggregates
 
 
 class TestFingerprintCoupling:

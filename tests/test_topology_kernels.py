@@ -338,27 +338,6 @@ class TestLazyTiers:
             assert np.array_equal(getattr(clone, name), getattr(want, name))
         assert clone.readers == readers
 
-    def test_relinked_network_exports_with_tiers(self):
-        from repro.net.shm import SharedTopology, shared_memory_available
-
-        if not shared_memory_available():
-            pytest.skip("multiprocessing.shared_memory unavailable")
-        net, readers = self.relinked()
-        moved = net.with_readers(readers)
-        want = Network.build(net.positions, readers, net.tag_range)
-        topo = SharedTopology.publish(moved)
-        try:
-            attached = SharedTopology.attach(topo.handle)
-            try:
-                got = attached.network
-                for name in ("tiers", "tier1_mask", "reader_distance"):
-                    assert np.array_equal(getattr(got, name), getattr(want, name))
-                assert got.readers == readers
-            finally:
-                attached.close()
-        finally:
-            topo.close()
-
 
 # -- position validation ---------------------------------------------------
 
