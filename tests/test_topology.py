@@ -230,7 +230,8 @@ class TestTopologyGolden:
     """CSR adjacency and tier map of the paper deployment, pinned.
 
     Covers ``indptr``/``indices`` (values, per-row order and dtype) and
-    ``tiers`` at n = 2,000 for r in {2, 6, 10} m, seeds 0 and 1.  The
+    ``tiers`` at n = 2,000 for r in {2, 6, 10} m, seeds 0 and 1, and at
+    n = 10,000 (the default scale) for the same ranges, seed 0.  The
     per-row neighbour order is part of the ``repro-channel-rng-v1`` draw
     order (lossy draws walk CSR rows), so it must never move.
     """
@@ -262,13 +263,28 @@ class TestTopologyGolden:
         ),
     }
 
+    GOLDEN_10K = {
+        2.0: (
+            "9e95d626dbfae08120edb4f696f28a0a"
+            "0596a6daf761ca0e5faa2635a7ec7a82"
+        ),
+        6.0: (
+            "1debe9f2da93013d8b2b200c83bd8b35"
+            "d2b36f790112e3bbf5aee6fbee1d1c5c"
+        ),
+        10.0: (
+            "2387ac203815617634dd61310128328f"
+            "8a7242fed9d4ec241007139d934ec154"
+        ),
+    }
+
     @staticmethod
-    def _digest(tag_range, seed):
+    def _digest(tag_range, seed, n_tags=2000):
         import hashlib
 
         net = paper_network(
-            tag_range, n_tags=2000, seed=seed,
-            deployment=PaperDeployment(n_tags=2000),
+            tag_range, n_tags=n_tags, seed=seed,
+            deployment=PaperDeployment(n_tags=n_tags),
         )
         h = hashlib.sha256()
         for arr in (net.indptr, net.indices, net.tiers):
@@ -282,3 +298,7 @@ class TestTopologyGolden:
     @pytest.mark.parametrize("tag_range", [2.0, 6.0, 10.0])
     def test_digest_pinned(self, tag_range, seed):
         assert self._digest(tag_range, seed) == self.GOLDEN[(tag_range, seed)]
+
+    @pytest.mark.parametrize("tag_range", [2.0, 6.0, 10.0])
+    def test_digest_pinned_n10000(self, tag_range):
+        assert self._digest(tag_range, 0, n_tags=10_000) == self.GOLDEN_10K[tag_range]
