@@ -188,6 +188,10 @@ def check_positions(positions: np.ndarray) -> np.ndarray:
 #: arithmetic (``cx +- 1``) can never overflow int64.
 _MAX_CELL = 2**62
 
+#: Candidate pairs per block of rows in :meth:`GridIndex.neighbor_lists`:
+#: the block's distance-test temporaries stay cache-sized.
+_BLOCK_CANDIDATES = 2**15
+
 
 class GridIndex:
     """Uniform-grid spatial index for fixed-radius neighbour queries.
@@ -196,7 +200,8 @@ class GridIndex:
     "all points within ``radius`` of point i" by scanning the 3x3 cell
     neighbourhood.  With ``cell_size == radius`` this is exact and runs in
     expected O(occupancy) per query — the standard structure for building
-    random geometric graphs at n = 10,000 scale.
+    random geometric graphs at n = 10,000 scale.  :meth:`neighbor_lists`
+    answers it for every point at once, in one blocked pass over the rows.
 
     The cells are held sparsely: point indices stable-sorted by cell (so
     ascending within a cell) plus the bounds of each occupied cell, keyed
@@ -274,34 +279,6 @@ class GridIndex:
         out = self.query_point(Point(float(x), float(y)), radius)
         return out[out != i]
 
-    def _offset_neighbors(self, dx: int, dy: int, radius: float):
-        """Every point's neighbours within ``radius`` in the cell offset
-        ``(dx, dy)`` from its own: ``(neighbours, counts)`` with
-        ``counts[i]`` neighbours of point ``i`` after those of ``i - 1``,
-        ascending index within a point's group."""
-        n = self.positions.shape[0]
-        start, stop = self._cell_ranges(self._cx + dx, self._cy + dy)
-        cnt = stop - start
-        offs = segment_offsets(start, cnt)  # candidates, into _order
-        # ddx**2 + ddy**2 in place, so few candidate-sized temporaries are
-        # alive at once.
-        d2 = self._sorted_positions[:, 0][offs]
-        d2 -= np.repeat(self.positions[:, 0], cnt)
-        d2 *= d2
-        ddy = self._sorted_positions[:, 1][offs]
-        ddy -= np.repeat(self.positions[:, 1], cnt)
-        ddy *= ddy
-        d2 += ddy
-        ok = d2 <= radius * radius
-        del d2, ddy
-        if dx == 0 and dy == 0:  # a point's own cell holds itself
-            ok &= self._order[offs] != np.repeat(np.arange(n), cnt)
-        seen = np.zeros(offs.size + 1, dtype=np.int64)
-        np.cumsum(ok, out=seen[1:])
-        ends = np.cumsum(cnt)
-        idx = np.int32 if n < 2**31 else np.int64
-        return self._order[offs[ok]].astype(idx), seen[ends] - seen[ends - cnt]
-
     def neighbor_lists(self, radius: float) -> Tuple[np.ndarray, np.ndarray]:
         """All-pairs fixed-radius neighbours in CSR form.
 
@@ -313,25 +290,59 @@ class GridIndex:
         nine cells ``(dx, dy)`` with ``dx`` outer and ``dy`` inner, and
         ascending index within a cell.  That order is part of the
         ``repro-channel-rng-v1`` draw order (lossy draws walk CSR rows).
-        Built one offset at a time as whole-array passes: gather every
-        point's candidates in the offset cell, apply the distance test,
-        then scatter each offset's survivors after the earlier offsets'
-        in every row.
+        Built in one pass over the rows in ascending index: the nine cell
+        ranges are looked up once per occupied cell, and each row's ranges
+        laid end to end give its candidates already in that order.  Rows
+        go in blocks of about ``_BLOCK_CANDIDATES`` candidates (a larger
+        row alone), so the distance test's temporaries stay cache-sized;
+        a row's own tag always passes the test and is dropped after it.
         """
         self._check_radius(radius)
-        n = self.positions.shape[0]
-        kept = [  # per offset: (surviving neighbours, per-point counts)
-            self._offset_neighbors(dx, dy, radius)
-            for dx in (-1, 0, 1)
-            for dy in (-1, 0, 1)
-        ]
+        n, m = self.positions.shape[0], self._keys.size
+        first = self._order[self._bounds[:m]]  # one point of each cell
+        start, stop = self._cell_ranges(
+            self._cx[first, None] + np.repeat([-1, 0, 1], 3),
+            self._cy[first, None] + np.tile([-1, 0, 1], 3),
+        )
+        cnt = stop - start
+        cell, pos = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+        cell[self._order] = np.repeat(np.arange(m), np.diff(self._bounds)[:m])
+        pos[self._order] = np.arange(n)  # each point's place in ``_order``
+        row_cand = cnt.sum(axis=1)[cell]
+        cum = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(row_cand, out=cum[1:])
+        # A row's own tag: in its own cell, the fifth range of the nine.
+        self_at = cum[:-1] + cnt[:, :4].sum(axis=1)[cell] + pos - start[cell, 4]
+        order = self._order.astype(np.int32 if n < 2**31 else np.int64)
+        sx, sy = self._sorted_positions.T.copy()
+        px, py = self.positions.T
+        counts = np.empty(n, dtype=np.int64)
+        kept = []
+        lo = 0
+        while lo < n:  # rows [lo, hi): all that fit the budget, at least one
+            hi = int(np.searchsorted(cum, cum[lo] + _BLOCK_CANDIDATES, "right"))
+            hi = max(hi - 1, lo + 1)
+            c = cell[lo:hi]
+            offs = segment_offsets(start[c].ravel(), cnt[c].ravel())  # into _order
+            # (sx - px)**2 + (sy - py)**2 in place, few temporaries alive.
+            d2 = sx[offs]
+            d2 -= np.repeat(px[lo:hi], row_cand[lo:hi])
+            d2 *= d2
+            ddy = sy[offs]
+            ddy -= np.repeat(py[lo:hi], row_cand[lo:hi])
+            ddy *= ddy
+            d2 += ddy
+            ok = d2 <= radius * radius
+            ok[self_at[lo:hi] - cum[lo]] = False
+            hit = np.flatnonzero(ok)
+            counts[lo:hi] = np.diff(np.searchsorted(hit, cum[lo : hi + 1] - cum[lo]))
+            kept.append(order[offs[hit]])
+            lo = hi
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(sum(c for _, c in kept), out=indptr[1:])
+        np.cumsum(counts, out=indptr[1:])
         indices = np.empty(int(indptr[-1]), dtype=np.int64)
-        row_fill = indptr[:-1].copy()
-        for dst, cnt in kept:
-            indices[segment_offsets(row_fill, cnt)] = dst
-            row_fill += cnt
+        if kept:
+            np.concatenate(kept, out=indices)
         return indptr, indices
 
 

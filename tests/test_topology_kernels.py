@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.net.geometry import GridIndex, Point
+from repro.net import geometry
+from repro.net.geometry import GridIndex, Point, uniform_disk
 from repro.net.topology import UNREACHABLE, Network, Reader, _bfs_tiers
 
 
@@ -188,6 +189,64 @@ class TestNeighborListsOracle:
     def test_radius_above_cell_rejected(self):
         with pytest.raises(ValueError, match="exceeds cell size"):
             GridIndex(np.zeros((2, 2)), 1.0).neighbor_lists(2.0)
+
+
+class TestBlockedPass:
+    """``neighbor_lists`` takes rows in blocks of about
+    ``_BLOCK_CANDIDATES`` candidates, a larger row alone.  Where the block
+    edges fall must not move the CSR."""
+
+    BUDGETS = [1, 7]
+
+    @staticmethod
+    def blocked(positions, cell, radius, budget):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "_BLOCK_CANDIDATES", budget)
+            return GridIndex(positions, cell).neighbor_lists(radius)
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    @settings(max_examples=60, deadline=None)
+    @given(dep=deployments())
+    def test_matches_oracle(self, budget, dep):
+        positions, cell, radius = dep
+        got = self.blocked(positions, cell, radius, budget)
+        _assert_csr_equal(got, oracle_neighbor_lists(positions, cell, radius))
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_coincident_cluster_row_exceeds_budget(self, budget):
+        # 40 tags at one point: every row has >= 40 candidates, more than
+        # the budget, so each goes alone; coincident tags stay neighbours.
+        rng = np.random.default_rng(3)
+        positions = np.vstack(
+            [np.full((40, 2), 0.25), rng.uniform(-2.0, 2.0, size=(25, 2))]
+        )
+        got = self.blocked(positions, 1.0, 1.0, budget)
+        _assert_csr_equal(got, oracle_neighbor_lists(positions, 1.0, 1.0))
+        indptr, indices = got
+        row = indices[indptr[0] : indptr[1]].tolist()
+        assert 0 not in row and sorted(row)[:39] == list(range(1, 40))
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_far_outlier(self, budget):
+        positions = np.array(
+            [[0.0, 0.0], [0.5, 0.0], [1e12, -1e12], [1e12, -1e12 + 0.5]]
+        )
+        got = self.blocked(positions, 1.0, 1.0, budget)
+        _assert_csr_equal(got, oracle_neighbor_lists(positions, 1.0, 1.0))
+        assert got[1].tolist() == [1, 0, 3, 2]
+
+    def test_traced_peak_near_output_size(self):
+        # Kept neighbours are held as int32 per block and concatenated
+        # straight into the int64 ``indices``: the traced peak stays
+        # within 1.75x of the returned arrays.
+        grid = GridIndex(uniform_disk(10_000, 30.0, seed=1), 6.0)
+        tracemalloc.start()
+        try:
+            indptr, indices = grid.neighbor_lists(6.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * (indptr.nbytes + indices.nbytes)
 
 
 # -- BFS tiers -------------------------------------------------------------
