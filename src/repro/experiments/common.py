@@ -145,8 +145,10 @@ def make_trial(
 #: Built topologies, keyed by the deployment parameters that determine
 #: them.  A process builds each network once and reuses it for every
 #: trial of the campaign; forked workers inherit the parent's entries,
-#: spawned workers build their own.
+#: spawned workers build their own.  Holds the ``_TOPOLOGY_CACHE_SIZE``
+#: most recently used networks (insertion order is recency order).
 _TOPOLOGY_CACHE: Dict[Tuple, Network] = {}
+_TOPOLOGY_CACHE_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -228,7 +230,10 @@ class SessionBatchTrial:
                 seed=self.topology_seed,
                 deployment=self._deployment(),
             )
-            _TOPOLOGY_CACHE[key] = net
+        _TOPOLOGY_CACHE.pop(key, None)  # (re)insert as the most recent
+        _TOPOLOGY_CACHE[key] = net
+        for stale in list(_TOPOLOGY_CACHE)[:-_TOPOLOGY_CACHE_SIZE]:
+            _TOPOLOGY_CACHE.pop(stale, None)
         return net
 
     def _config(self) -> CCMConfig:

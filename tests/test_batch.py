@@ -466,6 +466,28 @@ class TestTopologyByParameters:
         )
         assert bare(0, 1234) == pinned(0, 1234)
 
+    def test_topology_cache_keeps_most_recent(self, monkeypatch):
+        from repro.experiments import common
+        from repro.experiments.common import SessionBatchTrial
+
+        monkeypatch.setattr(common, "_TOPOLOGY_CACHE", {})
+        trials = [
+            SessionBatchTrial(**dict(self.PARAMS, n_tags=50, topology_seed=s))
+            for s in range(21)
+        ]
+        first = [t._resolve_network() for t in trials[:20]]
+        assert len(common._TOPOLOGY_CACHE) == common._TOPOLOGY_CACHE_SIZE == 16
+        assert trials[4]._resolve_network() is first[4]  # a hit refreshes 4
+        trials[20]._resolve_network()  # evicts the oldest, seed 5
+        seeds = [key[2] for key in common._TOPOLOGY_CACHE]
+        assert seeds == list(range(6, 20)) + [4, 20]
+        again = trials[0]._resolve_network()  # evicted: built anew
+        assert again is not first[0]
+        np.testing.assert_array_equal(again.positions, first[0].positions)
+        np.testing.assert_array_equal(again.indptr, first[0].indptr)
+        np.testing.assert_array_equal(again.indices, first[0].indices)
+        assert len(common._TOPOLOGY_CACHE) == 16
+
     @pytest.mark.parametrize("batch", [1, 2])
     @pytest.mark.parametrize("loss", [0.0, 0.25])
     def test_process_campaign_matches_serial(self, monkeypatch, loss, batch):
