@@ -317,19 +317,20 @@ class GridIndex:
         sx, sy = self._sorted_positions.T.copy()
         px, py = self.positions.T
         counts = np.empty(n, dtype=np.int64)
-        kept = []
+        kept = [order[:0]]
         lo = 0
         while lo < n:  # rows [lo, hi): all that fit the budget, at least one
             hi = int(np.searchsorted(cum, cum[lo] + _BLOCK_CANDIDATES, "right"))
             hi = max(hi - 1, lo + 1)
-            c = cell[lo:hi]
+            c, k = cell[lo:hi], row_cand[lo:hi]
             offs = segment_offsets(start[c].ravel(), cnt[c].ravel())  # into _order
-            # (sx - px)**2 + (sy - py)**2 in place, few temporaries alive.
+            # (sx - px)**2 + (sy - py)**2 in place: fewer temporaries alive
+            # keep the process's peak RSS lower.
             d2 = sx[offs]
-            d2 -= np.repeat(px[lo:hi], row_cand[lo:hi])
+            d2 -= np.repeat(px[lo:hi], k)
             d2 *= d2
             ddy = sy[offs]
-            ddy -= np.repeat(py[lo:hi], row_cand[lo:hi])
+            ddy -= np.repeat(py[lo:hi], k)
             ddy *= ddy
             d2 += ddy
             ok = d2 <= radius * radius
@@ -341,8 +342,7 @@ class GridIndex:
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
         indices = np.empty(int(indptr[-1]), dtype=np.int64)
-        if kept:
-            np.concatenate(kept, out=indices)
+        np.concatenate(kept, out=indices)
         return indptr, indices
 
 
