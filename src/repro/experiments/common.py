@@ -222,7 +222,7 @@ class SessionBatchTrial:
             self.reader_range,
             self.tag_to_reader_range,
         )
-        net = _TOPOLOGY_CACHE.get(key)
+        net = _TOPOLOGY_CACHE.pop(key, None)  # re-inserted as the most recent
         if net is None:
             net = paper_network(
                 self.tag_range,
@@ -230,7 +230,6 @@ class SessionBatchTrial:
                 seed=self.topology_seed,
                 deployment=self._deployment(),
             )
-        _TOPOLOGY_CACHE.pop(key, None)  # (re)insert as the most recent
         _TOPOLOGY_CACHE[key] = net
         for stale in list(_TOPOLOGY_CACHE)[:-_TOPOLOGY_CACHE_SIZE]:
             _TOPOLOGY_CACHE.pop(stale, None)
