@@ -272,7 +272,8 @@ class Network:
         reader move costs O(n) distances, not the O(n·density) grid
         neighbour build, and the O(n + edges) tier BFS runs only if
         something reads :attr:`tiers` (a scenario round reads tier 1 and
-        the reader distances; the session end reads reachability once).
+        the reader distances; the session end reads reachability only if
+        no pending tag is in tier 1).
         """
         if not readers:
             raise ValueError("at least one reader is required")

@@ -16,8 +16,9 @@ things:
    :class:`~repro.scenario.trajectory.ReaderTrajectory` and the network is
    relinked via :meth:`~repro.net.topology.Network.with_readers` — an O(n)
    pass for reader distances and tier 1 that shares the tag adjacency.
-   The kernel reads tier 1 every round and reachability once, at the
-   end, so the tier BFS runs at most once per session, not per relink.
+   The kernel reads tier 1 every round; at the session end it reads
+   reachability only when every pending tag lies outside tier 1, so a
+   relink runs the tier BFS at most once, and usually never.
 2. **Power-cycling** — the :class:`~repro.scenario.power.LinkBudget`
    turns each tag's distance-to-reader into a powered mask.  The kernel
    applies it: unpowered tags neither transmit, listen, learn, respond in

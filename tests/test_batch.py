@@ -254,6 +254,76 @@ class TestOrRuns:
             )
 
 
+class TestMergePairs:
+    """``_merge_pairs`` (held pairs rejoining the learned ones) equals
+    concatenating two disjoint sorted (trial, slot, tag) lists and
+    lexsorting them back into order."""
+
+    @staticmethod
+    def check(a, b, f, n):
+        got = batch_mod._merge_pairs(a, b, f, n)
+        cat = [np.concatenate(pair) for pair in zip(a, b)]
+        order = np.lexsort(cat[::-1])
+        for x, y in zip(got, cat):
+            assert x.dtype == np.int32
+            np.testing.assert_array_equal(x, y[order])
+
+    @staticmethod
+    def split(triples, to_b):
+        """Two sorted int32 pair lists from sorted unique triples."""
+        def side(mask):
+            return tuple(
+                np.asarray(col, dtype=np.int32)[mask] for col in triples.T
+            )
+
+        return side(~to_b), side(to_b)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        trials=st.integers(1, 4),
+        f=st.integers(1, 9),
+        n=st.integers(1, 12),
+        data=st.data(),
+    )
+    def test_equals_lexsort(self, trials, f, n, data):
+        cells = st.tuples(
+            st.integers(0, trials - 1), st.integers(0, f - 1),
+            st.integers(0, n - 1),
+        )
+        triples = np.array(
+            sorted(data.draw(st.sets(cells, max_size=60))), dtype=np.int64
+        ).reshape(-1, 3)
+        to_b = np.array(
+            data.draw(st.lists(
+                st.booleans(), min_size=len(triples), max_size=len(triples),
+            )),
+            dtype=bool,
+        )
+        self.check(*self.split(triples, to_b), f, n)
+
+    def test_runs_split_across_lists(self):
+        """Two trials whose (trial, slot) runs alternate between the
+        lists tag by tag, plus one side empty."""
+        triples = np.array(
+            [(b, s, t) for b in (0, 1) for s in (0, 2) for t in range(6)]
+        )
+        to_b = np.arange(len(triples)) % 2 == 1
+        a, b = self.split(triples, to_b)
+        self.check(a, b, 3, 6)
+        self.check(b, a, 3, 6)
+        empty = self.split(triples[:0], to_b[:0])[0]
+        self.check(a, empty, 3, 6)
+        self.check(empty, b, 3, 6)
+
+    def test_keys_past_int32(self):
+        """B·f·n past 2**31: the keys must not wrap."""
+        f, n = 1 << 20, 1 << 12
+        triples = np.array(
+            [(0, f - 1, n - 1), (2, 0, 5), (2, f - 1, 0), (2, f - 1, n - 1)]
+        )
+        self.check(*self.split(triples, np.array([1, 0, 1, 0], bool)), f, n)
+
+
 def isolated_tail_network(n, seed=0):
     """~3 neighbours per tag on average; the last tag (when n > 1) is far
     from the rest, so degree-0 tags are always present."""

@@ -726,7 +726,8 @@ class TestBitsetPropagationOracle:
     def test_power_flicker_equals_tag_major(self, n, f):
         """A hook that powers a random half of the tags each round wakes
         tags whose held pairs share slots with freshly learned ones: the
-        merged pairs must be re-sorted before the next round's runs."""
+        merge must put them in (trial, slot, tag) order before the next
+        round's runs."""
         from repro.core.batch import _run_kernel
 
         net = small_network(n=n, seed=13)
@@ -855,3 +856,117 @@ class TestStaleGraphGuard:
         [plain] = self.run_with(lambda net, Network: net)
         assert result.bitmap == plain.bitmap
         assert result.round_stats == plain.round_stats
+
+
+class TestSessionEndCleanliness:
+    """At a session end the kernel proves a trial unclean from a pending
+    tier-1 tag and reads the reachable set (the tier BFS, on a relinked
+    network) only when every pending tag lies outside tier 1.  Each
+    branch must agree with the full ``(pending & reachable).any()``.
+
+    Tags: 0 in tier 1, 1 and 2 in tiers 2 and 3 (relays only), 3 and 4
+    linked to each other but to no reader.  Every tag sleeps, so each
+    pick stays pending and the first checking frame ends the session.
+    """
+
+    POSITIONS = [(1.0, 0.0), (2.8, 0.0), (4.5, 0.0), (50.0, 50.0),
+                 (51.0, 50.0)]
+    F = 8
+
+    @classmethod
+    def network(cls):
+        from repro.net.topology import Network, Reader
+
+        reader = Reader(
+            position=Point(0.0, 0.0), reader_to_tag_range=4.0,
+            tag_to_reader_range=2.0,
+        )
+        return Network.build(
+            np.array(cls.POSITIONS), [reader], tag_range=2.0
+        )
+
+    def run(self, pending_sets):
+        from repro.core.batch import _run_kernel
+
+        net = self.network()
+        n = net.n_tags
+        assert net.tiers.tolist()[:3] == [1, 2, 3]
+        assert not net.reachable_mask[3:].any()
+        relinked = []
+
+        def hook(round_index, slot_count):
+            relinked.append(net.with_readers(net.readers))
+            return relinked[-1], np.zeros(n, dtype=bool)
+
+        slots = np.stack([
+            slot_matrix(
+                n, self.F, [t if t in pending else -1 for t in range(n)]
+            )
+            for pending in pending_sets
+        ])
+        results = _run_kernel(
+            net, slots, CCMConfig(frame_size=self.F), hook=hook
+        )
+        [round_net] = relinked
+        for pending, result in zip(pending_sets, results):
+            mask = np.isin(np.arange(n), list(pending))
+            assert result.rounds == 1
+            assert result.terminated_cleanly == (
+                not (mask & net.reachable_mask).any()
+            )
+        return results, round_net
+
+    @pytest.mark.parametrize(
+        "pending,clean,bfs",
+        [
+            ({0}, False, False),
+            ({0, 3}, False, False),
+            ({1}, False, True),
+            ({2, 4}, False, True),
+            ({3}, True, True),
+            ({3, 4}, True, True),
+            (set(), True, False),
+        ],
+    )
+    def test_branch(self, pending, clean, bfs):
+        [result], round_net = self.run([pending])
+        assert result.terminated_cleanly is clean
+        assert (round_net._tiers is not None) is bfs
+
+    def test_mixed_batch(self):
+        """Trials ending together in different branches at B = 5."""
+        sets = [{3}, {0}, set(), {2}, {1, 4}]
+        results, round_net = self.run(sets)
+        assert [r.terminated_cleanly for r in results] == [
+            True, False, True, False, False,
+        ]
+        assert round_net._tiers is not None
+
+    def test_uav_op_skips_relink_bfs(self, monkeypatch):
+        """A bench-size UAV op (3 sessions, 18 relinks) leaves pending
+        data in tier 1 at every session end, so the tier BFS runs once,
+        for the deploy, and no relinked network computes its tiers."""
+        from repro.net import topology
+
+        bfs_calls = []
+        relinked = []
+        bfs, with_readers = topology._bfs_tiers, topology.Network.with_readers
+
+        def counted_bfs(*args):
+            bfs_calls.append(1)
+            return bfs(*args)
+
+        def recorded(self, readers):
+            relinked.append(with_readers(self, readers))
+            return relinked[-1]
+
+        monkeypatch.setattr(topology, "_bfs_tiers", counted_bfs)
+        monkeypatch.setattr(topology.Network, "with_readers", recorded)
+        metrics = run_scenario(
+            trajectory="uav", power_threshold_dbm=-22.0, n_tags=2000,
+            n_operations=3, seed=0,
+        ).metrics()
+        assert metrics["completion_rate"] == 0.0
+        assert metrics["relinks_total"] == len(relinked) > 0
+        assert len(bfs_calls) == 1
+        assert all(net._tiers is None for net in relinked)
