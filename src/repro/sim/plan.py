@@ -62,8 +62,7 @@ _EXECUTOR_FIELDS = {
     "fail_fast": (bool,),
 }
 _OBS_FIELDS = {
-    "metrics_out": (str, type(None)), "trace_out": (str, type(None)),
-    "progress": (bool,),
+    "metrics_out": (str, type(None)), "progress": (bool,),
 }
 _TOP_FIELDS = {"resume": (bool,), "batch": (int,)}
 
@@ -106,14 +105,13 @@ PLAN_SCHEMA = "repro-run-plan-v1"
 class ObsPlan:
     """Observability sinks of one run: where non-result output goes.
 
-    ``metrics_out``/``trace_out`` are file paths (JSON metrics registry
-    dump / JSONL session trace) or ``None`` for off; ``progress`` asks
-    the driver to attach a progress ticker.  Grouped separately from the
-    execution fields because sinks never affect results.
+    ``metrics_out`` is a file path (JSON metrics registry dump) or
+    ``None`` for off; ``progress`` asks the driver to attach a progress
+    ticker.  Grouped separately from the execution fields because sinks
+    never affect results.
     """
 
     metrics_out: Optional[str] = None
-    trace_out: Optional[str] = None
     progress: bool = False
 
 

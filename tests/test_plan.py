@@ -243,6 +243,7 @@ class TestWireSchema:
             ({"resume": "false"}, "run-plan.resume"),
             ({"batch": True}, "run-plan.batch"),
             ({"batch": "4"}, "run-plan.batch"),
+            ({"obs": {"trace_out": "t.ndjson"}}, "trace_out"),
         ],
     )
     def test_mistyped_or_unknown_fields_rejected(self, patch, field):
@@ -271,10 +272,7 @@ class TestWireSchema:
             RunPlan.from_json("[1, 2]")
 
     def test_obs_round_trips(self):
-        plan = RunPlan(
-            obs=ObsPlan(metrics_out="m.json", trace_out="t.ndjson",
-                        progress=True)
-        )
+        plan = RunPlan(obs=ObsPlan(metrics_out="m.json", progress=True))
         assert RunPlan.from_json(plan.to_json()) == plan
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.reference import run_session_reference
+from tests.reference_engine import run_session_reference
 from repro.core.session import CCMConfig, run_session
 from repro.net.geometry import Point, uniform_disk
 from repro.net.topology import Network, PaperDeployment, Reader, paper_network
